@@ -22,10 +22,9 @@ from .errors import (
     VerificationTooLarge,
 )
 from .graphs import build_paley, export_dimacs, strong_power
-from .indep import max_independent_set
 from .polys import parse_poly
 from .rings import RingCtx, RingSpec, factor_prime_power, make_ring
-from .solver import DEFAULT_BUDGET_S
+from .solver import DEFAULT_BUDGET_S, max_independent_set
 from .theta import lovasz_theta, lovasz_theta_complement, theta_zmod
 
 SCHEMA = 1

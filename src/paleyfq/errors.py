@@ -5,6 +5,13 @@ class PaleyfqError(Exception):
     """Base class for all package errors."""
 
 
+class InvariantViolation(PaleyfqError):
+    """An internal consistency check failed: a bug, not a bad input.
+
+    Raised explicitly in place of ``assert`` so the check also runs under
+    ``python -O``."""
+
+
 # ring construction
 class NotPrime(PaleyfqError):
     pass

@@ -11,10 +11,18 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .errors import DirectedUnsupported, NotCoprime, ProductTooLarge
+import numpy as np
+
+from .errors import (
+    DirectedUnsupported,
+    InvariantViolation,
+    NotCoprime,
+    ProductTooLarge,
+)
 from .rings import RingCtx, RingSpec, kth_power_set, make_ring
 
 PRODUCT_CAP = 10**5
+_BLOCK_ELEMS = 1 << 20  # bound on the elements of each to_generic temporary
 
 
 @dataclass(frozen=True)
@@ -77,14 +85,27 @@ class CayleyGraph:
         return self.ring.order
 
     def to_generic(self) -> GenericGraph:
+        """Row x has bit x - s set for each s in the connection set.  The
+        index block x - s is formed for a block of rows at a time (digit-wise
+        mod p for fields, mod m for Z/m) and packed into row ints."""
         R = self.ring
         n = R.order
-        rows = [0] * n
-        for x in range(n):
-            m = 0
-            for s in self.connection:
-                m |= 1 << R.sub(x, s)
-            rows[x] = m
+        conn = np.fromiter(self.connection, dtype=np.int64, count=len(self.connection))
+        if R.is_field:
+            conn = R.digit_array(conn)
+        step = max(1, _BLOCK_ELEMS // max(n, conn.size))
+        rows = []
+        for lo in range(0, n, step):
+            xs = np.arange(lo, min(lo + step, n))
+            if R.is_field:
+                diff = (R.digit_array(xs)[:, None, :] - conn) % R.spec.p
+                idx = R.from_digit_array(diff)
+            else:
+                idx = (xs[:, None] - conn) % R.spec.m
+            block = np.zeros((len(xs), n), dtype=bool)
+            np.put_along_axis(block, idx, True, axis=1)
+            packed = np.packbits(block, axis=1, bitorder="little")
+            rows.extend(int.from_bytes(r, "little") for r in packed)
         return GenericGraph(n=n, rows=tuple(rows), symmetric=self.symmetric)
 
     def complement_cayley(self) -> "CayleyGraph":
@@ -113,7 +134,11 @@ def build_paley(R: RingCtx, k: int) -> CayleyGraph:
         # -1 is a k-th power iff (q-1)/gcd(q-1,k) is even; char 2 has -1 = 1
         q = R.order
         criterion = ((q - 1) // math.gcd(q - 1, k)) % 2 == 0
-        assert symmetric == criterion
+        if symmetric != criterion:
+            raise InvariantViolation(
+                f"negation closure of Paley_{k}(F_{q}) disagrees with the "
+                "gcd criterion"
+            )
     return CayleyGraph(ring=R, k=k, connection=conn, symmetric=symmetric)
 
 

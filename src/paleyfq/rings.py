@@ -12,9 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AllPowers, BadModulus, NotAField, NotPrime, OrderTooLarge
+import numpy as np
+
+from .errors import (
+    AllPowers,
+    BadModulus,
+    InvariantViolation,
+    NotAField,
+    NotPrime,
+    OrderTooLarge,
+)
 
 ORDER_CAP = 1 << 20
+_BLOCK = 1 << 16  # rows per temporary digit block
 
 
 def is_prime(n: int) -> bool:
@@ -141,7 +151,11 @@ def _find_modulus(p: int, s: int) -> tuple[int, ...]:
         m = tuple(list(low) + [0] * (s - len(low)) + [1])
         if _is_irreducible(m, p):
             return m
-    raise AssertionError("an irreducible of every degree exists")
+    raise InvariantViolation("an irreducible of every degree exists")
+
+
+def _place_values(p: int, s: int) -> np.ndarray:
+    return p ** np.arange(s, dtype=np.int64)
 
 
 class RingCtx:
@@ -158,7 +172,10 @@ class RingCtx:
         if spec.kind == "fq":
             p, s = spec.p, spec.s
             self.modulus = _find_modulus(p, s) if s > 1 else (0, 1)
-            self._digits = [self._index_digits(x) for x in range(self.order)]
+            self._digits = []
+            for lo in range(0, self.order, _BLOCK):
+                block = self.digit_array(np.arange(lo, min(lo + _BLOCK, self.order)))
+                self._digits.extend(map(tuple, block.tolist()))
             self._build_tables()
         else:
             self.modulus = None
@@ -167,14 +184,6 @@ class RingCtx:
             self.log = None
 
     # -- representation helpers (fields) ------------------------------------
-
-    def _index_digits(self, x: int) -> tuple[int, ...]:
-        p, s = self.spec.p, self.spec.s
-        d = []
-        for _ in range(s):
-            d.append(x % p)
-            x //= p
-        return tuple(d)
 
     def digits(self, x: int) -> tuple[int, ...]:
         """Coefficient vector of the residue representative (fields only)."""
@@ -186,6 +195,16 @@ class RingCtx:
         for c in reversed(d):
             x = x * p + c
         return x
+
+    def digit_array(self, xs: np.ndarray) -> np.ndarray:
+        """Coefficient vectors of the indices xs as a (len(xs), s) int64
+        array, low degree first (fields only)."""
+        p, s = self.spec.p, self.spec.s
+        return np.asarray(xs, dtype=np.int64)[:, None] // _place_values(p, s) % p
+
+    def from_digit_array(self, d: np.ndarray) -> np.ndarray:
+        """Indices of the coefficient vectors along the last axis of d."""
+        return d @ _place_values(self.spec.p, self.spec.s)
 
     def _raw_mul(self, x: int, y: int) -> int:
         p = self.spec.p
@@ -201,31 +220,50 @@ class RingCtx:
             e >>= 1
         return r
 
+    def _scale(self, xs: np.ndarray, h: int) -> np.ndarray:
+        """Indices of x*h for the indices xs.  Multiplication by h is the
+        F_p-linear map whose matrix has row i = digits(T^i * h)."""
+        p, s = self.spec.p, self.spec.s
+        M = np.array([self._digits[self._raw_mul(p**i, h)] for i in range(s)],
+                     dtype=np.int64)
+        out = np.empty(len(xs), dtype=np.int64)
+        for lo in range(0, len(xs), _BLOCK):
+            d = self.digit_array(xs[lo:lo + _BLOCK])
+            out[lo:lo + _BLOCK] = self.from_digit_array(d @ M % p)
+        return out
+
     def _build_tables(self):
-        """Locate the least-index multiplicative generator and tabulate
-        exp/log with respect to it."""
+        """Locate the least-index multiplicative generator g and tabulate
+        exp/log with respect to it.  exp is filled by doubling:
+        exp[2^j : 2^(j+1)] = exp[0 : 2^j] * g^(2^j)."""
         q = self.order
         if q == 2:
             g = 1
         else:
             qm1 = q - 1
             primes = [r for r, _ in factorize(qm1)]
-            g = None
-            for x in range(1, q):
-                if all(self._raw_pow(x, qm1 // r) != 1 for r in primes):
-                    g = x
-                    break
-            assert g is not None
-        exp = [0] * (q - 1)
-        log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, g)
-        assert acc == 1, "generator order must be q-1"
-        self.exp = exp
-        self.log = log
+            g = next((x for x in range(1, q)
+                      if all(self._raw_pow(x, qm1 // r) != 1 for r in primes)),
+                     None)
+            if g is None:
+                raise InvariantViolation(f"F_{q}^* has no generator")
+        exp = np.empty(q - 1, dtype=np.int64)
+        exp[0] = 1
+        filled, h = 1, g  # h = g^filled
+        while filled < q - 1:
+            take = min(filled, q - 1 - filled)
+            exp[filled:filled + take] = self._scale(exp[:take], h)
+            filled += take
+            h = self._raw_mul(h, h)
+        if self._raw_mul(int(exp[-1]), g) != 1:
+            raise InvariantViolation("generator order must be q-1")
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        if log[1:].min() < 0:
+            raise InvariantViolation("exp must enumerate every nonzero element")
+        log[0] = 0
+        self.exp = exp.tolist()
+        self.log = log.tolist()
 
     # -- ring operations -----------------------------------------------------
 
@@ -310,7 +348,8 @@ def kth_power_set(R: RingCtx, k: int) -> frozenset[int]:
         q = R.order
         d = math.gcd(k, q - 1)
         out = frozenset({0} | {R.exp[(k * i) % (q - 1)] for i in range(q - 1)})
-        assert len(out) == 1 + (q - 1) // d
+        if len(out) != 1 + (q - 1) // d:
+            raise InvariantViolation(f"F_{q} must have {(q - 1) // d} nonzero {k}-th powers")
     else:
         m = R.spec.m
         out = frozenset(pow(z, k, m) for z in range(m))
@@ -337,7 +376,7 @@ def non_kth_power(R: RingCtx, k: int) -> int:
     for x in R.elements():
         if not is_kth_power(R, x, k):
             return x
-    raise AssertionError("unreachable: gcd > 1 guarantees a non-power")
+    raise InvariantViolation("unreachable: gcd > 1 guarantees a non-power")
 
 
 def generator(R: RingCtx) -> int:

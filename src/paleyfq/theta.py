@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DirectedFactor,
     DirectedUnsupported,
+    InvariantViolation,
     NotEdgeTransitive,
     NotSquarefree,
     OrderTooLarge,
@@ -58,9 +59,12 @@ class ThetaReport:
 def cayley_spectrum(G: CayleyGraph) -> list[float]:
     """Adjacency eigenvalues via additive characters, sorted ascending.
 
-    Z/m uses the circulant sums over the connection set; F_{p^s} uses the
-    F_p dot product of coefficient vectors.  Imaginary parts must vanish,
-    which checks the symmetry of the connection set.
+    The eigenvalue at a character is the character sum over the connection
+    set, so the spectrum is the DFT of the connection-set indicator over
+    the group: a 1-D FFT for Z/m, and for F_{p^s} = (Z/p)^s an s-fold FFT
+    of the indicator reshaped to (p,)*s.  The FFT uses the conjugate
+    characters, which yields the same multiset.  Imaginary parts must
+    vanish, which checks the symmetry of the connection set.
     """
     if not G.symmetric:
         raise DirectedUnsupported("spectrum needs an undirected graph")
@@ -68,24 +72,22 @@ def cayley_spectrum(G: CayleyGraph) -> list[float]:
     n = R.order
     if n > SPECTRUM_CAP:
         raise OrderTooLarge(f"order {n} exceeds spectrum cap {SPECTRUM_CAP}")
-    conn = sorted(G.connection)
-    if not conn:
+    deg = len(G.connection)
+    if not deg:
         return [0.0] * n
+    indicator = np.zeros(n)
+    indicator[np.fromiter(G.connection, dtype=np.int64, count=deg)] = 1.0
     if R.spec.kind == "zmod":
-        m = R.spec.m
-        phases = np.multiply.outer(np.arange(n), np.array(conn)) % m
-        vals = np.exp(2j * np.pi / m * phases).sum(axis=1)
+        vals = np.fft.fft(indicator)
     else:
-        p = R.spec.p
-        digits = np.array([R.digits(x) for x in range(n)], dtype=np.int64)
-        cdig = np.array([R.digits(s) for s in conn], dtype=np.int64)
-        phases = (digits @ cdig.T) % p
-        vals = np.exp(2j * np.pi / p * phases).sum(axis=1)
-    assert np.abs(vals.imag).max() < 1e-9
+        vals = np.fft.fftn(indicator.reshape((R.spec.p,) * R.spec.s)).ravel()
+    if np.abs(vals.imag).max() >= 1e-9:
+        raise InvariantViolation("connection set is not closed under negation")
     lam = np.sort(vals.real)
-    deg = len(conn)
-    assert abs(lam.sum()) < 1e-6 * max(n, deg)
-    assert abs(lam[-1] - deg) < 1e-9
+    if abs(lam.sum()) >= 1e-6 * max(n, deg):
+        raise InvariantViolation("adjacency trace must vanish")
+    if abs(lam[-1] - deg) >= 1e-9:
+        raise InvariantViolation("largest eigenvalue must equal the degree")
     return [float(x) for x in lam]
 
 
@@ -122,7 +124,8 @@ def lovasz_theta(G: CayleyGraph) -> ThetaReport:
     report = _ratio_theta(G)
     q = G.ring.order
     # undirected means -1 is a k-th power, so the field bound applies
-    assert report.value <= q ** (1 - 1 / G.k) + REL_TOL * q
+    if report.value > q ** (1 - 1 / G.k) + REL_TOL * q:
+        raise InvariantViolation(f"theta exceeds q^(1-1/{G.k})")
     return report
 
 
@@ -225,7 +228,7 @@ def ruzsa_bound_check(
         except SolverTimeout as exc:
             alpha = exc.incumbent.size
             status = "timeout"
-    if applicable and status == "exact":
-        assert alpha <= math.ceil(bound) - 1
+    if applicable and status == "exact" and alpha > math.ceil(bound) - 1:
+        raise InvariantViolation(f"alpha = {alpha} violates alpha < m^(1-1/k)")
     return RuzsaCheck(applicable=applicable, bound=bound, alpha=alpha,
                       alpha_status=status)

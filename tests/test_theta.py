@@ -1,7 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import paleyfq
 from paleyfq.errors import (
     DirectedFactor,
     DirectedUnsupported,
@@ -12,6 +17,7 @@ from paleyfq.graphs import build_paley
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set
 from paleyfq.theta import (
+    SPECTRUM_CAP,
     cayley_spectrum,
     lovasz_theta,
     lovasz_theta_complement,
@@ -187,3 +193,57 @@ def test_alpha_le_theta_zmod():
         G = build_paley(zring(m), k)
         a = max_independent_set(G).size
         assert a <= theta_zmod(m, k).value + 1e-6
+
+
+def run_child(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter that imports this paleyfq."""
+    src = os.path.dirname(os.path.dirname(paleyfq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_spectrum_invariant_survives_optimize_flag():
+    # {1} in F_7 is not closed under negation; the graph claims otherwise
+    code = """
+from paleyfq.errors import InvariantViolation
+from paleyfq.graphs import CayleyGraph
+from paleyfq.rings import RingSpec, make_ring
+from paleyfq.theta import cayley_spectrum
+G = CayleyGraph(ring=make_ring(RingSpec.field(7)), k=6,
+                connection=frozenset({1}), symmetric=True)
+try:
+    cayley_spectrum(G)
+    print(__debug__, "returned")
+except InvariantViolation:
+    print(__debug__, "raised")
+"""
+    proc = run_child(code, "-O")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised"]
+
+
+def test_theta_at_spectrum_cap_fits_in_2gb():
+    # theta at the largest admitted order, with address space capped so a
+    # dense n x |S| temporary fails fast instead of swapping
+    code = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from paleyfq.cli import main
+ring = "fq:{SPECTRUM_CAP}"
+codes = [main(["theta", "--ring", ring, "--k", "3"]),
+         main(["theta", "--ring", ring, "--k", "3", "--complement"])]
+sys.exit(max(codes))
+"""
+    proc = run_child(code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    plain, comp = (json.loads(line)["theta"] for line in proc.stdout.splitlines())
+    q = SPECTRUM_CAP
+    assert abs(plain["value"] * comp["value"] - q) < 1e-9 * q
+    # the complement is (q-1-d)-regular, d = (q-1)/3, and theta never
+    # exceeds the ratio bound of its spectrum
+    assert comp["lambda_max"] == q - 1 - (q - 1) // 3
+    lo, hi = comp["lambda_min"], comp["lambda_max"]
+    assert comp["value"] <= q * -lo / (hi - lo) * (1 + 1e-9)
