@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotUnimodal, SolverTimeout
+from .errors import InvariantViolation, NotUnimodal, SolverTimeout
 from .indep import alpha_product
 from .rings import RingSpec, factor_prime_power, make_ring
 from .solver import DEFAULT_BUDGET_S
@@ -156,8 +156,8 @@ def bounds_report(
         method_limit=method_limit, greedy=greedy, r_k2=r_k2,
         conjectured_tight=True,
     )
-    if lower_improved is not None:
-        assert lower_thm <= lower_improved + 1e-9
-        assert lower_improved <= method_limit + 1e-9
-    assert method_limit <= green.base + 1e-9
+    chain = [lower_thm, lower_improved] if lower_improved is not None else []
+    chain += [method_limit, green.base]
+    if any(a > b + 1e-9 for a, b in zip(chain, chain[1:])):
+        raise InvariantViolation(f"rate ledger out of order: {chain}")
     return ledger

@@ -167,9 +167,7 @@ def _cmd_construct(args) -> dict:
     )
     A = powerfree.construct(params, budget_s=args.budget)
     payload = A.to_json()
-    payload["base_certificate"] = [
-        list(v) if isinstance(v, tuple) else v for v in A.base_indep
-    ]
+    payload["base_certificate"] = A.base_indep  # tuples print as JSON lists
     payload["size_formula"] = _size_formula(A)
     if args.verify:
         payload["verified"] = powerfree.verify_no_F_difference(A)
@@ -183,43 +181,23 @@ def _cmd_construct(args) -> dict:
 
 def _size_formula(A: powerfree.DifferenceFreeSet) -> dict:
     p = A.params
-    if A.coeff_set is not None:
-        return {
-            "base_size": len(A.coeff_set),
-            "base_exponent": p.n // p.k,
-            "free_exponent": p.n - p.n // p.k,
-        }
     return {
-        "base_size": len(A.pair_set),
-        "base_exponent": p.n // (2 * p.k),
+        "base_size": len(A.allowed),
+        "base_exponent": len(A.blocks),
         "free_exponent": p.n - p.n // p.k,
     }
 
 
 def _cmd_verify(args) -> dict:
     with open(getattr(args, "in")) as fh:
-        data = json.load(fh)
-    R = make_ring(RingSpec.field(data["p"], data["s"]))
-    from .polys import PolyFq
-
-    params = powerfree.ConstructionParams(
-        ring=R, k=data["k"], n=data["n"],
-        F=PolyFq(R, data["F"]), variant=data["variant"],
-    )
-    if "coeff_set" in data:
-        A = powerfree.DifferenceFreeSet(
-            params, coeff_set=frozenset(data["coeff_set"])
-        )
-    else:
-        A = powerfree.DifferenceFreeSet(
-            params, pair_set=frozenset(tuple(t) for t in data["pair_set"])
-        )
+        A = powerfree.DifferenceFreeSet.from_json(json.load(fh))
     ok = powerfree.verify_no_F_difference(A)
+    p = A.params
     return {
-        "q": data["q"],
-        "k": data["k"],
-        "n": data["n"],
-        "variant": data["variant"],
+        "q": p.q,
+        "k": p.k,
+        "n": p.n,
+        "variant": p.variant,
         "size": A.size,
         "verdict": "pass" if ok else "fail",
     }

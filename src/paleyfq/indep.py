@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SolverTimeout
+from .errors import InvariantViolation, SolverTimeout
 from .graphs import (
     CayleyGraph,
     ProductGraph,
@@ -55,7 +55,8 @@ def diagonal_indep_set(q: int, k: int, graph: ProductGraph | None = None) -> Ind
         vertices=tuple(tuples), size=len(tuples),
         graph_fingerprint=graph_fingerprint(graph),
     )
-    assert verify_independent(graph, out.vertices)
+    if not verify_independent(graph, out.vertices):
+        raise InvariantViolation("explicit tuples are not independent")
     return out
 
 
@@ -79,7 +80,8 @@ def beta_pair_set(q: int, k: int, graph: ProductGraph | None = None) -> IndepSet
         vertices=tuples, size=len(tuples),
         graph_fingerprint=graph_fingerprint(graph),
     )
-    assert verify_independent(graph, out.vertices)
+    if not verify_independent(graph, out.vertices):
+        raise InvariantViolation("explicit tuples are not independent")
     return out
 
 
@@ -157,5 +159,6 @@ def capacity_bounds(
     upper = (
         lovasz_theta_complement(G).value if use_complement else lovasz_theta(G).value
     )
-    assert best <= upper + 1e-9
+    if best > upper + 1e-9:
+        raise InvariantViolation(f"lower bound {best} exceeds theta {upper}")
     return CapacityBounds(lower=best, upper=upper, n_used=n_used)

@@ -1,14 +1,15 @@
 """Sets of polynomials in P_{q,n} avoiding k-th power differences.
 
-Two constructions are provided.  The general one, for an arbitrary
-degree-k polynomial F, restricts every coefficient at an index divisible
-by k to b_k * S, where S is a maximum independent set of Paley_k(F_q)
-containing 0 and b_k the leading coefficient of F.  The monomial one,
-for F = b_k T^k, constrains coefficient pairs (c_i, c_{n-k-i}) to lie in
-a scaled independent set of the two-fold strong product, which is what
-makes the larger exponent possible.  An independent brute-force verifier
-enumerates all relevant F(u) shifts and tests membership, so it shares
-nothing with the construction logic beyond the membership predicate.
+Both constructions make a polynomial a member iff its coefficients at each
+of a list of position blocks form an allowed tuple.  The general one, for
+an arbitrary degree-k F, uses the single positions i = 0 mod k and allows
+b_k * S, S a maximum independent set of Paley_k(F_q) containing 0 and b_k
+the leading coefficient of F.  The monomial one, for F = b_k T^k, uses the
+pairs (i, n-k-i) and allows a scaled independent set of the two-fold strong
+product, which is what makes the larger exponent possible.  An independent
+brute-force verifier enumerates all relevant F(u) shifts and tests
+membership, so it shares nothing with the construction logic beyond the
+membership predicate.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
 from .graphs import build_paley, strong_power
 from .indep import beta_pair_set
 from .polys import PolyFq, compose, enumerate_polynomials, poly
-from .rings import RingCtx
+from .rings import RingCtx, RingSpec, is_kth_power, make_ring
 from .solver import DEFAULT_BUDGET_S, max_independent_set
 
 VERIFY_CAP = 10**8
@@ -39,11 +40,27 @@ MATERIALIZE_CAP = 10**7
 
 @dataclass(frozen=True)
 class ConstructionParams:
+    """Validated on creation, so construct and verify reject alike."""
+
     ring: RingCtx
     k: int
     n: int
     F: PolyFq
     variant: str  # "general" | "power"
+
+    def __post_init__(self):
+        k, n, F = self.k, self.n, self.F
+        if self.variant not in ("general", "power"):
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if k < 2:
+            raise ValueError("k must be >= 2")
+        if not _in_field(F.coeffs, self.q):
+            raise ValueError(f"coefficient of F out of range for q={self.q}")
+        if F.degree != k:
+            raise BadDegree(f"deg F = {F.degree}, expected k = {k}")
+        step, name = (k, "k") if self.variant == "general" else (2 * k, "2k")
+        if n < 1 or n % step:
+            raise BadN(f"n={n} must be divisible by {name}={step}")
 
     @property
     def q(self) -> int:
@@ -52,29 +69,31 @@ class ConstructionParams:
 
 class DifferenceFreeSet:
     """Membership predicate, iterator, and certificate for a constructed
-    difference-free subset of P_{q,n}."""
+    difference-free subset of P_{q,n}: the polynomials of degree < n whose
+    coefficients at each block of positions form a tuple in `allowed`."""
 
-    def __init__(self, params, coeff_set=None, pair_set=None, base_indep=None):
-        self.params = params
-        self.coeff_set = coeff_set  # frozenset of allowed single coefficients
-        self.pair_set = pair_set  # frozenset of allowed (c_i, c_{n-k-i}) pairs
-        self.base_indep = base_indep  # unscaled S or U certificate
+    def __init__(self, params, allowed, base_indep=None, source=None):
         q, k, n = params.q, params.k, params.n
-        if coeff_set is not None:
-            self.size = len(coeff_set) ** (n // k) * q ** (n - n // k)
+        if params.variant == "general":
+            self.blocks = tuple((i,) for i in range(0, n, k))
         else:
-            self.size = len(pair_set) ** (n // (2 * k)) * q ** (n - n // k)
+            self.blocks = tuple((i, n - k - i) for i in range(0, n // 2, k))
+        allowed = tuple(allowed)
+        width = len(self.blocks[0])
+        for t in allowed:
+            if len(t) != width or not _in_field(t, q):
+                raise ValueError(f"{list(t)} is not {width} coefficients in F_{q}")
+        self.params = params
+        self.allowed = frozenset(allowed)  # coefficient tuples, one per block
+        self.base_indep = base_indep  # unscaled S or U certificate
+        self.source = source  # "beta_pairs" when the solver ran out of budget
+        self.size = len(self.allowed) ** len(self.blocks) * q ** (n - n // k)
 
     def contains(self, u: PolyFq) -> bool:
-        p = self.params
-        if u.degree >= p.n:
+        if u.degree >= self.params.n:
             return False
-        if self.coeff_set is not None:
-            return all(u.coeff(i) in self.coeff_set for i in range(0, p.n, p.k))
-        half = p.n // 2
         return all(
-            (u.coeff(i), u.coeff(p.n - p.k - i)) in self.pair_set
-            for i in range(0, half, p.k)
+            tuple(u.coeff(i) for i in b) in self.allowed for b in self.blocks
         )
 
     def __iter__(self) -> Iterator[PolyFq]:
@@ -85,31 +104,17 @@ class DifferenceFreeSet:
                 f"set of size {self.size} exceeds cap {MATERIALIZE_CAP}"
             )
         p = self.params
-        q, k, n = p.q, p.k, p.n
-        free_idx = [i for i in range(n) if i % k]
-        if self.coeff_set is not None:
-            con_idx = list(range(0, n, k))
-            choices = [sorted(self.coeff_set)] * len(con_idx)
-            for con in iproduct(*choices):
-                for free in iproduct(range(q), repeat=len(free_idx)):
-                    c = [0] * n
-                    for i, v in zip(con_idx, con):
-                        c[i] = v
-                    for i, v in zip(free_idx, free):
-                        c[i] = v
-                    yield PolyFq(p.ring, c)
-        else:
-            pair_idx = list(range(0, n // 2, k))
-            choices = [sorted(self.pair_set)] * len(pair_idx)
-            for con in iproduct(*choices):
-                for free in iproduct(range(q), repeat=len(free_idx)):
-                    c = [0] * n
-                    for i, (lo, hi) in zip(pair_idx, con):
-                        c[i] = lo
-                        c[n - k - i] = hi
-                    for i, v in zip(free_idx, free):
-                        c[i] = v
-                    yield PolyFq(p.ring, c)
+        con_idx = [i for b in self.blocks for i in b]
+        free_idx = [i for i in range(p.n) if i % p.k]
+        choices = [sorted(self.allowed)] * len(self.blocks)
+        for con in iproduct(*choices):
+            c = [0] * p.n
+            for i, v in zip(con_idx, (v for t in con for v in t)):
+                c[i] = v
+            for free in iproduct(range(p.q), repeat=len(free_idx)):
+                for i, v in zip(free_idx, free):
+                    c[i] = v
+                yield PolyFq(p.ring, c)
 
     def to_json(self) -> dict:
         p = self.params
@@ -123,11 +128,32 @@ class DifferenceFreeSet:
             "variant": p.variant,
             "size": self.size,
         }
-        if self.coeff_set is not None:
-            out["coeff_set"] = sorted(self.coeff_set)
+        if len(self.blocks[0]) == 1:
+            out["coeff_set"] = sorted(c for (c,) in self.allowed)
         else:
-            out["pair_set"] = sorted(list(t) for t in self.pair_set)
+            out["pair_set"] = sorted(map(list, self.allowed))
+        if self.source:
+            out["source"] = self.source
         return out
+
+    @classmethod
+    def from_json(cls, data: dict) -> "DifferenceFreeSet":
+        """The set a to_json certificate describes; ValueError, BadDegree
+        or BadN unless it is well formed and every field matches the set."""
+        try:
+            R = make_ring(RingSpec.field(data["p"], data["s"]))
+            params = ConstructionParams(
+                ring=R, k=data["k"], n=data["n"],
+                F=PolyFq(R, data["F"]), variant=data["variant"],
+            )
+            raw = data["coeff_set"] if "coeff_set" in data else data["pair_set"]
+            A = cls(params, (tuple(t) if isinstance(t, list) else (t,) for t in raw))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
+        wrong = sorted(key for key, v in A.to_json().items() if data.get(key) != v)
+        if wrong:
+            raise ValueError(f"certificate fields {wrong} do not match the set")
+        return A
 
 
 def monomial(ring: RingCtx, k: int, lead: int = 1) -> PolyFq:
@@ -138,51 +164,59 @@ def monomial(ring: RingCtx, k: int, lead: int = 1) -> PolyFq:
 def construct(params: ConstructionParams, budget_s: float = DEFAULT_BUDGET_S) -> DifferenceFreeSet:
     if params.variant == "power":
         return construct_power(params, budget_s=budget_s)
-    if params.variant == "general":
-        return construct_general(params, budget_s=budget_s)
-    raise ValueError(f"unknown variant {params.variant!r}")
+    return construct_general(params, budget_s=budget_s)
 
 
 def construct_general(params: ConstructionParams, budget_s: float = DEFAULT_BUDGET_S) -> DifferenceFreeSet:
-    """Coefficients at indices divisible by k drawn from b_k * S."""
-    R, k, n = params.ring, params.k, params.n
-    _check_degree(params)
-    if n % k:
-        raise BadN(f"n={n} must be divisible by k={k}")
+    """Coefficients at indices divisible by k drawn from b_k * S.
+
+    A constant shift u = c moves only c_0, by F(c), and b_k * S blocks it
+    only when F(c) is b_k times a k-th power; every other shift has that
+    form at its top coefficient.  So F must satisfy this at every c."""
+    R, k, F = params.ring, params.k, params.F
     if math.gcd(k, R.order - 1) == 1:
         raise AllPowers("every element is a k-th power; S degenerates to {0}")
+    bk = F.coeffs[-1]
+    for c in R.elements():
+        value = compose(F, poly(R, (c,))).coeff(0)
+        if not is_kth_power(R, R.mul(R.inv(bk), value), k):
+            raise NotApplicable(
+                f"F({c}) = {value} is not b_k = {bk} times a k-th power"
+            )
     G = build_paley(R, k)
     cert = max_independent_set(G, budget_s=budget_s)
     S = _reroot(R, cert.vertices)
-    bk = params.F.coeffs[-1]
-    scaled = frozenset(R.mul(bk, x) for x in S)
-    return DifferenceFreeSet(params, coeff_set=scaled, base_indep=tuple(sorted(S)))
+    return DifferenceFreeSet(
+        params, ((R.mul(bk, x),) for x in S), base_indep=tuple(sorted(S))
+    )
 
 
 def construct_power(params: ConstructionParams, budget_s: float = DEFAULT_BUDGET_S) -> DifferenceFreeSet:
     """Pairs (c_i, c_{n-k-i}) drawn from b_k * U, U independent in the
-    two-fold strong product; needs the monomial F = b_k T^k."""
-    R, k, n = params.ring, params.k, params.n
-    _check_degree(params)
-    if n % (2 * k):
-        raise BadN(f"n={n} must be divisible by 2k={2 * k}")
+    two-fold strong product; needs the monomial F = b_k T^k.  When the
+    solver runs out of budget, U is the beta-pair set, recorded as the
+    certificate's source."""
+    R, k = params.ring, params.k
     if any(params.F.coeffs[i] for i in range(k)):
         raise NotMonomial("the paired construction needs F = b_k * T^k")
     G = build_paley(R, k)
     P = strong_power(G, 2)
+    source = None
     try:
         cert = max_independent_set(P, budget_s=budget_s)
         U = [tuple(v) for v in cert.vertices]
     except SolverTimeout:
         U = list(beta_pair_set(R.order, k, graph=P).vertices)
+        source = "beta_pairs"
     bk = params.F.coeffs[-1]
-    scaled = frozenset((R.mul(bk, a), R.mul(bk, b)) for a, b in U)
-    return DifferenceFreeSet(params, pair_set=scaled, base_indep=tuple(sorted(U)))
+    return DifferenceFreeSet(
+        params, ((R.mul(bk, a), R.mul(bk, b)) for a, b in U),
+        base_indep=tuple(sorted(U)), source=source,
+    )
 
 
-def _check_degree(params) -> None:
-    if params.F.degree != params.k:
-        raise BadDegree(f"deg F = {params.F.degree}, expected k = {params.k}")
+def _in_field(coeffs, q: int) -> bool:
+    return all(isinstance(c, int) and 0 <= c < q for c in coeffs)
 
 
 def _reroot(R: RingCtx, vertices) -> frozenset[int]:
@@ -198,8 +232,9 @@ def verify_no_F_difference(A: DifferenceFreeSet) -> bool:
     d = F(u), and scan all members a for membership of a + d. True iff
     the only hits have d = 0.
 
-    a + d only needs checking at the constrained coefficient positions;
-    free positions never block membership.
+    a + d only needs checking at the constrained blocks; free positions
+    never block membership, so each distinct projection of the members
+    onto the blocks is scanned once.
     """
     p = A.params
     R, q, k, n = p.ring, p.q, p.k, p.n
@@ -208,34 +243,16 @@ def verify_no_F_difference(A: DifferenceFreeSet) -> bool:
         raise VerificationTooLarge(
             f"|A| * q^depth = {A.size * q ** depth} exceeds cap {VERIFY_CAP}"
         )
-    add = R.add
-    if A.coeff_set is not None:
-        con = list(range(0, n, k))
-        allowed = A.coeff_set
-        members = [tuple(m.coeff(i) for i in con) for m in A]
-        for u in enumerate_polynomials(R, depth):
-            d = compose(p.F, u)
-            if d.is_zero():
-                continue
-            dt = [d.coeff(i) for i in con]
-            for a in members:
-                if all(add(ai, di) in allowed for ai, di in zip(a, dt)):
-                    return False
-        return True
-    pair_lo = list(range(0, n // 2, k))
-    pairs = A.pair_set
-    members = [
-        tuple((m.coeff(i), m.coeff(n - k - i)) for i in pair_lo) for m in A
-    ]
+    add, allowed, blocks = R.add, A.allowed, A.blocks
+    patterns = {tuple(tuple(m.coeff(i) for i in b) for b in blocks) for m in A}
     for u in enumerate_polynomials(R, depth):
         d = compose(p.F, u)
         if d.is_zero():
             continue
-        dt = [(d.coeff(i), d.coeff(n - k - i)) for i in pair_lo]
-        for a in members:
+        shift = [tuple(d.coeff(i) for i in b) for b in blocks]
+        for a in patterns:
             if all(
-                (add(lo, dlo), add(hi, dhi)) in pairs
-                for (lo, hi), (dlo, dhi) in zip(a, dt)
+                tuple(map(add, ab, db)) in allowed for ab, db in zip(a, shift)
             ):
                 return False
     return True

@@ -157,7 +157,7 @@ def test_criterion_06_constructions_verified():
         A = construct_power(params, budget_s=300.0)
         assert A.size == want
         if (q, k, n) == (7, 3, 6):
-            assert len(A.pair_set) == 10
+            assert len(A.allowed) == 10
         assert verify_no_F_difference(A)
         sizes[(q, k, n)] = A.size
     dt = time.monotonic() - t0

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+
+import pytest
 
 from paleyfq.cli import main
 
@@ -101,6 +104,97 @@ def test_construct_general_verify_roundtrip(capsys, tmp_path):
     code2, verdict = run_json(capsys, "verify", "--in", str(cert))
     assert code2 == 0
     assert verdict["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("q, k, n, variant, sha256", [
+    (3, 2, 4, "power",
+     "13794d836a00024913365202c4c76cdda304e52ca5aa658cfe209831708f48f4"),
+    (7, 3, 6, "general",
+     "aeb41f9de79ae49df7080283e80a48ec289bf194afb145e2d5f0698fc46f07fa"),
+])
+def test_construct_certificate_bytes_pinned(capsys, tmp_path, q, k, n, variant, sha256):
+    cert = tmp_path / "A.json"
+    code, _ = run(
+        capsys, "construct", "--q", str(q), "--k", str(k), "--n", str(n),
+        "--variant", variant, "--verify", "--out", str(cert),
+    )
+    assert code == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == sha256
+
+
+def test_construct_general_checks_F_at_constants(capsys):
+    # F(1) = 2 for F = T + T^3 over F_7, and 2 is not a cube
+    code, payload = run_json(
+        capsys, "construct", "--q", "7", "--k", "3", "--n", "6",
+        "--variant", "general", "--F", "0,1,0,1", "--verify",
+    )
+    assert code == 2
+    assert payload["error"] == "NotApplicable"
+    assert "F(1) = 2" in payload["message"]
+    code, payload = run_json(
+        capsys, "construct", "--q", "7", "--k", "3", "--n", "6",
+        "--variant", "general", "--F", "1,1,5,6", "--verify",
+    )
+    assert code == 0
+    assert payload["verified"] is True
+
+
+def test_construct_power_reports_beta_pair_fallback(capsys):
+    code, payload = run_json(
+        capsys, "construct", "--q", "16", "--k", "3", "--n", "6",
+        "--variant", "power", "--budget", "0.000000001",
+    )
+    assert code == 0
+    assert payload["source"] == "beta_pairs"
+    assert len(payload["pair_set"]) == 16
+
+
+def _drop_pair_set(cert):
+    del cert["pair_set"]
+
+
+def _coefficient_q(cert):
+    cert["pair_set"][-1][0] = cert["q"]  # still sorted
+
+
+def _power_with_coeff_set(cert):
+    cert["variant"] = "power"
+
+
+def _zero_F(cert):
+    cert["F"] = [0, 0, 0]
+
+
+def _power_n5(cert):
+    cert["n"] = 5
+
+
+def _wrong_size(cert):
+    cert["size"] += 1
+
+
+@pytest.mark.parametrize("variant, corrupt, error", [
+    ("power", _drop_pair_set, "ValueError"),
+    ("power", _coefficient_q, "ValueError"),
+    ("general", _power_with_coeff_set, "ValueError"),
+    ("power", _zero_F, "BadDegree"),
+    ("power", _power_n5, "BadN"),
+    ("power", _wrong_size, "ValueError"),
+], ids=["no-pair_set", "coefficient-q", "power-with-coeff_set", "zero-F", "power-n5",
+        "wrong-size"])
+def test_verify_rejects_malformed_certificate(capsys, tmp_path, variant, corrupt, error):
+    cert = tmp_path / "A.json"
+    code, _ = run(
+        capsys, "construct", "--q", "3", "--k", "2", "--n", "4",
+        "--variant", variant, "--out", str(cert),
+    )
+    assert code == 0
+    data = json.loads(cert.read_text())
+    corrupt(data)
+    cert.write_text(json.dumps(data))
+    code, payload = run_json(capsys, "verify", "--in", str(cert))
+    assert code == 2
+    assert payload["error"] == error
 
 
 def test_theta_complement_cli(capsys):

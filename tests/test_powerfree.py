@@ -40,15 +40,15 @@ def params(R, k, n, variant, F=None):
 
 def test_general_c7():
     A = construct_general(params(R7, 3, 6, "general"))
-    assert len(A.coeff_set) == 3  # alpha(C_7)
+    assert len(A.allowed) == 3  # alpha(C_7)
     assert A.size == 3**2 * 7**4 == 21609
-    assert 0 in A.coeff_set  # re-rooted through 0
+    assert (0,) in A.allowed  # re-rooted through 0
     assert A.contains(poly(R7, ()))
 
 
 def test_general_f3_k2():
     A = construct_general(params(R3, 2, 4, "general"))
-    assert len(A.coeff_set) == 1  # alpha of the symmetrized triangle
+    assert len(A.allowed) == 1  # alpha of the symmetrized triangle
     assert A.size == 9
 
 
@@ -67,7 +67,7 @@ def test_power_sizes():
     A5 = construct_power(params(R5, 2, 4, "power"))
     assert A5.size == 125
     A7 = construct_power(params(R7, 3, 6, "power"))
-    assert len(A7.pair_set) == 10
+    assert len(A7.allowed) == 10
     assert A7.size == 24010
 
 
@@ -76,7 +76,7 @@ def test_power_scaling_by_leading_coefficient():
     A = construct_power(params(R5, 2, 4, "power", F=F))
     assert A.size == 125
     base = construct_power(params(R5, 2, 4, "power"))
-    assert A.pair_set == {(3 * a % 5, 3 * b % 5) for a, b in base.pair_set}
+    assert A.allowed == {(3 * a % 5, 3 * b % 5) for a, b in base.allowed}
     assert verify_no_F_difference(A)
 
 
@@ -117,7 +117,7 @@ def test_verifier_accepts_constructions():
 
 def test_verifier_rejects_full_space():
     full = DifferenceFreeSet(
-        params(R3, 2, 4, "general"), coeff_set=frozenset(range(3))
+        params(R3, 2, 4, "general"), frozenset((c,) for c in range(3))
     )
     assert full.size == 81
     assert not verify_no_F_difference(full)
@@ -125,33 +125,46 @@ def test_verifier_rejects_full_space():
 
 def test_verifier_rejects_planted_bad_pair():
     good = construct_power(params(R3, 2, 4, "power"))
-    assert (0, 0) in good.pair_set
+    assert (0, 0) in good.allowed
     # adding (1, 0) admits members differing by the constant 1 = 1^2
     bad = DifferenceFreeSet(
-        good.params, pair_set=good.pair_set | {(1, 0)}
+        good.params, good.allowed | {(1, 0)}
     )
     assert not verify_no_F_difference(bad)
 
 
-def test_verifier_matches_pairwise_bruteforce():
-    # oracle vs oracle: all member pairs, difference tested as k-th power
-    from paleyfq.polys import kth_root
+def _planted(pair):
+    good = construct_power(params(R3, 2, 4, "power"))
+    return lambda: DifferenceFreeSet(good.params, good.allowed | {pair})
 
-    A = construct_power(params(R3, 2, 4, "power"))
+
+@pytest.mark.parametrize("build, clean", [
+    (lambda: construct_power(params(R3, 2, 4, "power")), True),
+    (lambda: construct_general(params(R3, 2, 4, "general")), True),
+    (lambda: construct_power(params(R5, 2, 4, "power", F=poly(R5, (0, 0, 3)))), True),
+    (_planted((1, 0)), False),
+    # (2, 2) clashes only with (1, 2) and itself, not with the first pair
+    (_planted((2, 2)), False),
+], ids=["3-2-4-power", "3-2-4-general", "5-2-4-power-3T2", "planted-bad",
+        "planted-bad-late"])
+def test_verifier_matches_pairwise_bruteforce(build, clean):
+    # oracle vs oracle: all member pairs, difference tested against every
+    # shift F(w) of degree < n
+    from paleyfq.polys import compose, enumerate_polynomials
+
+    A = build()
+    p = A.params
+    shifts = {compose(p.F, w) for w in enumerate_polynomials(p.ring, p.n)}
+    shifts = {d for d in shifts if not d.is_zero() and d.degree < p.n}
     members = list(A)
-    clean = True
-    for u in members:
-        for v in members:
-            d = u - v
-            if not d.is_zero() and kth_root(d, 2) is not None:
-                clean = False
-    assert verify_no_F_difference(A) == clean == True  # noqa: E712
+    pairwise = not any(u - v in shifts for u in members for v in members)
+    assert verify_no_F_difference(A) == pairwise == clean
 
 
 def test_verifier_cap():
     R = make_ring(RingSpec.field(11))
     A = DifferenceFreeSet(
-        params(R, 2, 8, "general"), coeff_set=frozenset(range(4))
+        params(R, 2, 8, "general"), frozenset((c,) for c in range(4))
     )
     with pytest.raises(VerificationTooLarge):
         verify_no_F_difference(A)
@@ -243,4 +256,4 @@ def test_size_closed_forms():
     A = construct_power(params(R5, 2, 4, "power"))
     assert A.size == 5 ** (4 * 3 // 4)  # q^(n(1-1/(2k)))
     B = construct_general(params(R7, 3, 6, "general"))
-    assert B.size == len(B.coeff_set) ** 2 * 7**4
+    assert B.size == len(B.allowed) ** 2 * 7**4

@@ -206,23 +206,33 @@ def run_child(code: str, *flags: str) -> subprocess.CompletedProcess:
 
 
 def test_spectrum_invariant_survives_optimize_flag():
-    # {1} in F_7 is not closed under negation; the graph claims otherwise
+    # {1} in F_7 is not closed under negation; the graph claims otherwise.
+    # With the independence check forced to fail, the explicit diagonal
+    # tuples must be refused; with r_{k,2} forced far above the method
+    # limit, the rate ledger must be refused.
     code = """
+import paleyfq.bounds
+import paleyfq.indep
 from paleyfq.errors import InvariantViolation
 from paleyfq.graphs import CayleyGraph
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.theta import cayley_spectrum
 G = CayleyGraph(ring=make_ring(RingSpec.field(7)), k=6,
                 connection=frozenset({1}), symmetric=True)
-try:
-    cayley_spectrum(G)
-    print(__debug__, "returned")
-except InvariantViolation:
-    print(__debug__, "raised")
+paleyfq.indep.verify_independent = lambda graph, vertices: False
+paleyfq.bounds.alpha_product = lambda *args, **kwargs: 10**6
+for check in (lambda: cayley_spectrum(G),
+              lambda: paleyfq.indep.diagonal_indep_set(7, 3),
+              lambda: paleyfq.bounds.bounds_report(7, 3, 6)):
+    try:
+        check()
+        print(__debug__, "returned")
+    except InvariantViolation:
+        print(__debug__, "raised")
 """
     proc = run_child(code, "-O")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "raised"]
+    assert proc.stdout.split() == ["False", "raised"] * 3
 
 
 def test_theta_at_spectrum_cap_fits_in_2gb():
