@@ -101,9 +101,10 @@ class BoundsLedger:
     greedy: float | None
     r_k2: int | None
     conjectured_tight: bool  # the method limit is only conjectured optimal
+    r_k2_source: str | None = None  # "timeout" when the solver ran out of budget
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "q": self.q,
             "k": self.k,
             "n": self.n,
@@ -117,6 +118,9 @@ class BoundsLedger:
             "r_k2": self.r_k2,
             "conjectured_tight": self.conjectured_tight,
         }
+        if self.r_k2_source is not None:
+            out["r_k2_source"] = self.r_k2_source
+        return out
 
 
 def bounds_report(
@@ -132,12 +136,14 @@ def bounds_report(
     The improved lower base needs the exact two-fold product independence
     number, so it is filled only when q^2 fits under the solver cap.  The
     method_limit base is also the conjectured optimum; it is reported as
-    a marker, never as a proven bound on constructions.
+    a marker, never as a proven bound on constructions.  When the solver
+    runs out of budget r_k2 stays None and r_k2_source reads "timeout".
     """
     green = green_exponent(q, k)
     refined = minimize_rate(q, gamma).value if gamma is not None else None
     lower_thm = q ** (1 - 1 / (2 * k))
     r_k2 = None
+    r_k2_source = None
     lower_improved = None
     if math.gcd(k, q - 1) > 1 and q * q <= solver_cap:
         R = make_ring(RingSpec.field(*factor_prime_power(q)))
@@ -145,7 +151,7 @@ def bounds_report(
             r_k2 = alpha_product(R, k, 2, budget_s=budget_s)
             lower_improved = r_k2 ** (1 / (2 * k)) * q ** (1 - 1 / k)
         except SolverTimeout:
-            pass
+            r_k2_source = "timeout"
     method_limit = q ** (1 - 1 / (k * k))
     greedy = q ** ((n - 1 - (n - 1) // k) / n) if n >= 1 else None
     ledger = BoundsLedger(
@@ -154,7 +160,7 @@ def bounds_report(
         refined_rate=refined,
         lower_thm_base=lower_thm, lower_improved=lower_improved,
         method_limit=method_limit, greedy=greedy, r_k2=r_k2,
-        conjectured_tight=True,
+        conjectured_tight=True, r_k2_source=r_k2_source,
     )
     chain = [lower_thm, lower_improved] if lower_improved is not None else []
     chain += [method_limit, green.base]

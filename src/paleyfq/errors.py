@@ -61,12 +61,14 @@ class VertexOutOfRange(PaleyfqError):
 
 # solver
 class SolverTimeout(PaleyfqError):
-    """Budget exhausted. Carries the best independent set found so far."""
+    """Budget exhausted. Carries the best independent set found so far and
+    the number of search nodes expanded."""
 
-    def __init__(self, incumbent, budget_s):
+    def __init__(self, incumbent, budget_s, nodes=0):
         super().__init__(f"solver budget of {budget_s:g}s exhausted")
         self.incumbent = incumbent
         self.budget_s = budget_s
+        self.nodes = nodes
 
 
 # theta

@@ -193,6 +193,90 @@ def as_generic(G) -> GenericGraph:
     raise TypeError(f"not a graph: {G!r}")
 
 
+def root_stabilizer(G) -> list[np.ndarray] | None:
+    """Generators of a group of automorphisms of G that fix vertex 0, each
+    an index permutation perm (vertex x maps to perm[x]); None when G is
+    not known vertex-transitive.
+
+    Cayley graphs and strong products of Cayley graphs are
+    vertex-transitive by translation.  Their generators are, per factor,
+    x -> u*x for the unit k-th powers u (one generator of the cyclic
+    group for fields, a greedy generating set for Z/m) and, on F_{p^s}
+    with s > 1, Frobenius x -> x^p, each kept only if it maps the
+    connection set S onto itself, which makes it an automorphism fixing
+    0; and the transposition of two adjacent factors with equal ring and
+    connection set.  These also preserve the symmetrized graph."""
+    if isinstance(G, CayleyGraph):
+        factors, orders = (G,), (G.n,)
+    elif isinstance(G, ProductGraph) and all(
+        isinstance(f, CayleyGraph) for f in G.factors
+    ):
+        factors, orders = G.factors, G.orders
+    else:
+        return None
+    grid = np.arange(math.prod(orders)).reshape(orders)
+    gens = [np.take(grid, perm, axis=i).ravel()
+            for i, f in enumerate(factors) for perm in _factor_stabilizer(f)]
+    for i in range(len(factors) - 1):
+        a, b = factors[i], factors[i + 1]
+        if a.ring.spec == b.ring.spec and a.connection == b.connection:
+            gens.append(np.swapaxes(grid, i, i + 1).ravel())
+    return gens
+
+
+def _factor_stabilizer(G: CayleyGraph) -> list[np.ndarray]:
+    R = G.ring
+    n = R.order
+    conn = np.fromiter(G.connection, dtype=np.int64, count=len(G.connection))
+    in_conn = np.zeros(n, dtype=bool)
+    in_conn[conn] = True
+
+    def keeps_conn(perm):
+        return bool(in_conn[perm[conn]].all())
+
+    if not R.is_field:
+        return _zmod_multipliers(R.spec.m, G.k, keeps_conn)
+    exp, log = np.array(R.exp), np.array(R.log)
+
+    def log_map(f):  # x -> exp[f(log x)] on units, 0 -> 0
+        perm = np.zeros(n, dtype=np.int64)
+        perm[1:] = exp[f(log[1:]) % (n - 1)]
+        return perm
+
+    d = math.gcd(G.k, n - 1)
+    cands = [log_map(lambda e: e + d)] if d < n - 1 else []
+    if R.spec.s > 1:
+        cands.append(log_map(lambda e: e * R.spec.p))
+    return [perm for perm in cands if keeps_conn(perm)]
+
+
+def _zmod_multipliers(m: int, k: int, keeps_conn) -> list[np.ndarray]:
+    """Multiplications by unit k-th powers of Z/m that keep the connection
+    set, chosen greedily: a power is taken only when it lies outside the
+    group generated so far."""
+    xs = np.arange(m)
+    reached = np.zeros(m, dtype=bool)
+    reached[1] = True
+    gens = []
+    for u in sorted({pow(z, k, m) for z in range(1, m) if math.gcd(z, m) == 1}):
+        if reached[u]:
+            continue
+        perm = xs * u % m
+        if not keeps_conn(perm):
+            continue
+        gens.append(perm)
+        # reached <- reached * <u>, by doubling the power of u: once
+        # reached is closed under u^(2^j) it is closed under u
+        v = u
+        while True:
+            grown = reached.copy()
+            grown[xs[reached] * v % m] = True
+            if (grown == reached).all():
+                break
+            reached, v = grown, v * v % m
+    return gens
+
+
 def _flatten_factors(G):
     if isinstance(G, ProductGraph):
         return list(G.factors), list(G.orders)

@@ -6,19 +6,29 @@ clique search on the complement, using bit-parallel candidate sets and a
 greedy coloring upper bound.  A multistart greedy supplies the incumbent,
 and for vertex-transitive inputs the search is rooted at vertex 0, which
 is exact because automorphisms carry any maximum set through any chosen
-vertex.  Everything is deterministic: natural index order, lowest-bit
+vertex; on Cayley inputs, depth-1 branches are further pruned by orbits
+of the stabilizer of vertex 0.  Everything is deterministic: natural index order, lowest-bit
 tie-breaking, no randomness, single-threaded.  A time budget turns
 exhaustion into a SolverTimeout that carries the incumbent certificate.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SolverTimeout, VertexOutOfRange
-from .graphs import GenericGraph, ProductGraph, as_generic, graph_fingerprint
+from .graphs import (
+    GenericGraph,
+    ProductGraph,
+    as_generic,
+    graph_fingerprint,
+    root_stabilizer,
+)
 
 DEFAULT_BUDGET_S = 300.0
 
@@ -56,68 +66,80 @@ def _symmetrize(g: GenericGraph) -> list[int]:
 class _CliqueSearch:
     """Tomita-style max clique with greedy coloring bound on bitmasks."""
 
-    __slots__ = ("adj", "n", "best", "best_size", "deadline", "nodes")
+    __slots__ = ("adj", "best", "best_size", "deadline", "nodes", "orbit_pruned")
 
-    def __init__(self, adj: list[int], n: int, deadline: float | None):
+    def __init__(self, adj: list[int], deadline: float, seed: list[int]):
         self.adj = adj
-        self.n = n
-        self.best: list[int] = []
-        self.best_size = 0
+        self.best = list(seed)
+        self.best_size = len(seed)
         self.deadline = deadline
         self.nodes = 0
+        self.orbit_pruned = 0
 
-    def seed(self, clique: list[int]) -> None:
-        self.best = list(clique)
-        self.best_size = len(clique)
+    def expand(self, R: list[int], P: int, orbit: list[int] | None = None) -> None:
+        """Colour P greedily into independent classes (bitmasks, lowest
+        vertex first), then branch from the highest class down, on the
+        highest vertex of each class, while |R| + class number can beat
+        the incumbent.
 
-    def _color_sort(self, P: int):
+        orbit, given only at depth 1 below a fixed root r, maps each
+        candidate v to its orbit under automorphisms fixing r.  When the
+        branch on v is done the whole orbit leaves P: the incumbent is
+        then at least every clique through {r, v}, and an automorphism g
+        fixing r carries each clique through {r, g(v)} to one through
+        {r, v} of the same size, so none of them can beat it."""
+        self.nodes += 1
+        if not self.nodes & 2047 and time.monotonic() >= self.deadline:
+            raise _Expired()
         adj = self.adj
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
+        classes = []
         rest = P
         while rest:
-            color += 1
             Q = rest
+            cls = 0
             while Q:
-                v = (Q & -Q).bit_length() - 1
+                bit = Q & -Q
+                cls |= bit
+                Q &= ~(adj[bit.bit_length() - 1] | bit)
+            rest ^= cls
+            classes.append(cls)
+        size = len(R)
+        for c in range(len(classes), 0, -1):
+            cls = classes[c - 1] & P
+            while cls:
+                if size + c <= self.best_size:
+                    return
+                v = cls.bit_length() - 1
                 bit = 1 << v
-                Q &= ~adj[v] & ~bit
-                rest ^= bit
-                order.append(v)
-                bounds.append(color)
-        return order, bounds
-
-    def expand(self, R: list[int], P: int) -> None:
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 2048 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Expired()
-        adj = self.adj
-        order, bounds = self._color_sort(P)
-        for i in range(len(order) - 1, -1, -1):
-            if len(R) + bounds[i] <= self.best_size:
-                return
-            v = order[i]
-            R.append(v)
-            P2 = P & adj[v]
-            if P2:
-                self.expand(R, P2)
-            elif len(R) > self.best_size:
-                self.best = R.copy()
-                self.best_size = len(R)
-            R.pop()
-            P &= ~(1 << v)
+                R.append(v)
+                P2 = P & adj[v]
+                if P2:
+                    self.expand(R, P2)
+                elif size >= self.best_size:
+                    self.best = R.copy()
+                    self.best_size = size + 1
+                R.pop()
+                if orbit is None:
+                    P ^= bit
+                    cls ^= bit
+                else:
+                    self.orbit_pruned += (P & orbit[v]).bit_count() - 1
+                    P &= ~orbit[v]
+                    cls &= P
 
 
 class _Expired(Exception):
     pass
 
 
-def _multistart_greedy(n: int, closed: list[int]) -> list[int]:
-    """Deterministic incumbent: index-order greedy from staggered offsets."""
+def _multistart_greedy(n: int, closed: list[int], deadline: float) -> list[int]:
+    """Deterministic incumbent: index-order greedy from staggered offsets.
+    The first start always runs, so even an expired budget leaves a
+    nonempty set; the deadline is checked before each later start."""
     best: list[int] = []
     for start in range(min(n, 300)):
+        if start and time.monotonic() >= deadline:
+            break
         used = 0
         chosen: list[int] = []
         for off in range(n):
@@ -132,74 +154,102 @@ def _multistart_greedy(n: int, closed: list[int]) -> list[int]:
     return best
 
 
-def _max_clique(
-    adj: list[int],
-    n: int,
-    deadline: float | None,
-    seed: list[int],
-    fix_root: bool,
-) -> tuple[list[int], bool]:
-    """Returns (vertices of a maximum clique, completed flag).
+def _root_orbits(gens: list, n: int, candidates: int) -> list[int]:
+    """orbit[v] = bitmask of the orbit of v under the group generated by
+    the index permutations gens, for each v in candidates (0 elsewhere).
 
-    fix_root restricts the search to cliques through vertex 0, which is
-    exact when the graph is vertex-transitive: any maximum clique maps to
-    one through a chosen vertex under an automorphism.
-    """
-    if n == 0:
-        return [], True
-    search = _CliqueSearch(adj, n, deadline)
-    search.seed(seed)
-    completed = True
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-    try:
-        if fix_root:
-            search.expand([0], adj[0])
-        else:
-            search.expand([], (1 << n) - 1)
-    except _Expired:
-        completed = False
-    return sorted(search.best), completed
-
-
-def _is_vertex_transitive_input(G) -> bool:
-    # translations x -> x + c make every Cayley graph (and products of
-    # Cayley graphs) vertex-transitive; symmetrization preserves this
-    from .graphs import CayleyGraph
-
-    if isinstance(G, CayleyGraph):
-        return True
-    if isinstance(G, ProductGraph):
-        return all(isinstance(f, CayleyGraph) for f in G.factors)
-    return False
+    Label propagation: every vertex carries the least index seen in its
+    orbit; each round sets label[x] = min(label[x], label[perm[x]]) for
+    every generator and then jumps label[x] to label[label[x]], until
+    nothing changes.  Then labels never increase along any cycle of any
+    generator, so they are constant on each orbit.  O(n * len(gens)) per
+    round, and the group is never listed."""
+    label = np.arange(n)
+    while True:
+        old = label
+        for perm in gens:
+            label = np.minimum(label, label[perm])
+        label = label[label]
+        if (label == old).all():
+            break
+    lab = label.tolist()
+    verts = [v for v in range(n) if candidates >> v & 1]
+    masks: dict[int, int] = {}
+    for v in verts:
+        masks[lab[v]] = masks.get(lab[v], 0) | 1 << v
+    orbit = [0] * n
+    for v in verts:
+        orbit[v] = masks[lab[v]]
+    return orbit
 
 
 def max_independent_set(
     G,
     budget_s: float = DEFAULT_BUDGET_S,
     vertex_transitive: bool | None = None,
+    stats: dict | None = None,
 ) -> IndepSet:
     """Exact maximum independent set with certificate.
 
-    Raises SolverTimeout carrying the best set found if the budget runs
-    out.  The certificate is deterministic for a given graph.  When the
-    graph is known vertex-transitive the search is rooted at vertex 0,
-    which is a large speedup on Cayley powers; pass vertex_transitive
-    explicitly to override the type-based detection.
+    The budget covers the whole call: its deadline starts on entry and is
+    checked inside the greedy incumbent, after it, after the orbit build
+    and every 2048 search nodes; when it expires SolverTimeout carries the
+    best set found so far (never empty on a nonempty graph).  budget_s
+    must be positive and finite, else ValueError.  The certificate is
+    deterministic for a given graph.
+
+    When the graph is known vertex-transitive (graphs.root_stabilizer
+    gives generators for Cayley graphs and their strong products), the
+    search is rooted at vertex 0, exact because automorphisms carry any
+    maximum set through any chosen vertex, and depth-1 branches are
+    pruned by orbits of the stabilizer of 0 (see _CliqueSearch.expand).
+    vertex_transitive=True overrides the detection with plain root
+    fixing, no orbits; False searches unrooted.
+
+    stats, if given, is filled with nodes (search nodes expanded),
+    root_fixed, depth1_orbits (orbits of the root's candidates, 0 without
+    orbit pruning) and orbit_pruned (depth-1 candidates dropped with an
+    orbit whose branch was done, never expanded).
     """
+    if not (math.isfinite(budget_s) and budget_s > 0):
+        raise ValueError(f"budget must be a positive number of seconds, got {budget_s!r}")
+    deadline = time.monotonic() + budget_s
     g = as_generic(G)
-    if vertex_transitive is None:
-        vertex_transitive = _is_vertex_transitive_input(G)
+    n = g.n
+    gens = root_stabilizer(G) if vertex_transitive is None else None
+    root_fixed = gens is not None if vertex_transitive is None else vertex_transitive
     fingerprint = graph_fingerprint(g)
     sym = _symmetrize(g)
-    full = (1 << g.n) - 1
-    comp = [(full & ~sym[i]) & ~(1 << i) for i in range(g.n)]
-    closed = [sym[i] | (1 << i) for i in range(g.n)]
-    seed = _multistart_greedy(g.n, closed)
-    deadline = time.monotonic() + budget_s if budget_s else None
-    verts, completed = _max_clique(comp, g.n, deadline, seed, vertex_transitive)
-    result = _make_indep_set(G, verts, fingerprint)
+    full = (1 << n) - 1
+    comp = [(full & ~sym[i]) & ~(1 << i) for i in range(n)]
+    closed = [sym[i] | (1 << i) for i in range(n)]
+    search = _CliqueSearch(comp, deadline, _multistart_greedy(n, closed, deadline))
+    orbit = None
+    completed = True
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
+    try:
+        if time.monotonic() >= deadline:
+            raise _Expired()
+        if n and root_fixed:
+            if gens:
+                orbit = _root_orbits(gens, n, comp[0])
+                if time.monotonic() >= deadline:
+                    raise _Expired()
+            search.expand([0], comp[0], orbit)
+        elif n:
+            search.expand([], full)
+    except _Expired:
+        completed = False
+    if stats is not None:
+        stats.update(
+            nodes=search.nodes,
+            root_fixed=root_fixed,
+            depth1_orbits=len(set(orbit) - {0}) if orbit else 0,
+            orbit_pruned=search.orbit_pruned,
+        )
+    result = _make_indep_set(G, sorted(search.best), fingerprint)
     if not completed:
-        raise SolverTimeout(incumbent=result, budget_s=budget_s)
+        raise SolverTimeout(incumbent=result, budget_s=budget_s, nodes=search.nodes)
     return result
 
 

@@ -78,6 +78,14 @@ def test_bounds_report_c7():
     assert led.conjectured_tight
 
 
+def test_bounds_report_marks_r_k2_timeout():
+    # the solver deadline starts on entry, so 1e-9 s always expires
+    led = bounds_report(7, 3, 6, budget_s=1e-9).to_json()
+    assert led["r_k2_source"] == "timeout"
+    assert led["r_k2"] is None and led["lower_improved_base"] is None
+    assert "r_k2_source" not in bounds_report(7, 3, 6).to_json()
+
+
 def test_bounds_report_f3():
     led = bounds_report(3, 2, 4)
     assert abs(led.lower_thm_base - 3 ** (3 / 4)) < 1e-12

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -256,6 +257,27 @@ def test_exit_4_on_timeout_with_incumbent(capsys):
     )
     assert code == 4
     assert payload["error"] == "SolverTimeout"
+    assert payload["incumbent"]["size"] >= 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "nan"])
+def test_exit_2_on_non_positive_budget(capsys, budget):
+    code, payload = run_json(
+        capsys, "alpha", "--ring", "fq:7", "--k", "3", "--budget", budget
+    )
+    assert code == 2
+    assert payload["error"] == "ValueError"
+
+
+def test_budget_covers_setup_of_large_solve(capsys):
+    # 2017 vertices: adjacency, fingerprint and one greedy start, then the
+    # expired deadline stops the call; about 0.2 s, bound 5 s
+    start = time.monotonic()
+    code, payload = run_json(
+        capsys, "alpha", "--ring", "fq:2017", "--k", "2", "--budget", "1e-9"
+    )
+    assert code == 4
+    assert time.monotonic() - start < 5.0
     assert payload["incumbent"]["size"] >= 1
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -91,6 +92,46 @@ def test_timeout_carries_incumbent():
     inc = exc.value.incumbent
     assert inc.size >= 1
     assert verify_independent(G, inc.vertices)
+
+
+def test_timeout_before_search_carries_greedy_set_and_zero_nodes():
+    # the deadline starts on entry: 1e-9 s expires before the search, and
+    # the incumbent is the first greedy start
+    G = strong_power(build_paley(ring(7), 3), 2)
+    with pytest.raises(SolverTimeout) as exc:
+        max_independent_set(G, budget_s=1e-9)
+    assert exc.value.nodes == 0
+    assert exc.value.incumbent.size >= 1
+    assert verify_independent(G, exc.value.incumbent.vertices)
+
+
+def test_timeout_during_search_counts_nodes():
+    # alpha(C_7^3) = 33 is far beyond 1 s; the deadline is read every 2048
+    # nodes, so the count at expiry is a positive multiple of 2048
+    G = strong_power(build_paley(ring(7), 3), 3)
+    stats = {}
+    with pytest.raises(SolverTimeout) as exc:
+        max_independent_set(G, budget_s=1.0, stats=stats)
+    assert exc.value.nodes > 0 and exc.value.nodes % 2048 == 0
+    assert stats["nodes"] == exc.value.nodes
+    assert exc.value.incumbent.size >= 30
+
+
+@pytest.mark.parametrize("budget", [0, -1.0, math.nan, math.inf])
+def test_budget_must_be_positive_and_finite(budget):
+    with pytest.raises(ValueError):
+        max_independent_set(build_paley(ring(7), 3), budget_s=budget)
+
+
+def test_alpha_c11_squared_node_guard():
+    # deterministic perf guard: the root-fixed search without orbit
+    # pruning expands 243218 nodes here
+    stats = {}
+    cert = max_independent_set(strong_power(build_paley(ring(11), 5), 2), stats=stats)
+    assert cert.size == 27
+    assert stats["root_fixed"]
+    assert stats["nodes"] <= 140_000
+    assert stats["orbit_pruned"] > 0
 
 
 def test_verify_independent():
