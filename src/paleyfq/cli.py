@@ -24,7 +24,7 @@ from .errors import (
 from .graphs import build_paley, export_dimacs, strong_power
 from .polys import parse_poly
 from .rings import RingCtx, RingSpec, factor_prime_power, make_ring
-from .solver import DEFAULT_BUDGET_S, max_independent_set
+from .solver import DEFAULT_BUDGET_S, check_budget, max_independent_set
 from .theta import lovasz_theta, lovasz_theta_complement, theta_zmod
 
 SCHEMA = 1
@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # --budget is checked before any work: bounds may never reach the
+        # solver, which would otherwise be the only check
+        check_budget(getattr(args, "budget", DEFAULT_BUDGET_S))
         payload = args.func(args)
     except _CAP_ERRORS as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)

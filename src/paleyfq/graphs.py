@@ -319,8 +319,9 @@ def strong_power(G, n: int) -> ProductGraph:
     """n-fold strong product of G with itself."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    g = as_generic(G)
-    acc = ProductGraph(factors=(G,), graph=g, orders=(g.n,))
+    factors, orders = _flatten_factors(G)
+    acc = ProductGraph(factors=tuple(factors), graph=as_generic(G),
+                       orders=tuple(orders))
     for _ in range(n - 1):
         acc = strong_product(acc, G)
     return acc

@@ -62,12 +62,13 @@ class PolyFq:
         R = self.ring
         if self.is_zero() or other.is_zero():
             return PolyFq(R, ())
+        add, mul = R.add, R.mul
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     if b:
-                        out[i + j] = R.add(out[i + j], R.mul(a, b))
+                        out[i + j] = add(out[i + j], mul(a, b))
         return PolyFq(R, out)
 
     def __pow__(self, e: int) -> "PolyFq":
@@ -154,6 +155,14 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
     k0 * lead^(k0-1).  Among the gcd(k, q-1) field roots of the leading
     coefficient the one with least canonical index is chosen, which makes
     the result deterministic.
+
+    Top-down matching runs in one pass over the reversed root
+    B_j = b[D-j] (D = deg b): with c[m][j] = [x^j] B^m, the coefficient
+    W_j = w[k0*D - j] equals c[k0][j], in which B_j appears only in the
+    term k0 * B_0^(k0-1) * B_j.  So B_j = (W_j - partial) / pivot, where
+    partial is c[k0][j] with B_j = 0, and each partial follows from
+    c[m][j] = sum_{i<=j} B_i c[m-1][j-i] over the finished columns.
+    That is O(k0 * D^2) ring operations; the final b^k0 = w check stays.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -191,15 +200,30 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
     lead_roots = _field_kth_roots(R, w.coeffs[-1], k0)
     if not lead_roots:
         return None
-    b = [0] * (D + 1)
-    b[D] = lead_roots[0]
-    pivot = R.mul(k0 % p, R.pow_elem(b[D], k0 - 1))
-    inv_pivot = R.inv(pivot)
-    for i in range(D - 1, -1, -1):
-        cur = PolyFq(R, b) ** k0
-        target = w.coeff((k0 - 1) * D + i)
-        b[i] = R.mul(R.sub(target, cur.coeff((k0 - 1) * D + i)), inv_pivot)
-    cand = PolyFq(R, b)
+    add, mul = R.add, R.mul
+    W = w.coeffs[::-1]
+    B = [lead_roots[0]]
+    lead_pows = [1]  # B_0^m
+    for _ in range(k0):
+        lead_pows.append(mul(lead_pows[-1], B[0]))
+    # c[m] holds the finished columns of B^m for m < k0; slope[m] is the
+    # coefficient m * B_0^(m-1) of B_j in c[m][j]
+    c = [[lead_pows[m]] for m in range(k0)]
+    slope = [0] + [mul(m % p, lead_pows[m - 1]) for m in range(1, k0 + 1)]
+    inv_pivot = R.inv(slope[k0])
+    for j in range(1, D + 1):
+        partial = [0] * (k0 + 1)
+        for m in range(1, k0 + 1):
+            prev = c[m - 1]
+            acc = mul(B[0], partial[m - 1])
+            for i in range(1, j):
+                acc = add(acc, mul(B[i], prev[j - i]))
+            partial[m] = acc
+        Bj = mul(R.sub(W[j], partial[k0]), inv_pivot)
+        B.append(Bj)
+        for m in range(k0):
+            c[m].append(add(partial[m], mul(slope[m], Bj)))
+    cand = PolyFq(R, B[::-1])
     if cand**k0 == w:
         return cand
     return None

@@ -159,35 +159,34 @@ def _place_values(p: int, s: int) -> np.ndarray:
 
 
 class RingCtx:
-    """Arithmetic context for one ring; build via make_ring()."""
+    """Arithmetic context for one ring; build via make_ring().
 
-    __slots__ = (
-        "spec", "order", "modulus", "exp", "log", "_digits", "_power_sets",
-    )
+    make_ring picks the arithmetic once: _ResidueRing (Z/m and F_p, plain
+    integers mod the order) or _ExtensionField (F_{p^s} with s > 1,
+    exp/log and Zech tables).  Every field keeps the exp/log tables of its
+    least-index generator."""
+
+    __slots__ = ("spec", "order", "modulus", "exp", "log", "_power_sets")
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self.order = spec.order
         self._power_sets: dict[int, frozenset[int]] = {}
+        self.modulus = self.exp = self.log = None
         if spec.kind == "fq":
-            p, s = spec.p, spec.s
-            self.modulus = _find_modulus(p, s) if s > 1 else (0, 1)
-            self._digits = []
-            for lo in range(0, self.order, _BLOCK):
-                block = self.digit_array(np.arange(lo, min(lo + _BLOCK, self.order)))
-                self._digits.extend(map(tuple, block.tolist()))
+            self.modulus = _find_modulus(spec.p, spec.s) if spec.s > 1 else (0, 1)
             self._build_tables()
-        else:
-            self.modulus = None
-            self._digits = None
-            self.exp = None
-            self.log = None
 
     # -- representation helpers (fields) ------------------------------------
 
     def digits(self, x: int) -> tuple[int, ...]:
         """Coefficient vector of the residue representative (fields only)."""
-        return self._digits[x]
+        p = self.spec.p
+        out = []
+        for _ in range(self.spec.s):
+            x, r = divmod(x, p)
+            out.append(r)
+        return tuple(out)
 
     def from_digits(self, d) -> int:
         p = self.spec.p
@@ -208,7 +207,7 @@ class RingCtx:
 
     def _raw_mul(self, x: int, y: int) -> int:
         p = self.spec.p
-        rem = _pmod(_pmul(self._digits[x], self._digits[y], p), self.modulus, p)
+        rem = _pmod(_pmul(self.digits(x), self.digits(y), p), self.modulus, p)
         return self.from_digits(rem)
 
     def _raw_pow(self, x: int, e: int) -> int:
@@ -224,7 +223,7 @@ class RingCtx:
         """Indices of x*h for the indices xs.  Multiplication by h is the
         F_p-linear map whose matrix has row i = digits(T^i * h)."""
         p, s = self.spec.p, self.spec.s
-        M = np.array([self._digits[self._raw_mul(p**i, h)] for i in range(s)],
+        M = np.array([self.digits(self._raw_mul(p**i, h)) for i in range(s)],
                      dtype=np.int64)
         out = np.empty(len(xs), dtype=np.int64)
         for lo in range(0, len(xs), _BLOCK):
@@ -262,48 +261,11 @@ class RingCtx:
         if log[1:].min() < 0:
             raise InvariantViolation("exp must enumerate every nonzero element")
         log[0] = 0
+        self._store_tables(exp, log)
+
+    def _store_tables(self, exp: np.ndarray, log: np.ndarray) -> None:
         self.exp = exp.tolist()
         self.log = log.tolist()
-
-    # -- ring operations -----------------------------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        if self.spec.kind == "zmod":
-            return (x + y) % self.spec.m
-        p = self.spec.p
-        return self.from_digits(
-            [(a + b) % p for a, b in zip(self._digits[x], self._digits[y])]
-        )
-
-    def neg(self, x: int) -> int:
-        if self.spec.kind == "zmod":
-            return (-x) % self.spec.m
-        p = self.spec.p
-        return self.from_digits([(-a) % p for a in self._digits[x]])
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
-    def mul(self, x: int, y: int) -> int:
-        if self.spec.kind == "zmod":
-            return (x * y) % self.spec.m
-        if x == 0 or y == 0:
-            return 0
-        return self.exp[(self.log[x] + self.log[y]) % (self.order - 1)]
-
-    def inv(self, x: int) -> int:
-        if self.spec.kind == "zmod":
-            return pow(x, -1, self.spec.m)  # ValueError for non-units
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.exp[(-self.log[x]) % (self.order - 1)]
-
-    def pow_elem(self, x: int, e: int) -> int:
-        if self.spec.kind == "zmod":
-            return pow(x, e, self.spec.m)
-        if x == 0:
-            return 0 if e else 1
-        return self.exp[(self.log[x] * e) % (self.order - 1)]
 
     def elements(self) -> range:
         return range(self.order)
@@ -318,6 +280,89 @@ class RingCtx:
         return f"RingCtx(Z/{self.spec.m})"
 
 
+class _ResidueRing(RingCtx):
+    """Z/m and F_p: elements are residues and the operations are integer
+    arithmetic modulo the order."""
+
+    __slots__ = ()
+
+    def add(self, x: int, y: int) -> int:
+        return (x + y) % self.order
+
+    def neg(self, x: int) -> int:
+        return -x % self.order
+
+    def sub(self, x: int, y: int) -> int:
+        return (x - y) % self.order
+
+    def mul(self, x: int, y: int) -> int:
+        return x * y % self.order
+
+    def inv(self, x: int) -> int:
+        if x == 0 and self.is_field:
+            raise ZeroDivisionError("0 has no inverse")
+        return pow(x, -1, self.order)  # ValueError for non-units of Z/m
+
+    def pow_elem(self, x: int, e: int) -> int:
+        if e < 0:  # through inv, for its error types
+            x, e = self.inv(x), -e
+        return pow(x, e, self.order)
+
+
+class _ExtensionField(RingCtx):
+    """F_{p^s} with s > 1: multiplication through exp/log, addition through
+    Zech's logarithm zech[t] = log(1 + g^t) (-1 where 1 + g^t = 0), so
+    x + y = g^(log x + zech[log y - log x]) for nonzero x, y."""
+
+    __slots__ = ("_zech", "_qm1", "_log_neg1")
+
+    def _store_tables(self, exp: np.ndarray, log: np.ndarray) -> None:
+        p = self.spec.p
+        low = exp % p  # adding 1 changes only the constant digit
+        one_plus = exp - low + (low + 1) % p
+        zech = log[one_plus]
+        zech[one_plus == 0] = -1
+        self._zech = zech.tolist()
+        self._qm1 = self.order - 1
+        self._log_neg1 = int(log[p - 1])  # index p - 1 is -1
+        super()._store_tables(exp, log)
+
+    def add(self, x: int, y: int) -> int:
+        if not x:
+            return y
+        if not y:
+            return x
+        log, qm1 = self.log, self._qm1
+        lx = log[x]
+        z = self._zech[(log[y] - lx) % qm1]
+        return 0 if z < 0 else self.exp[(lx + z) % qm1]
+
+    def neg(self, x: int) -> int:
+        if not x:
+            return 0
+        return self.exp[(self.log[x] + self._log_neg1) % self._qm1]
+
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
+
+    def mul(self, x: int, y: int) -> int:
+        if x == 0 or y == 0:
+            return 0
+        return self.exp[(self.log[x] + self.log[y]) % self._qm1]
+
+    def inv(self, x: int) -> int:
+        if x == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        return self.exp[-self.log[x] % self._qm1]
+
+    def pow_elem(self, x: int, e: int) -> int:
+        if x == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no inverse")
+            return 0 if e else 1
+        return self.exp[self.log[x] * e % self._qm1]
+
+
 def make_ring(spec: RingSpec) -> RingCtx:
     """Validate a RingSpec and build its arithmetic context."""
     if spec.kind == "fq":
@@ -327,13 +372,13 @@ def make_ring(spec: RingSpec) -> RingCtx:
             raise BadModulus(f"s={spec.s} must be >= 1")
         if spec.order > ORDER_CAP:
             raise OrderTooLarge(f"q={spec.order} exceeds cap {ORDER_CAP}")
-        return RingCtx(spec)
+        return (_ExtensionField if spec.s > 1 else _ResidueRing)(spec)
     if spec.kind == "zmod":
         if spec.m < 2:
             raise BadModulus(f"m={spec.m} must be >= 2")
         if spec.m > ORDER_CAP:
             raise OrderTooLarge(f"m={spec.m} exceeds cap {ORDER_CAP}")
-        return RingCtx(spec)
+        return _ResidueRing(spec)
     raise BadModulus(f"unknown ring kind {spec.kind!r}")
 
 

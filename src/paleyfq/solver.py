@@ -183,6 +183,14 @@ def _root_orbits(gens: list, n: int, candidates: int) -> list[int]:
     return orbit
 
 
+def check_budget(budget_s: float) -> float:
+    """budget_s if it is a positive, finite number of seconds, else
+    ValueError."""
+    if not (math.isfinite(budget_s) and budget_s > 0):
+        raise ValueError(f"budget must be a positive number of seconds, got {budget_s!r}")
+    return budget_s
+
+
 def max_independent_set(
     G,
     budget_s: float = DEFAULT_BUDGET_S,
@@ -211,9 +219,7 @@ def max_independent_set(
     orbit pruning) and orbit_pruned (depth-1 candidates dropped with an
     orbit whose branch was done, never expanded).
     """
-    if not (math.isfinite(budget_s) and budget_s > 0):
-        raise ValueError(f"budget must be a positive number of seconds, got {budget_s!r}")
-    deadline = time.monotonic() + budget_s
+    deadline = time.monotonic() + check_budget(budget_s)
     g = as_generic(G)
     n = g.n
     gens = root_stabilizer(G) if vertex_transitive is None else None

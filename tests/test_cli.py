@@ -269,6 +269,16 @@ def test_exit_2_on_non_positive_budget(capsys, budget):
     assert payload["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("budget", ["0", "-1", "nan"])
+def test_bounds_rejects_bad_budget_without_a_solve(capsys, budget):
+    # q^2 = 961 is above the solver cap, so no solver call sees the budget
+    code, payload = run_json(
+        capsys, "bounds", "--q", "31", "--k", "3", "--n", "6", "--budget", budget
+    )
+    assert code == 2
+    assert payload["error"] == "ValueError"
+
+
 def test_budget_covers_setup_of_large_solve(capsys):
     # 2017 vertices: adjacency, fingerprint and one greedy start, then the
     # expired deadline stops the call; about 0.2 s, bound 5 s

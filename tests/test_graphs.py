@@ -11,6 +11,7 @@ from paleyfq.graphs import (
     generic_graph,
     graph_fingerprint,
     import_dimacs,
+    root_stabilizer,
     strong_power,
     strong_product,
 )
@@ -195,3 +196,13 @@ def test_fingerprint_distinguishes_graphs():
     b = graph_fingerprint(build_paley(ring(7), 2))
     assert a != b
     assert a == graph_fingerprint(build_paley(ring(7), 3))
+
+
+def test_strong_power_of_a_power_is_flat():
+    G = build_paley(ring(5), 2)
+    nested = strong_power(strong_power(G, 2), 2)
+    flat = strong_power(G, 4)
+    assert nested.factors == flat.factors == (G,) * 4
+    assert nested.orders == flat.orders == (5, 5, 5, 5)
+    assert nested.graph.rows == flat.graph.rows
+    assert root_stabilizer(nested) is not None

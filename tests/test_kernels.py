@@ -1,15 +1,24 @@
-"""Differential tests: the vectorized ring tables, Cayley adjacency and FFT
-spectra against the per-element reference oracles in util.py."""
+"""Differential tests: the vectorized ring tables, scalar ring arithmetic,
+Cayley adjacency and FFT spectra against the reference oracles in util.py."""
 
 import random
 
+import numpy as np
 import pytest
 
 from paleyfq.errors import DirectedUnsupported
 from paleyfq.graphs import build_paley
-from paleyfq.rings import RingSpec, factor_prime_power, make_ring
+from paleyfq.rings import RingSpec, factor_prime_power, factorize, make_ring
 from paleyfq.theta import cayley_spectrum
-from util import ref_cayley_rows, ref_field_tables, ref_spectrum
+from util import (
+    ref_add,
+    ref_cayley_rows,
+    ref_field_tables,
+    ref_mul,
+    ref_neg,
+    ref_pow_table,
+    ref_spectrum,
+)
 
 FIELDS = (2, 3, 4, 8, 9, 25, 32, 49, 81, 125, 256, 729, 1024, 13, 97)
 MODULI = (2, 8, 15, 21, 65, 100, 221)
@@ -72,3 +81,77 @@ def test_spectrum_matches_oracle(make, order):
         want = ref_spectrum(G)
         assert len(got) == len(want)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+
+
+# -- scalar arithmetic: every pair on small rings, seeded pairs on large ones
+
+SMALL_FIELDS = [q for q in range(2, 257) if len(factorize(q)) == 1]
+SMALL_MODULI = range(2, 65)
+LARGE_FIELDS = (1024, 3125, 65536)
+LARGE_PAIRS = 3000
+
+
+def _table(op, n):
+    return np.array([[op(x, y) for y in range(n)] for x in range(n)], dtype=np.int64)
+
+
+def _check_every_pair(R):
+    n = R.order
+    xs = np.arange(n)
+    X, Y = xs[:, None], xs[None, :]
+    add = ref_add(R, X, Y)
+    neg = ref_neg(R, xs)
+    mul = ref_mul(R, X, Y)
+    assert (_table(R.add, n) == add).all()
+    assert [R.neg(x) for x in range(n)] == neg.tolist()
+    assert (_table(R.sub, n) == ref_add(R, X, neg[None, :])).all()
+    assert (_table(R.mul, n) == mul).all()
+    assert (_table(R.pow_elem, n) == ref_pow_table(R)).all()
+    for x in range(n):
+        units = np.flatnonzero(mul[x] == 1)
+        if len(units):
+            assert R.inv(x) == units[0]
+            assert R.pow_elem(x, -2) == mul[units[0], units[0]]
+            continue
+        for op in (R.inv, lambda y: R.pow_elem(y, -1)):
+            with pytest.raises(ZeroDivisionError if R.is_field else ValueError):
+                op(x)
+
+
+@pytest.mark.parametrize("q", SMALL_FIELDS)
+def test_field_arithmetic_every_pair(q):
+    _check_every_pair(field(q))
+
+
+@pytest.mark.parametrize("m", SMALL_MODULI)
+def test_zmod_arithmetic_every_pair(m):
+    _check_every_pair(make_ring(RingSpec.zmod(m)))
+
+
+@pytest.mark.parametrize("q", LARGE_FIELDS)
+def test_large_field_arithmetic_random_pairs(q):
+    R = field(q)
+    rng = np.random.default_rng(q)
+    xs = rng.integers(0, q, LARGE_PAIRS)
+    ys = rng.integers(0, q, LARGE_PAIRS)
+    es = rng.integers(0, 4 * q, LARGE_PAIRS)
+    xs[:20] = 0  # zero operands and x + (-x) = 0 reach the special cases
+    ys[20:40] = 0
+    ys[40:80] = ref_neg(R, xs[40:80])
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    assert [R.add(x, y) for x, y in pairs] == ref_add(R, xs, ys).tolist()
+    assert [R.sub(x, y) for x, y in pairs] == ref_add(R, xs, ref_neg(R, ys)).tolist()
+    assert [R.neg(x) for x in xs.tolist()] == ref_neg(R, xs).tolist()
+    assert [R.mul(x, y) for x, y in pairs] == ref_mul(R, xs, ys).tolist()
+    inv = [R.inv(x) for x in ys.tolist() if x]
+    assert (ref_mul(R, ys[ys != 0], inv) == 1).all()
+    want = np.ones(LARGE_PAIRS, dtype=np.int64)  # square-and-multiply
+    base, e = xs.copy(), es.copy()
+    while e.any():
+        odd = (e & 1).astype(bool)
+        want[odd] = ref_mul(R, want[odd], base[odd])
+        base = ref_mul(R, base, base)
+        e >>= 1
+    assert [R.pow_elem(x, e) for x, e in zip(xs.tolist(), es.tolist())] == want.tolist()
+    with pytest.raises(ZeroDivisionError):
+        R.inv(0)

@@ -14,7 +14,8 @@ from paleyfq.polys import (
     parse_poly,
     poly,
 )
-from paleyfq.rings import RingSpec, make_ring
+from paleyfq.rings import RingSpec, factor_prime_power, factorize, make_ring
+from util import ref_kth_root
 
 R2 = make_ring(RingSpec.field(2))
 R3 = make_ring(RingSpec.field(3))
@@ -144,3 +145,26 @@ def test_text_encoding():
     assert parse_poly(R7, "0,0").is_zero()
     with pytest.raises(ValueError):
         parse_poly(R7, "9")
+
+
+ROOT_FIELDS = [q for q in range(2, 50) if len(factorize(q)) == 1]
+
+
+@pytest.mark.parametrize("q", ROOT_FIELDS)
+def test_kth_root_matches_top_down_reference(q):
+    # true powers, random polynomials, and powers with a low-degree
+    # perturbation (these pass the degree and lead tests, then fail the check)
+    R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    rng = random.Random(q)
+
+    def rand_poly(deg):
+        return poly(R, [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
+
+    for k in range(2, 10):
+        inputs = []
+        for _ in range(25):
+            w = rand_poly(rng.randrange(5)) ** k
+            inputs += [w, rand_poly(rng.randrange(3 * k)),
+                       w + rand_poly(rng.randrange(max(w.degree, 1)))]
+        for u in inputs:
+            assert kth_root(u, k) == ref_kth_root(u, k), (q, k, u)

@@ -8,6 +8,7 @@ import random
 import numpy as np
 
 from paleyfq.graphs import GenericGraph, generic_graph
+from paleyfq.polys import PolyFq, _field_kth_roots
 from paleyfq.rings import _pmod, _pmul, factorize
 
 
@@ -104,6 +105,71 @@ def ref_field_tables(R) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     return exp, log, table
 
 
+def _ref_digit_array(xs, p: int, s: int) -> np.ndarray:
+    """Digits of the indices xs along a new last axis, by repeated division."""
+    xs = np.asarray(xs, dtype=np.int64)
+    out = np.empty(xs.shape + (s,), dtype=np.int64)
+    for i in range(s):
+        out[..., i] = xs % p
+        xs = xs // p
+    return out
+
+
+def _ref_encode(d: np.ndarray, p: int) -> np.ndarray:
+    x = np.zeros(d.shape[:-1], dtype=np.int64)
+    for i in reversed(range(d.shape[-1])):
+        x = x * p + d[..., i]
+    return x
+
+
+def ref_add(R, x, y) -> np.ndarray:
+    """x + y digit by digit mod p for fields, mod m for Z/m; x and y are
+    index arrays that broadcast against each other."""
+    if not R.is_field:
+        return (np.asarray(x) + np.asarray(y)) % R.spec.m
+    p, s = R.spec.p, R.spec.s
+    return _ref_encode((_ref_digit_array(x, p, s) + _ref_digit_array(y, p, s)) % p, p)
+
+
+def ref_neg(R, x) -> np.ndarray:
+    """-x digit by digit mod p for fields, mod m for Z/m."""
+    if not R.is_field:
+        return -np.asarray(x) % R.spec.m
+    p, s = R.spec.p, R.spec.s
+    return _ref_encode(-_ref_digit_array(x, p, s) % p, p)
+
+
+def ref_mul(R, x, y) -> np.ndarray:
+    """x * y by schoolbook multiplication of the residue polynomials and
+    reduction modulo R.modulus, top degree first (fields), or mod m."""
+    if not R.is_field:
+        return np.asarray(x) * np.asarray(y) % R.spec.m
+    p, s = R.spec.p, R.spec.s
+    dx, dy = _ref_digit_array(x, p, s), _ref_digit_array(y, p, s)
+    dx, dy = np.broadcast_arrays(dx, dy)
+    prod = np.zeros(dx.shape[:-1] + (2 * s - 1,), dtype=np.int64)
+    for i in range(s):
+        for j in range(s):
+            prod[..., i + j] += dx[..., i] * dy[..., j]
+    mod = np.array(R.modulus, dtype=np.int64)
+    for t in range(2 * s - 2, s - 1, -1):
+        lead = prod[..., t] % p
+        prod[..., t - s:t + 1] -= lead[..., None] * mod
+    return _ref_encode(prod[..., :s] % p, p)
+
+
+def ref_pow_table(R) -> np.ndarray:
+    """T[x, e] = x^e for every element x and 0 <= e < |R|, by repeated
+    ref_mul (0^0 = 1)."""
+    n = R.order
+    xs = np.arange(n)
+    table = np.empty((n, n), dtype=np.int64)
+    table[:, 0] = 1
+    for e in range(1, n):
+        table[:, e] = ref_mul(R, table[:, e - 1], xs)
+    return table
+
+
 def ref_cayley_rows(G, xs=None) -> list[int]:
     """Adjacency rows of a Cayley graph by the R.sub loop over the
     connection set, for the vertices xs (all by default)."""
@@ -137,3 +203,46 @@ def ref_spectrum(G) -> list[float]:
         vals = np.exp(2j * np.pi / p * phases).sum(axis=1)
     assert np.abs(vals.imag).max() < 1e-9
     return sorted(float(v) for v in vals.real)
+
+
+def ref_kth_root(u, k: int):
+    """k-th root by top-down coefficient matching that recomputes the full
+    power b^k0 once per coefficient (same p-part handling, lead-root
+    choice and final check as the library)."""
+    R = u.ring
+    if u.is_zero():
+        return PolyFq(R, ())
+    p, s = R.spec.p, R.spec.s
+    e, k0 = 0, k
+    while k0 % p == 0:
+        k0 //= p
+        e += 1
+    w = u
+    if e:
+        pe = p**e
+        if any(c and (i % pe) for i, c in enumerate(u.coeffs)):
+            return None
+        inv_frob = p ** ((-e) % s)
+        wc = [0] * (len(u.coeffs) // pe + 1)
+        for i, c in enumerate(u.coeffs):
+            if c:
+                wc[i // pe] = R.pow_elem(c, inv_frob)
+        w = PolyFq(R, wc)
+    if k0 == 1:
+        return w
+    dw = w.degree
+    if dw % k0:
+        return None
+    D = dw // k0
+    lead_roots = _field_kth_roots(R, w.coeffs[-1], k0)
+    if not lead_roots:
+        return None
+    b = [0] * (D + 1)
+    b[D] = lead_roots[0]
+    inv_pivot = R.inv(R.mul(k0 % p, R.pow_elem(b[D], k0 - 1)))
+    for i in range(D - 1, -1, -1):
+        cur = PolyFq(R, b) ** k0
+        target = w.coeff((k0 - 1) * D + i)
+        b[i] = R.mul(R.sub(target, cur.coeff((k0 - 1) * D + i)), inv_pivot)
+    cand = PolyFq(R, b)
+    return cand if cand**k0 == w else None
