@@ -61,14 +61,16 @@ class VertexOutOfRange(PaleyfqError):
 
 # solver
 class SolverTimeout(PaleyfqError):
-    """Budget exhausted. Carries the best independent set found so far and
-    the number of search nodes expanded."""
+    """Budget exhausted. Carries the best independent set found so far,
+    the solver's stats dict and, from it, the number of search nodes
+    expanded."""
 
-    def __init__(self, incumbent, budget_s, nodes=0):
+    def __init__(self, incumbent, budget_s, stats=None):
         super().__init__(f"solver budget of {budget_s:g}s exhausted")
         self.incumbent = incumbent
         self.budget_s = budget_s
-        self.nodes = nodes
+        self.stats = dict(stats or {})
+        self.nodes = self.stats.get("nodes", 0)
 
 
 # theta

@@ -34,7 +34,7 @@ from .polys import PolyFq, compose, enumerate_polynomials, poly
 from .rings import RingCtx, RingSpec, is_kth_power, make_ring
 from .solver import DEFAULT_BUDGET_S, max_independent_set
 
-VERIFY_CAP = 10**8
+VERIFY_CAP = 10**6  # patterns * q^depth membership scans per verify call
 MATERIALIZE_CAP = 10**7
 
 
@@ -86,7 +86,7 @@ class DifferenceFreeSet:
         self.params = params
         self.allowed = frozenset(allowed)  # coefficient tuples, one per block
         self.base_indep = base_indep  # unscaled S or U certificate
-        self.source = source  # "beta_pairs" when the solver ran out of budget
+        self.source = source  # "incumbent" or "beta_pairs" when the solver ran out of budget
         self.size = len(self.allowed) ** len(self.blocks) * q ** (n - n // k)
 
     def contains(self, u: PolyFq) -> bool:
@@ -194,8 +194,9 @@ def construct_general(params: ConstructionParams, budget_s: float = DEFAULT_BUDG
 def construct_power(params: ConstructionParams, budget_s: float = DEFAULT_BUDGET_S) -> DifferenceFreeSet:
     """Pairs (c_i, c_{n-k-i}) drawn from b_k * U, U independent in the
     two-fold strong product; needs the monomial F = b_k T^k.  When the
-    solver runs out of budget, U is the beta-pair set, recorded as the
-    certificate's source."""
+    solver runs out of budget, U is its incumbent if that is strictly
+    larger than the beta-pair set and the beta-pair set otherwise; the
+    choice is recorded as the certificate's source."""
     R, k = params.ring, params.k
     if any(params.F.coeffs[i] for i in range(k)):
         raise NotMonomial("the paired construction needs F = b_k * T^k")
@@ -205,9 +206,12 @@ def construct_power(params: ConstructionParams, budget_s: float = DEFAULT_BUDGET
     try:
         cert = max_independent_set(P, budget_s=budget_s)
         U = [tuple(v) for v in cert.vertices]
-    except SolverTimeout:
+    except SolverTimeout as exc:
         U = list(beta_pair_set(R.order, k, graph=P).vertices)
         source = "beta_pairs"
+        if exc.incumbent.size > len(U):
+            U = [tuple(v) for v in exc.incumbent.vertices]
+            source = "incumbent"
     bk = params.F.coeffs[-1]
     return DifferenceFreeSet(
         params, ((R.mul(bk, a), R.mul(bk, b)) for a, b in U),
@@ -234,17 +238,21 @@ def verify_no_F_difference(A: DifferenceFreeSet) -> bool:
 
     a + d only needs checking at the constrained blocks; free positions
     never block membership, so each distinct projection of the members
-    onto the blocks is scanned once.
+    onto the blocks is scanned once.  Those projections are exactly the
+    tuples of allowed values, one per block, so they are formed without
+    listing the members, and the cap bounds the scan itself:
+    |allowed|^blocks * q^depth.
     """
     p = A.params
     R, q, k, n = p.ring, p.q, p.k, p.n
     depth = (n - 1) // k + 1
-    if A.size * q**depth > VERIFY_CAP:
-        raise VerificationTooLarge(
-            f"|A| * q^depth = {A.size * q ** depth} exceeds cap {VERIFY_CAP}"
-        )
     add, allowed, blocks = R.add, A.allowed, A.blocks
-    patterns = {tuple(tuple(m.coeff(i) for i in b) for b in blocks) for m in A}
+    scans = len(allowed) ** len(blocks) * q**depth
+    if scans > VERIFY_CAP:
+        raise VerificationTooLarge(
+            f"|allowed|^blocks * q^depth = {scans} exceeds cap {VERIFY_CAP}"
+        )
+    patterns = list(iproduct(sorted(allowed), repeat=len(blocks)))
     for u in enumerate_polynomials(R, depth):
         d = compose(p.F, u)
         if d.is_zero():

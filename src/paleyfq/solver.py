@@ -3,13 +3,18 @@
 Independence in a directed graph means independence in the symmetrized
 graph, so the input is symmetrized and the search runs as a maximum
 clique search on the complement, using bit-parallel candidate sets and a
-greedy coloring upper bound.  A multistart greedy supplies the incumbent,
-and for vertex-transitive inputs the search is rooted at vertex 0, which
-is exact because automorphisms carry any maximum set through any chosen
-vertex; on Cayley inputs, depth-1 branches are further pruned by orbits
-of the stabilizer of vertex 0.  Everything is deterministic: natural index order, lowest-bit
-tie-breaking, no randomness, single-threaded.  A time budget turns
-exhaustion into a SolverTimeout that carries the incumbent certificate.
+greedy coloring upper bound.  Where that bound is tight, a branch is
+first tried by unit propagation over the colour classes (MaxSAT-style
+inconsistent-subset reasoning, as in Li & Quan's MaxCLQ) and dropped
+unexpanded when no clique through it can beat the incumbent.  A
+multistart greedy supplies the incumbent, and for vertex-transitive
+inputs the search is rooted at vertex 0, which is exact because
+automorphisms carry any maximum set through any chosen vertex; on Cayley
+inputs, depth-1 branches are further pruned by orbits of the stabilizer
+of vertex 0.  Everything is deterministic: natural index order,
+lowest-bit tie-breaking, no randomness, single-threaded.  A time budget
+turns exhaustion into a SolverTimeout that carries the incumbent
+certificate and the search counters.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverTimeout, VertexOutOfRange
+from .errors import OrderTooLarge, SolverTimeout, VertexOutOfRange
 from .graphs import (
     GenericGraph,
     ProductGraph,
@@ -31,6 +36,9 @@ from .graphs import (
 )
 
 DEFAULT_BUDGET_S = 300.0
+# bytes for the solver's three n x n adjacency bitmask copies (symmetrized,
+# complement, closed neighbourhoods), estimated as 3 * n^2 / 8
+SOLVER_MEMORY_CAP = 512 << 20
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,9 @@ def _symmetrize(g: GenericGraph) -> list[int]:
 class _CliqueSearch:
     """Tomita-style max clique with greedy coloring bound on bitmasks."""
 
-    __slots__ = ("adj", "best", "best_size", "deadline", "nodes", "orbit_pruned")
+    __slots__ = (
+        "adj", "best", "best_size", "deadline", "nodes", "orbit_pruned", "up_pruned",
+    )
 
     def __init__(self, adj: list[int], deadline: float, seed: list[int]):
         self.adj = adj
@@ -75,6 +85,7 @@ class _CliqueSearch:
         self.deadline = deadline
         self.nodes = 0
         self.orbit_pruned = 0
+        self.up_pruned = 0
 
     def expand(self, R: list[int], P: int, orbit: list[int] | None = None) -> None:
         """Colour P greedily into independent classes (bitmasks, lowest
@@ -87,7 +98,19 @@ class _CliqueSearch:
         branch on v is done the whole orbit leaves P: the incumbent is
         then at least every clique through {r, v}, and an automorphism g
         fixing r carries each clique through {r, g(v)} to one through
-        {r, v} of the same size, so none of them can beat it."""
+        {r, v} of the same size, so none of them can beat it.
+
+        A branch on v in class c with |R| + c = best + 1 is first tried by
+        _unit_refutes on classes 1..c-1 cut to P & adj[v]; when that
+        refutes it, v leaves P (with its orbit at depth 1) unexpanded, as
+        after a finished branch.  Exact: every class above c has already
+        left P and each class is independent, so a clique through v that
+        beats the incumbent needs c - 1 more vertices, one from each of
+        classes 1..c-1, which unit propagation shows impossible.  The pruned subtree holds only
+        cliques of size <= best, which never replace the incumbent, so the
+        colouring, the branch order and the sequence of incumbents (hence
+        every certificate) are the same as without the test, and the
+        orbit argument above still holds for a refuted v."""
         self.nodes += 1
         if not self.nodes & 2047 and time.monotonic() >= self.deadline:
             raise _Expired()
@@ -111,14 +134,19 @@ class _CliqueSearch:
                     return
                 v = cls.bit_length() - 1
                 bit = 1 << v
-                R.append(v)
                 P2 = P & adj[v]
-                if P2:
-                    self.expand(R, P2)
-                elif size >= self.best_size:
-                    self.best = R.copy()
-                    self.best_size = size + 1
-                R.pop()
+                if size + c == self.best_size + 1 and _unit_refutes(
+                    adj, classes, c - 1, P2
+                ):
+                    self.up_pruned += 1
+                else:
+                    R.append(v)
+                    if P2:
+                        self.expand(R, P2)
+                    elif size >= self.best_size:
+                        self.best = R.copy()
+                        self.best_size = size + 1
+                    R.pop()
                 if orbit is None:
                     P ^= bit
                     cls ^= bit
@@ -126,6 +154,40 @@ class _CliqueSearch:
                     self.orbit_pruned += (P & orbit[v]).bit_count() - 1
                     P &= ~orbit[v]
                     cls &= P
+
+
+def _unit_refutes(adj: list[int], classes: list[int], k: int, P: int) -> bool:
+    """True iff no clique takes one vertex from each of classes[:k] & P,
+    as shown by unit propagation: a class cut to one vertex u forces u,
+    so every class still open is cut to adj[u]; an empty class refutes.
+    False says nothing.  Cutting only shrinks classes, so the forced set
+    and hence the answer do not depend on the order of propagation."""
+    open_ = []
+    units = []
+    for x in classes[:k]:
+        x &= P
+        if not x:
+            return True
+        if x & (x - 1):
+            open_.append(x)
+        else:
+            units.append(x)
+    while units:
+        a = adj[units.pop().bit_length() - 1]
+        for u in units:
+            if not u & a:
+                return True
+        cut = []
+        for x in open_:
+            x &= a
+            if not x:
+                return True
+            if x & (x - 1):
+                cut.append(x)
+            else:
+                units.append(x)
+        open_ = cut
+    return False
 
 
 class _Expired(Exception):
@@ -203,7 +265,9 @@ def max_independent_set(
     checked inside the greedy incumbent, after it, after the orbit build
     and every 2048 search nodes; when it expires SolverTimeout carries the
     best set found so far (never empty on a nonempty graph).  budget_s
-    must be positive and finite, else ValueError.  The certificate is
+    must be positive and finite, else ValueError.  A graph whose three
+    bitmask copies would take more than SOLVER_MEMORY_CAP bytes raises
+    OrderTooLarge before any adjacency is built.  The certificate is
     deterministic for a given graph.
 
     When the graph is known vertex-transitive (graphs.root_stabilizer
@@ -216,10 +280,18 @@ def max_independent_set(
 
     stats, if given, is filled with nodes (search nodes expanded),
     root_fixed, depth1_orbits (orbits of the root's candidates, 0 without
-    orbit pruning) and orbit_pruned (depth-1 candidates dropped with an
-    orbit whose branch was done, never expanded).
+    orbit pruning), orbit_pruned (depth-1 candidates dropped with an
+    orbit whose branch was done, never expanded) and up_pruned (branches
+    refuted by unit propagation, never expanded); SolverTimeout carries
+    the same dict as its stats.
     """
     deadline = time.monotonic() + check_budget(budget_s)
+    need = 3 * G.n * G.n // 8
+    if need > SOLVER_MEMORY_CAP:
+        raise OrderTooLarge(
+            f"{G.n} vertices need about {need >> 20} MB of solver bitmasks,"
+            f" over the cap of {SOLVER_MEMORY_CAP >> 20} MB"
+        )
     g = as_generic(G)
     n = g.n
     gens = root_stabilizer(G) if vertex_transitive is None else None
@@ -246,16 +318,18 @@ def max_independent_set(
             search.expand([], full)
     except _Expired:
         completed = False
+    counters = dict(
+        nodes=search.nodes,
+        root_fixed=root_fixed,
+        depth1_orbits=len(set(orbit) - {0}) if orbit else 0,
+        orbit_pruned=search.orbit_pruned,
+        up_pruned=search.up_pruned,
+    )
     if stats is not None:
-        stats.update(
-            nodes=search.nodes,
-            root_fixed=root_fixed,
-            depth1_orbits=len(set(orbit) - {0}) if orbit else 0,
-            orbit_pruned=search.orbit_pruned,
-        )
+        stats.update(counters)
     result = _make_indep_set(G, sorted(search.best), fingerprint)
     if not completed:
-        raise SolverTimeout(incumbent=result, budget_s=budget_s, nodes=search.nodes)
+        raise SolverTimeout(incumbent=result, budget_s=budget_s, stats=counters)
     return result
 
 

@@ -150,6 +150,20 @@ def test_construct_power_reports_beta_pair_fallback(capsys):
     assert len(payload["pair_set"]) == 16
 
 
+def test_construct_power_keeps_a_larger_incumbent(capsys):
+    # the solver's incumbent on Paley_3(F_16)^2 reaches 25 long before the
+    # 1 s budget runs out; it beats the 16 beta pairs, so |A| = 25 * 16^4
+    code, payload = run_json(
+        capsys, "construct", "--q", "16", "--k", "3", "--n", "6",
+        "--variant", "power", "--budget", "1", "--verify",
+    )
+    assert code == 0
+    assert payload["source"] == "incumbent"
+    assert payload["size"] >= 1_638_400
+    assert payload["size"] == len(payload["pair_set"]) * 16**4
+    assert payload["verified"] is True
+
+
 def _drop_pair_set(cert):
     del cert["pair_set"]
 
@@ -248,6 +262,16 @@ def test_exit_3_on_cap_violation(capsys):
     )
     assert code == 3
     assert payload["error"] == "ProductTooLarge"
+
+
+def test_exit_3_on_solver_memory_cap(capsys):
+    # 65536 vertices: three bitmask copies of 2^32 bits each, refused
+    # before any adjacency is built
+    start = time.monotonic()
+    code, payload = run_json(capsys, "alpha", "--ring", "fq:65536", "--k", "2")
+    assert code == 3
+    assert time.monotonic() - start < 5.0
+    assert payload["error"] == "OrderTooLarge"
 
 
 def test_exit_4_on_timeout_with_incumbent(capsys):

@@ -25,6 +25,7 @@ from paleyfq.graphs import (
     strong_power,
     strong_product,
 )
+import paleyfq.solver as solver
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set, verify_independent
 
@@ -135,6 +136,21 @@ def test_orbit_pruning_matches_unpruned_and_networkx(name):
     assert cert == max_independent_set(G, vertex_transitive=True)
     assert cert.size == max_independent_set(G, vertex_transitive=False).size
     assert cert.size == networkx_alpha(G)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_unit_propagation_keeps_certificate_and_cuts_nodes(name, monkeypatch):
+    # the same search with solver._unit_refutes never refuting: the same
+    # independence number and certificate, and never fewer nodes
+    G = CASES[name]()
+    stats = {}
+    cert = max_independent_set(G, stats=stats)
+    monkeypatch.setattr(solver, "_unit_refutes", lambda adj, classes, k, P: False)
+    plain = {}
+    assert max_independent_set(G, stats=plain) == cert
+    assert plain["up_pruned"] == 0
+    assert stats["nodes"] <= plain["nodes"]
+    assert stats["orbit_pruned"] == plain["orbit_pruned"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -19,9 +19,10 @@ from paleyfq.powerfree import (
     greedy_lower_bound,
     monomial,
     pigeonhole_upper,
+    VERIFY_CAP,
     verify_no_F_difference,
 )
-from paleyfq.rings import RingSpec, make_ring
+from paleyfq.rings import RingSpec, factorize, make_ring
 from paleyfq.solver import max_independent_set
 
 from util import exhaustive_mis_size
@@ -168,6 +169,37 @@ def test_verifier_cap():
     )
     with pytest.raises(VerificationTooLarge):
         verify_no_F_difference(A)
+
+
+def test_verifier_cap_counts_the_scan_not_the_members():
+    # 16 beta pairs on F_16: |A| * q^depth = 16^5 * 16^2 > 10^8, but the
+    # scan is 16 patterns times 16^2 shifts
+    R16 = make_ring(RingSpec.field(2, 4))
+    A = construct_power(params(R16, 3, 6, "power"), budget_s=1e-9)
+    assert A.source == "beta_pairs" and A.size == 16**5
+    assert verify_no_F_difference(A)
+
+
+def test_verifier_cap_admits_every_set_the_member_bound_admitted():
+    # the earlier cap bounded |A| * q^depth by 10^8; every set it admitted
+    # scans |allowed|^blocks * q^depth = |A| * q^depth / q^free <= 10^6.
+    # |allowed| is at most q (general) or q^2 (power).  The ranges hold
+    # every (q, k, n) with q^(free + depth) <= 10^8: that needs q <= 10^4,
+    # free >= k - 1 and free >= n/2
+    largest = 0
+    for q in (q for q in range(2, 10**4 + 1) if len(factorize(q)) == 1):
+        for k in range(2, 28):
+            for width, step in ((1, k), (2, 2 * k)):
+                for n in range(step, 28 * step, step):
+                    blocks = n // step
+                    depth, free = (n - 1) // k + 1, n - n // k
+                    if q ** (free + depth) > 10**8:
+                        break
+                    a = 1
+                    while a <= q**width and a**blocks * q ** (free + depth) <= 10**8:
+                        largest = max(largest, a**blocks * q**depth)
+                        a += 1
+    assert largest <= VERIFY_CAP
 
 
 def test_greedy_f2():

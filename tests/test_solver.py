@@ -134,6 +134,16 @@ def test_alpha_c11_squared_node_guard():
     assert stats["orbit_pruned"] > 0
 
 
+def test_alpha_c11_squared_unit_propagation_node_guard():
+    # deterministic perf guard: without unit propagation this search
+    # expands 134539 nodes
+    stats = {}
+    cert = max_independent_set(strong_power(build_paley(ring(11), 5), 2), stats=stats)
+    assert cert.size == 27
+    assert stats["nodes"] <= 60_000
+    assert stats["up_pruned"] > 0
+
+
 def test_verify_independent():
     G = build_paley(ring(7), 3)
     assert verify_independent(G, [0, 2, 4])

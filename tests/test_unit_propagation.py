@@ -1,0 +1,140 @@
+"""Unit-propagation pruning in the clique search (solver._unit_refutes).
+
+Hand-made cases pin what the test proves and what it leaves open; a
+seeded property test checks on random graphs that a refutation is sound
+(no clique takes one vertex from each class, by brute force) and does
+not depend on the order of the classes; and the search with the test is
+compared against the search with it switched off.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import paleyfq.solver as solver
+from paleyfq.errors import SolverTimeout
+from paleyfq.graphs import build_paley, strong_power
+from paleyfq.rings import RingSpec, make_ring
+from paleyfq.solver import _unit_refutes, max_independent_set
+
+from util import random_graph
+
+
+def bits(*vs):
+    return sum(1 << v for v in vs)
+
+
+def graph(n, edges):
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def transversal_clique(adj, classes, P):
+    """Brute force: is there a clique with one vertex of each class & P?"""
+    members = [[v for v in range(P.bit_length()) if (c & P) >> v & 1] for c in classes]
+    for pick in itertools.product(*members):
+        if all(adj[a] >> b & 1 for a, b in itertools.combinations(pick, 2)):
+            return True
+    return False
+
+
+def test_empty_restricted_class():
+    adj = graph(4, [(0, 2), (1, 3)])
+    classes = [bits(0, 1), bits(2, 3)]
+    assert _unit_refutes(adj, classes, 2, bits(0, 1))
+    # the class outside classes[:k] is not looked at
+    assert not _unit_refutes(adj, classes, 1, bits(0, 1))
+
+
+def test_conflict_after_two_propagation_steps():
+    # a forces itself; a's neighbours cut B to {b1}, which forces b1;
+    # b1 has no neighbour in C = {c1, c2}
+    a, b1, b2, c1, c2 = range(5)
+    adj = graph(5, [(a, b1), (a, c1), (a, c2)])
+    A, B, C = bits(a), bits(b1, b2), bits(c1, c2)
+    full = bits(a, b1, b2, c1, c2)
+    assert _unit_refutes(adj, [A, B, C], 3, full)
+    # one step alone proves nothing: without B, a leaves C = {c1, c2}
+    assert not _unit_refutes(adj, [A, C], 2, full)
+    assert transversal_clique(adj, [A, C], full)
+
+
+def test_two_forced_vertices_not_adjacent():
+    adj = graph(3, [(0, 2)])
+    assert _unit_refutes(adj, [bits(0), bits(1), bits(2)], 3, bits(0, 1, 2))
+
+
+def test_no_conflict():
+    # a forces b1, and {a, b1, c2} is a clique: nothing to refute
+    a, b1, b2, c1, c2 = range(5)
+    adj = graph(5, [(a, b1), (a, c2), (b1, c2), (b2, c1)])
+    classes = [bits(a), bits(b1, b2), bits(c1, c2)]
+    full = bits(a, b1, b2, c1, c2)
+    assert not _unit_refutes(adj, classes, 3, full)
+    assert not _unit_refutes(adj, [], 0, full)
+
+
+def test_false_says_nothing_without_units():
+    # the 6-cycle x0 y0 z0 x1 y1 z1 has no triangle, but no class is a
+    # single vertex, so propagation never starts
+    x0, x1, y0, y1, z0, z1 = range(6)
+    adj = graph(6, [(x0, y0), (y0, z0), (z0, x1), (x1, y1), (y1, z1), (z1, x0)])
+    classes = [bits(x0, x1), bits(y0, y1), bits(z0, z1)]
+    assert not _unit_refutes(adj, classes, 3, bits(*range(6)))
+    assert not transversal_clique(adj, classes, bits(*range(6)))
+
+
+def test_refutations_are_sound_and_order_free():
+    rng = random.Random(20261018)
+    refuted = 0
+    for _ in range(400):
+        n = rng.randint(3, 12)
+        adj = list(random_graph(rng, n, rng.uniform(0.3, 0.9)).rows)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(4, n - 1))))
+        classes = [bits(*verts[i:j]) for i, j in zip([0, *cuts], [*cuts, n])]
+        P = rng.getrandbits(n) | bits(*rng.sample(range(n), 1))
+        got = _unit_refutes(adj, classes, len(classes), P)
+        if got:
+            refuted += 1
+            assert not transversal_clique(adj, classes, P)
+        for perm in itertools.permutations(classes):
+            assert _unit_refutes(adj, list(perm), len(perm), P) == got
+    assert refuted > 50
+
+
+def test_unrooted_search_matches_search_without_the_test(monkeypatch):
+    rng = random.Random(7)
+    graphs = [random_graph(rng, rng.randint(20, 45), rng.uniform(0.15, 0.6))
+              for _ in range(30)]
+    runs = []
+    for G in graphs:
+        stats = {}
+        runs.append((max_independent_set(G, stats=stats), stats))
+    monkeypatch.setattr(solver, "_unit_refutes", lambda adj, classes, k, P: False)
+    pruned_somewhere = False
+    for G, (cert, stats) in zip(graphs, runs):
+        plain = {}
+        assert max_independent_set(G, stats=plain) == cert
+        assert plain["up_pruned"] == 0
+        assert stats["nodes"] <= plain["nodes"]
+        pruned_somewhere |= stats["up_pruned"] > 0
+    assert pruned_somewhere
+
+
+@pytest.mark.parametrize("budget", [1e-9, 0.2])
+def test_timeout_carries_the_stats_dict(budget):
+    G = strong_power(build_paley(make_ring(RingSpec.field(7)), 3), 3)
+    stats = {}
+    with pytest.raises(SolverTimeout) as exc:
+        max_independent_set(G, budget_s=budget, stats=stats)
+    assert exc.value.stats == stats
+    assert set(stats) == {"nodes", "root_fixed", "depth1_orbits",
+                          "orbit_pruned", "up_pruned"}
+    assert exc.value.nodes == stats["nodes"]
+    assert stats["root_fixed"] is True
