@@ -102,6 +102,7 @@ class BoundsLedger:
     r_k2: int | None
     conjectured_tight: bool  # the method limit is only conjectured optimal
     r_k2_source: str | None = None  # "timeout" when the solver ran out of budget
+    r_k2_lower: int | None = None  # certified lower bound on r_k2, on timeout only
 
     def to_json(self) -> dict:
         out = {
@@ -120,6 +121,8 @@ class BoundsLedger:
         }
         if self.r_k2_source is not None:
             out["r_k2_source"] = self.r_k2_source
+        if self.r_k2_lower is not None:
+            out["r_k2_lower"] = self.r_k2_lower
         return out
 
 
@@ -137,21 +140,26 @@ def bounds_report(
     number, so it is filled only when q^2 fits under the solver cap.  The
     method_limit base is also the conjectured optimum; it is reported as
     a marker, never as a proven bound on constructions.  When the solver
-    runs out of budget r_k2 stays None and r_k2_source reads "timeout".
+    runs out of budget r_k2 stays None, r_k2_source reads "timeout" and
+    r_k2_lower is the larger of the timeout incumbent's size and q, the
+    size of the beta-pair set (a non-k-th power exists since
+    gcd(k, q-1) > 1).
     """
     green = green_exponent(q, k)
     refined = minimize_rate(q, gamma).value if gamma is not None else None
     lower_thm = q ** (1 - 1 / (2 * k))
     r_k2 = None
     r_k2_source = None
+    r_k2_lower = None
     lower_improved = None
     if math.gcd(k, q - 1) > 1 and q * q <= solver_cap:
         R = make_ring(RingSpec.field(*factor_prime_power(q)))
         try:
             r_k2 = alpha_product(R, k, 2, budget_s=budget_s)
             lower_improved = r_k2 ** (1 / (2 * k)) * q ** (1 - 1 / k)
-        except SolverTimeout:
+        except SolverTimeout as exc:
             r_k2_source = "timeout"
+            r_k2_lower = max(exc.incumbent.size, q)
     method_limit = q ** (1 - 1 / (k * k))
     greedy = q ** ((n - 1 - (n - 1) // k) / n) if n >= 1 else None
     ledger = BoundsLedger(
@@ -160,7 +168,7 @@ def bounds_report(
         refined_rate=refined,
         lower_thm_base=lower_thm, lower_improved=lower_improved,
         method_limit=method_limit, greedy=greedy, r_k2=r_k2,
-        conjectured_tight=True, r_k2_source=r_k2_source,
+        conjectured_tight=True, r_k2_source=r_k2_source, r_k2_lower=r_k2_lower,
     )
     chain = [lower_thm, lower_improved] if lower_improved is not None else []
     chain += [method_limit, green.base]

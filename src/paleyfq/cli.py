@@ -21,10 +21,15 @@ from .errors import (
     SolverTimeout,
     VerificationTooLarge,
 )
-from .graphs import build_paley, export_dimacs, strong_power
+from .graphs import build_paley, check_product_order, export_dimacs, strong_power
 from .polys import parse_poly
 from .rings import RingCtx, RingSpec, factor_prime_power, make_ring
-from .solver import DEFAULT_BUDGET_S, check_budget, max_independent_set
+from .solver import (
+    DEFAULT_BUDGET_S,
+    check_budget,
+    check_solver_memory,
+    max_independent_set,
+)
 from .theta import lovasz_theta, lovasz_theta_complement, theta_zmod
 
 SCHEMA = 1
@@ -132,7 +137,11 @@ def _cmd_graph(args) -> dict:
 def _cmd_alpha(args) -> dict:
     R = _parse_ring(args.ring)
     G = build_paley(R, args.k)
-    H = G if args.power <= 1 else strong_power(G, args.power)
+    H = G
+    if args.power > 1:
+        # refuse an over-cap power before building it
+        check_solver_memory(check_product_order(G.n ** args.power))
+        H = strong_power(G, args.power)
     cert = max_independent_set(H, budget_s=args.budget)
     return {
         **_ring_payload(R),

@@ -284,30 +284,34 @@ def _flatten_factors(G):
     return [G], [g.n]
 
 
-def strong_product(G, H) -> ProductGraph:
-    """Strong product: (a,b) -> (c,d) iff each coordinate pair is an edge
-    or equal, and the endpoints differ.  Directed inputs are permitted."""
-    g, h = as_generic(G), as_generic(H)
-    n = g.n * h.n
+def check_product_order(n: int) -> int:
+    """n if a product of n vertices fits under PRODUCT_CAP, else
+    ProductTooLarge."""
     if n > PRODUCT_CAP:
         raise ProductTooLarge(f"{n} vertices exceeds cap {PRODUCT_CAP}")
+    return n
+
+
+def strong_product(G, H) -> ProductGraph:
+    """Strong product: (a,b) -> (c,d) iff each coordinate pair is an edge
+    or equal, and the endpoints differ.  Directed inputs are permitted.
+    Row (a, b) is the OR of closed_h[b] << x*|H| over x in N[a]; since
+    closed_h[b] < 2^|H| these fill disjoint bit ranges, so the OR is the
+    carry-free product spread_a * closed_h[b], where spread_a is the sum
+    of 2^(x*|H|) over x in N[a].  Its own bit, always set, is xor-ed off."""
+    g, h = as_generic(G), as_generic(H)
+    n = check_product_order(g.n * h.n)
     closed_h = [h.rows[b] | (1 << b) for b in range(h.n)]
-    rows = [0] * n
-    idx = 0
+    rows = []
     for a in range(g.n):
         ca = g.rows[a] | (1 << a)
-        segments = []
+        spread = 0
         while ca:
             x = (ca & -ca).bit_length() - 1
-            segments.append(x * h.n)
+            spread |= 1 << (x * h.n)
             ca &= ca - 1
-        for b in range(h.n):
-            chb = closed_h[b]
-            m = 0
-            for shift in segments:
-                m |= chb << shift
-            rows[idx] = m & ~(1 << idx)
-            idx += 1
+        for chb in closed_h:
+            rows.append((spread * chb) ^ (1 << len(rows)))
     fg, og = _flatten_factors(G)
     fh, oh = _flatten_factors(H)
     symmetric = (g.symmetric and h.symmetric) or _rows_symmetric(n, rows)
@@ -316,9 +320,11 @@ def strong_product(G, H) -> ProductGraph:
 
 
 def strong_power(G, n: int) -> ProductGraph:
-    """n-fold strong product of G with itself."""
+    """n-fold strong product of G with itself.  The final order |G|^n is
+    checked against PRODUCT_CAP before any product is built."""
     if n < 1:
         raise ValueError("power must be >= 1")
+    check_product_order(G.n ** n)
     factors, orders = _flatten_factors(G)
     acc = ProductGraph(factors=tuple(factors), graph=as_generic(G),
                        orders=tuple(orders))

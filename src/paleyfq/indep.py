@@ -11,6 +11,7 @@ from .graphs import (
     CayleyGraph,
     ProductGraph,
     build_paley,
+    check_product_order,
     complement,
     graph_fingerprint,
     strong_power,
@@ -23,7 +24,13 @@ from .rings import (
     make_ring,
     non_kth_power,
 )
-from .solver import DEFAULT_BUDGET_S, IndepSet, max_independent_set, verify_independent
+from .solver import (
+    DEFAULT_BUDGET_S,
+    IndepSet,
+    check_solver_memory,
+    max_independent_set,
+    verify_independent,
+)
 
 SOLVER_VERTEX_CAP = 400
 
@@ -31,7 +38,11 @@ SOLVER_VERTEX_CAP = 400
 def alpha_product(R: RingCtx, k: int, n: int, budget_s: float = DEFAULT_BUDGET_S) -> int:
     """Independence number of the n-fold strong power of Paley_k(R)."""
     G = build_paley(R, k)
-    H = G if n == 1 else strong_power(G, n)
+    H = G
+    if n != 1:
+        # refuse an over-cap power before building it
+        check_solver_memory(check_product_order(G.n ** n))
+        H = strong_power(G, n)
     return max_independent_set(H, budget_s=budget_s).size
 
 

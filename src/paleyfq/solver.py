@@ -197,20 +197,23 @@ class _Expired(Exception):
 def _multistart_greedy(n: int, closed: list[int], deadline: float) -> list[int]:
     """Deterministic incumbent: index-order greedy from staggered offsets.
     The first start always runs, so even an expired budget leaves a
-    nonempty set; the deadline is checked before each later start."""
+    nonempty set; the deadline is checked before each later start.
+    Start s takes the lowest uncovered vertex at or above s (hi), then
+    below s: the order s, ..., n-1, 0, ..., s-1 of a vertex-by-vertex
+    scan, since a vertex passed over is covered and stays covered."""
     best: list[int] = []
     for start in range(min(n, 300)):
         if start and time.monotonic() >= deadline:
             break
-        used = 0
+        avail = (1 << n) - 1
+        hi = avail >> start << start
         chosen: list[int] = []
-        for off in range(n):
-            v = start + off
-            if v >= n:
-                v -= n
-            if not (used >> v) & 1:
-                chosen.append(v)
-                used |= closed[v]
+        while avail:
+            hi &= avail
+            pick = hi or avail
+            v = (pick & -pick).bit_length() - 1
+            chosen.append(v)
+            avail &= ~closed[v]
         if len(chosen) > len(best):
             best = chosen
     return best
@@ -253,6 +256,18 @@ def check_budget(budget_s: float) -> float:
     return budget_s
 
 
+def check_solver_memory(n: int) -> int:
+    """n if the solver's three bitmask copies of a graph on n vertices fit
+    in SOLVER_MEMORY_CAP bytes, else OrderTooLarge."""
+    need = 3 * n * n // 8
+    if need > SOLVER_MEMORY_CAP:
+        raise OrderTooLarge(
+            f"{n} vertices need about {need >> 20} MB of solver bitmasks,"
+            f" over the cap of {SOLVER_MEMORY_CAP >> 20} MB"
+        )
+    return n
+
+
 def max_independent_set(
     G,
     budget_s: float = DEFAULT_BUDGET_S,
@@ -286,12 +301,7 @@ def max_independent_set(
     the same dict as its stats.
     """
     deadline = time.monotonic() + check_budget(budget_s)
-    need = 3 * G.n * G.n // 8
-    if need > SOLVER_MEMORY_CAP:
-        raise OrderTooLarge(
-            f"{G.n} vertices need about {need >> 20} MB of solver bitmasks,"
-            f" over the cap of {SOLVER_MEMORY_CAP >> 20} MB"
-        )
+    check_solver_memory(G.n)
     g = as_generic(G)
     n = g.n
     gens = root_stabilizer(G) if vertex_transitive is None else None

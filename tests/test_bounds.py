@@ -86,6 +86,14 @@ def test_bounds_report_marks_r_k2_timeout():
     assert "r_k2_source" not in bounds_report(7, 3, 6).to_json()
 
 
+def test_bounds_report_gives_r_k2_lower_on_timeout():
+    led = bounds_report(7, 3, 6, budget_s=1e-9).to_json()
+    # at least the 7 beta pairs, and the incumbent when it is larger
+    assert led["r_k2_lower"] >= 7
+    assert led["r_k2"] is None and led["lower_improved_base"] is None
+    assert "r_k2_lower" not in bounds_report(7, 3, 6).to_json()
+
+
 def test_bounds_report_f3():
     led = bounds_report(3, 2, 4)
     assert abs(led.lower_thm_base - 3 ** (3 / 4)) < 1e-12

@@ -274,6 +274,23 @@ def test_exit_3_on_solver_memory_cap(capsys):
     assert payload["error"] == "OrderTooLarge"
 
 
+def test_exit_3_on_solver_memory_cap_before_building_the_power(capsys, monkeypatch):
+    # 197^2 = 38,809 vertices fits PRODUCT_CAP but not the solver's memory
+    # cap; the product is refused before strong_power builds it
+    import paleyfq.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("strong_power called on an over-cap order")
+
+    monkeypatch.setattr(cli, "strong_power", refuse)
+    code, payload = run_json(capsys, "alpha", "--ring", "fq:197", "--k", "2", "--power", "2")
+    assert code == 3
+    assert payload["error"] == "OrderTooLarge"
+    code, payload = run_json(capsys, "alpha", "--ring", "zmod:400", "--k", "2", "--power", "2")
+    assert code == 3
+    assert payload["error"] == "ProductTooLarge"
+
+
 def test_exit_4_on_timeout_with_incumbent(capsys):
     code, payload = run_json(
         capsys, "alpha", "--ring", "fq:11", "--k", "5", "--power", "2",

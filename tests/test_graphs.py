@@ -145,6 +145,18 @@ def test_product_cap():
         strong_product(G, G)  # 401^2 > 10^5, rejected before any rows build
 
 
+def test_strong_power_checks_the_final_order_first(monkeypatch):
+    import paleyfq.graphs as graphs
+
+    def refuse(*args):
+        raise AssertionError("strong_product called on an over-cap power")
+
+    monkeypatch.setattr(graphs, "strong_product", refuse)
+    G = build_paley(zring(47), 2)  # 47^2 fits the cap, 47^3 does not
+    with pytest.raises(ProductTooLarge):
+        strong_power(G, 3)
+
+
 def test_crt_factor_check_true_cases():
     assert crt_factor_check(3, 5, 2)
     assert crt_factor_check(5, 13, 2)

@@ -28,6 +28,18 @@ def test_alpha_product_c7():
     assert alpha_product(ring(7), 3, 2) == 10
 
 
+def test_alpha_product_refuses_over_cap_power_before_building(monkeypatch):
+    import paleyfq.indep as indep
+    from paleyfq.errors import OrderTooLarge
+
+    def refuse(*args):
+        raise AssertionError("strong_power called on an over-cap order")
+
+    monkeypatch.setattr(indep, "strong_power", refuse)
+    with pytest.raises(OrderTooLarge):
+        alpha_product(ring(197), 2, 2)
+
+
 def test_alpha_product_r22():
     assert alpha_product(ring(5), 2, 2) == 5
     assert alpha_product(ring(3, 2), 2, 2) == 9

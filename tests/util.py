@@ -4,6 +4,7 @@ the library's own search code."""
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 
@@ -246,3 +247,50 @@ def ref_kth_root(u, k: int):
         b[i] = R.mul(R.sub(target, cur.coeff((k0 - 1) * D + i)), inv_pivot)
     cand = PolyFq(R, b)
     return cand if cand**k0 == w else None
+
+
+def ref_strong_product_rows(g: GenericGraph, h: GenericGraph) -> list[int]:
+    """Adjacency rows of the strong product of g and h by the shift loop:
+    row (a, b) is the OR of closed_h[b] << x*|h| over x in N[a], with its
+    own bit cleared."""
+    n = g.n * h.n
+    closed_h = [h.rows[b] | (1 << b) for b in range(h.n)]
+    rows = [0] * n
+    idx = 0
+    for a in range(g.n):
+        ca = g.rows[a] | (1 << a)
+        segments = []
+        while ca:
+            x = (ca & -ca).bit_length() - 1
+            segments.append(x * h.n)
+            ca &= ca - 1
+        for b in range(h.n):
+            chb = closed_h[b]
+            m = 0
+            for shift in segments:
+                m |= chb << shift
+            rows[idx] = m & ~(1 << idx)
+            idx += 1
+    return rows
+
+
+def ref_multistart_greedy(n: int, closed: list[int], deadline: float) -> list[int]:
+    """Index-order greedy from each of the first min(n, 300) offsets, one
+    vertex per step in cyclic order, keeping the first largest set; the
+    deadline is checked before every start but the first."""
+    best: list[int] = []
+    for start in range(min(n, 300)):
+        if start and time.monotonic() >= deadline:
+            break
+        used = 0
+        chosen: list[int] = []
+        for off in range(n):
+            v = start + off
+            if v >= n:
+                v -= n
+            if not (used >> v) & 1:
+                chosen.append(v)
+                used |= closed[v]
+        if len(chosen) > len(best):
+            best = chosen
+    return best
