@@ -25,7 +25,6 @@ from .polys import (
 from .graphs import (
     CayleyGraph,
     GenericGraph,
-    ProductGraph,
     build_paley,
     complement,
     crt_factor_check,
@@ -82,7 +81,7 @@ __all__ = [
     "non_kth_power", "generator", "crt_split", "crt_map", "crt_combine",
     "PolyFq", "poly", "compose", "kth_root", "enumerate_polynomials",
     "encode_poly", "decode_poly",
-    "CayleyGraph", "GenericGraph", "ProductGraph", "build_paley",
+    "CayleyGraph", "GenericGraph", "build_paley",
     "complement", "strong_product", "strong_power", "crt_factor_check",
     "export_dimacs", "import_dimacs", "graph_fingerprint",
     "IndepSet", "max_independent_set", "verify_independent",

@@ -99,6 +99,13 @@ def _ring_payload(R: RingCtx) -> dict:
     return {"ring": f"zmod:{R.spec.m}"}
 
 
+def _power(G, n: int):
+    """G^n, refused before it is built when |G|^n is over PRODUCT_CAP
+    (ProductTooLarge) or the solver memory cap (OrderTooLarge)."""
+    check_solver_memory(check_product_order(G.n ** n))
+    return strong_power(G, n)
+
+
 # -- commands ----------------------------------------------------------------
 
 def _cmd_graph(args) -> dict:
@@ -120,12 +127,12 @@ def _cmd_graph(args) -> dict:
             "symmetric": target.symmetric,
             "connection": sorted(target.connection),
         }
-    if args.power and args.power > 1:
-        P = strong_power(target, args.power)
+    if args.power > 1:
+        P = _power(target, args.power)
         payload["power"] = {
             "n": args.power,
             "order": P.n,
-            "degree": P.graph.degree(0),
+            "degree": P.degree(0),
         }
         target = P
     if args.dimacs:
@@ -137,11 +144,7 @@ def _cmd_graph(args) -> dict:
 def _cmd_alpha(args) -> dict:
     R = _parse_ring(args.ring)
     G = build_paley(R, args.k)
-    H = G
-    if args.power > 1:
-        # refuse an over-cap power before building it
-        check_solver_memory(check_product_order(G.n ** args.power))
-        H = strong_power(G, args.power)
+    H = _power(G, args.power) if args.power > 1 else G
     cert = max_independent_set(H, budget_s=args.budget)
     return {
         **_ring_payload(R),

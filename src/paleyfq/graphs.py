@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import (
     InvariantViolation,
     NotCoprime,
     ProductTooLarge,
+    VertexOutOfRange,
 )
 from .rings import RingCtx, RingSpec, kth_power_set, make_ring
 
@@ -27,16 +28,24 @@ _BLOCK_ELEMS = 1 << 20  # bound on the elements of each to_generic temporary
 
 @dataclass(frozen=True)
 class GenericGraph:
-    """Plain adjacency-bitmask graph; no self-loops."""
+    """Plain adjacency-bitmask graph; no self-loops.
+
+    factors is empty unless the graph is a strong product; then it holds
+    the factor graphs (CayleyGraph or GenericGraph) and vertex i is the
+    tuple of factor coordinates at row-major index i."""
 
     n: int
     rows: tuple[int, ...]
     symmetric: bool = field(default=False)
+    factors: tuple = ()
 
     def __post_init__(self):
         for i, r in enumerate(self.rows):
             if r >> i & 1:
                 raise ValueError("self-loops are not allowed")
+
+    def to_generic(self) -> "GenericGraph":
+        return self
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -44,9 +53,28 @@ class GenericGraph:
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
-    def edge_count(self) -> int:
-        total = sum(r.bit_count() for r in self.rows)
-        return total // 2 if self.symmetric else total
+    def label(self, verts) -> tuple:
+        """Labels of the vertex indices verts, as Python ints: the indices
+        themselves, or on a product their factor-coordinate tuples."""
+        if not self.factors:
+            return tuple(verts)
+        coords = np.unravel_index(np.asarray(verts, dtype=np.int64),
+                                  [f.n for f in self.factors])
+        return tuple(zip(*(c.tolist() for c in coords)))
+
+    def index(self, v) -> int:
+        """Index of the vertex labelled v: an int in range(n), or on a
+        product a tuple (or list) of factor coordinates.  VertexOutOfRange
+        for an int outside range(n) or a tuple on a non-product;
+        ValueError for a tuple of the wrong arity or with a coordinate out
+        of range."""
+        if isinstance(v, (tuple, list)):
+            if not self.factors:
+                raise VertexOutOfRange("tuple vertex for a non-product graph")
+            return int(np.ravel_multi_index(tuple(v), [f.n for f in self.factors]))
+        if not 0 <= v < self.n:
+            raise VertexOutOfRange(f"vertex {v!r} out of range")
+        return v
 
 
 def _rows_symmetric(n: int, rows) -> bool:
@@ -144,53 +172,10 @@ def build_paley(R: RingCtx, k: int) -> CayleyGraph:
 
 def complement(G) -> GenericGraph:
     """Complement graph: (x, y) is an edge iff x != y and (x, y) was not."""
-    g = as_generic(G)
+    g = G.to_generic()
     full = (1 << g.n) - 1
     rows = tuple((full & ~g.rows[i]) & ~(1 << i) for i in range(g.n))
     return GenericGraph(n=g.n, rows=rows, symmetric=g.symmetric)
-
-
-@dataclass(frozen=True)
-class ProductGraph:
-    """Strong product with explicit tuple vertices (row-major indexing)."""
-
-    factors: tuple
-    graph: GenericGraph
-    orders: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def vertex_tuple(self, index: int) -> tuple[int, ...]:
-        out = []
-        for size in reversed(self.orders):
-            out.append(index % size)
-            index //= size
-        return tuple(reversed(out))
-
-    def vertex_index(self, tup) -> int:
-        if len(tup) != len(self.orders):
-            raise ValueError("tuple arity mismatch")
-        idx = 0
-        for t, size in zip(tup, self.orders):
-            if not 0 <= t < size:
-                raise ValueError("coordinate out of range")
-            idx = idx * size + t
-        return idx
-
-    def vertices(self):
-        return (self.vertex_tuple(i) for i in range(self.n))
-
-
-def as_generic(G) -> GenericGraph:
-    if isinstance(G, GenericGraph):
-        return G
-    if isinstance(G, CayleyGraph):
-        return G.to_generic()
-    if isinstance(G, ProductGraph):
-        return G.graph
-    raise TypeError(f"not a graph: {G!r}")
 
 
 def root_stabilizer(G) -> list[np.ndarray] | None:
@@ -206,14 +191,10 @@ def root_stabilizer(G) -> list[np.ndarray] | None:
     connection set S onto itself, which makes it an automorphism fixing
     0; and the transposition of two adjacent factors with equal ring and
     connection set.  These also preserve the symmetrized graph."""
-    if isinstance(G, CayleyGraph):
-        factors, orders = (G,), (G.n,)
-    elif isinstance(G, ProductGraph) and all(
-        isinstance(f, CayleyGraph) for f in G.factors
-    ):
-        factors, orders = G.factors, G.orders
-    else:
+    factors = (G,) if isinstance(G, CayleyGraph) else G.factors
+    if not factors or not all(isinstance(f, CayleyGraph) for f in factors):
         return None
+    orders = [f.n for f in factors]
     grid = np.arange(math.prod(orders)).reshape(orders)
     gens = [np.take(grid, perm, axis=i).ravel()
             for i, f in enumerate(factors) for perm in _factor_stabilizer(f)]
@@ -277,13 +258,6 @@ def _zmod_multipliers(m: int, k: int, keeps_conn) -> list[np.ndarray]:
     return gens
 
 
-def _flatten_factors(G):
-    if isinstance(G, ProductGraph):
-        return list(G.factors), list(G.orders)
-    g = as_generic(G)
-    return [G], [g.n]
-
-
 def check_product_order(n: int) -> int:
     """n if a product of n vertices fits under PRODUCT_CAP, else
     ProductTooLarge."""
@@ -292,14 +266,16 @@ def check_product_order(n: int) -> int:
     return n
 
 
-def strong_product(G, H) -> ProductGraph:
+def strong_product(G, H) -> GenericGraph:
     """Strong product: (a,b) -> (c,d) iff each coordinate pair is an edge
     or equal, and the endpoints differ.  Directed inputs are permitted.
     Row (a, b) is the OR of closed_h[b] << x*|H| over x in N[a]; since
     closed_h[b] < 2^|H| these fill disjoint bit ranges, so the OR is the
     carry-free product spread_a * closed_h[b], where spread_a is the sum
-    of 2^(x*|H|) over x in N[a].  Its own bit, always set, is xor-ed off."""
-    g, h = as_generic(G), as_generic(H)
+    of 2^(x*|H|) over x in N[a].  Its own bit, always set, is xor-ed off.
+    The factors are those of G then H, a product contributing its own, so
+    powers of powers are flat."""
+    g, h = G.to_generic(), H.to_generic()
     n = check_product_order(g.n * h.n)
     closed_h = [h.rows[b] | (1 << b) for b in range(h.n)]
     rows = []
@@ -312,22 +288,20 @@ def strong_product(G, H) -> ProductGraph:
             ca &= ca - 1
         for chb in closed_h:
             rows.append((spread * chb) ^ (1 << len(rows)))
-    fg, og = _flatten_factors(G)
-    fh, oh = _flatten_factors(H)
     symmetric = (g.symmetric and h.symmetric) or _rows_symmetric(n, rows)
-    graph = GenericGraph(n=n, rows=tuple(rows), symmetric=symmetric)
-    return ProductGraph(factors=tuple(fg + fh), graph=graph, orders=tuple(og + oh))
+    return GenericGraph(n, tuple(rows), symmetric,
+                        factors=(g.factors or (G,)) + (h.factors or (H,)))
 
 
-def strong_power(G, n: int) -> ProductGraph:
-    """n-fold strong product of G with itself.  The final order |G|^n is
-    checked against PRODUCT_CAP before any product is built."""
+def strong_power(G, n: int) -> GenericGraph:
+    """n-fold strong product of G with itself (for n = 1, G with factors
+    (G,), so its vertices are 1-tuples).  The final order |G|^n is checked
+    against PRODUCT_CAP before any product is built."""
     if n < 1:
         raise ValueError("power must be >= 1")
     check_product_order(G.n ** n)
-    factors, orders = _flatten_factors(G)
-    acc = ProductGraph(factors=tuple(factors), graph=as_generic(G),
-                       orders=tuple(orders))
+    g = G.to_generic()
+    acc = replace(g, factors=g.factors or (G,))
     for _ in range(n - 1):
         acc = strong_product(acc, G)
     return acc
@@ -345,10 +319,10 @@ def crt_factor_check(m: int, n: int, k: int) -> bool:
         build_paley(make_ring(RingSpec.zmod(m)), k),
         build_paley(make_ring(RingSpec.zmod(n)), k),
     )
-    perm = [prod.vertex_index((x % m, x % n)) for x in range(m * n)]
+    perm = [prod.index((x % m, x % n)) for x in range(m * n)]
     for x in range(m * n):
         row = 0
-        pr = prod.graph.rows[perm[x]]
+        pr = prod.rows[perm[x]]
         for y in range(m * n):
             if pr >> perm[y] & 1:
                 row |= 1 << y
@@ -359,7 +333,7 @@ def crt_factor_check(m: int, n: int, k: int) -> bool:
 
 def export_dimacs(G, path: str) -> None:
     """Write an undirected graph in DIMACS format (1-based, edges sorted)."""
-    g = as_generic(G)
+    g = G.to_generic()
     if not g.symmetric:
         raise DirectedUnsupported("DIMACS export needs an undirected graph")
     edges = []
@@ -397,7 +371,7 @@ def import_dimacs(path: str) -> GenericGraph:
 
 def graph_fingerprint(G) -> str:
     """SHA-256 over vertex count and adjacency rows; binds certificates."""
-    g = as_generic(G)
+    g = G.to_generic()
     h = hashlib.sha256()
     h.update(str(g.n).encode())
     nbytes = (g.n + 7) // 8

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, SolverTimeout
 from .graphs import (
     CayleyGraph,
-    ProductGraph,
+    GenericGraph,
     build_paley,
     check_product_order,
     complement,
@@ -46,7 +46,7 @@ def alpha_product(R: RingCtx, k: int, n: int, budget_s: float = DEFAULT_BUDGET_S
     return max_independent_set(H, budget_s=budget_s).size
 
 
-def diagonal_indep_set(q: int, k: int, graph: ProductGraph | None = None) -> IndepSet:
+def diagonal_indep_set(q: int, k: int, graph: GenericGraph | None = None) -> IndepSet:
     """Geometric tuples (x, bx, b^2 x, ..., b^(k-1) x) with b a generator
     of F_q^*; an independent set of size q in the k-th strong power of the
     complement of Paley_k(F_q)."""
@@ -71,7 +71,7 @@ def diagonal_indep_set(q: int, k: int, graph: ProductGraph | None = None) -> Ind
     return out
 
 
-def complement_power_graph(q: int, k: int) -> ProductGraph:
+def complement_power_graph(q: int, k: int) -> GenericGraph:
     """The k-th strong power of the complement of Paley_k(F_q), built as a
     Cayley graph on the complementary connection set."""
     R = make_ring(RingSpec.field(*factor_prime_power(q)))
@@ -79,7 +79,7 @@ def complement_power_graph(q: int, k: int) -> ProductGraph:
     return strong_power(comp, k)
 
 
-def beta_pair_set(q: int, k: int, graph: ProductGraph | None = None) -> IndepSet:
+def beta_pair_set(q: int, k: int, graph: GenericGraph | None = None) -> IndepSet:
     """Pairs (x, bx) with b the least non-k-th-power: an independent set of
     size q in Paley_k(F_q) x Paley_k(F_q)."""
     R = make_ring(RingSpec.field(*factor_prime_power(q)))

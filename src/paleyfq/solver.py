@@ -26,14 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderTooLarge, SolverTimeout, VertexOutOfRange
-from .graphs import (
-    GenericGraph,
-    ProductGraph,
-    as_generic,
-    graph_fingerprint,
-    root_stabilizer,
-)
+from .errors import OrderTooLarge, SolverTimeout
+from .graphs import GenericGraph, graph_fingerprint, root_stabilizer
 
 DEFAULT_BUDGET_S = 300.0
 # bytes for the solver's three n x n adjacency bitmask copies (symmetrized,
@@ -302,7 +296,7 @@ def max_independent_set(
     """
     deadline = time.monotonic() + check_budget(budget_s)
     check_solver_memory(G.n)
-    g = as_generic(G)
+    g = G.to_generic()
     n = g.n
     gens = root_stabilizer(G) if vertex_transitive is None else None
     root_fixed = gens is not None if vertex_transitive is None else vertex_transitive
@@ -337,34 +331,18 @@ def max_independent_set(
     )
     if stats is not None:
         stats.update(counters)
-    result = _make_indep_set(G, sorted(search.best), fingerprint)
+    result = IndepSet(vertices=g.label(sorted(search.best)),
+                      size=len(search.best), graph_fingerprint=fingerprint)
     if not completed:
         raise SolverTimeout(incumbent=result, budget_s=budget_s, stats=counters)
     return result
 
 
-def _make_indep_set(G, verts: list[int], fingerprint: str) -> IndepSet:
-    if isinstance(G, ProductGraph):
-        labeled = tuple(G.vertex_tuple(v) for v in verts)
-    else:
-        labeled = tuple(verts)
-    return IndepSet(vertices=labeled, size=len(verts), graph_fingerprint=fingerprint)
-
-
 def verify_independent(G, vertices) -> bool:
-    """True iff no ordered pair of distinct members is an edge."""
-    g = as_generic(G)
-    idx = []
-    for v in vertices:
-        if isinstance(v, (tuple, list)):
-            if not isinstance(G, ProductGraph):
-                raise VertexOutOfRange("tuple vertex for a non-product graph")
-            i = G.vertex_index(tuple(v))
-        else:
-            i = v
-        if not 0 <= i < g.n:
-            raise VertexOutOfRange(f"vertex {v!r} out of range")
-        idx.append(i)
+    """True iff no ordered pair of distinct members is an edge.  Members
+    are vertex labels, checked as by GenericGraph.index."""
+    g = G.to_generic()
+    idx = [g.index(v) for v in vertices]
     for a in idx:
         row = g.rows[a]
         for b in idx:

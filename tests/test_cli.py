@@ -291,6 +291,31 @@ def test_exit_3_on_solver_memory_cap_before_building_the_power(capsys, monkeypat
     assert payload["error"] == "ProductTooLarge"
 
 
+@pytest.mark.parametrize("extra", [(), ("--complement",)])
+def test_graph_power_refused_before_building(capsys, monkeypatch, extra):
+    # graph --power applies the same two caps as alpha --power, before
+    # strong_power builds the product
+    import paleyfq.cli as cli
+
+    built = []
+    build = cli.strong_power
+    monkeypatch.setattr(cli, "strong_power", lambda G, n: built.append(n) or build(G, n))
+    code, payload = run_json(capsys, "graph", "--ring", "fq:7", "--k", "3", "--power", "2", *extra)
+    assert code == 0 and built == [2]
+    assert payload["power"] == {"n": 2, "order": 49, "degree": 8 if not extra else 24}
+
+    def refuse(*args):
+        raise AssertionError("strong_power called on an over-cap order")
+
+    monkeypatch.setattr(cli, "strong_power", refuse)
+    code, payload = run_json(capsys, "graph", "--ring", "fq:197", "--k", "2", "--power", "2", *extra)
+    assert code == 3
+    assert payload["error"] == "OrderTooLarge"
+    code, payload = run_json(capsys, "graph", "--ring", "zmod:400", "--k", "2", "--power", "2", *extra)
+    assert code == 3
+    assert payload["error"] == "ProductTooLarge"
+
+
 def test_exit_4_on_timeout_with_incumbent(capsys):
     code, payload = run_json(
         capsys, "alpha", "--ring", "fq:11", "--k", "5", "--power", "2",

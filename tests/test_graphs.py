@@ -1,8 +1,14 @@
+import json
 import math
 
 import pytest
 
-from paleyfq.errors import DirectedUnsupported, NotCoprime, ProductTooLarge
+from paleyfq.errors import (
+    DirectedUnsupported,
+    NotCoprime,
+    ProductTooLarge,
+    VertexOutOfRange,
+)
 from paleyfq.graphs import (
     build_paley,
     complement,
@@ -16,6 +22,7 @@ from paleyfq.graphs import (
     strong_product,
 )
 from paleyfq.rings import RingSpec, make_ring
+from paleyfq.solver import max_independent_set, verify_independent
 
 
 def ring(q, s=1):
@@ -101,14 +108,14 @@ def test_strong_product_of_cliques():
     K5 = build_paley(ring(5), 3)
     P = strong_product(K5, K5)
     assert P.n == 25
-    assert all(P.graph.degree(v) == 24 for v in range(25))
+    assert all(P.degree(v) == 24 for v in range(25))
 
 
 def test_strong_product_c7_degrees():
     C7 = build_paley(ring(7), 3)
     P = strong_power(C7, 2)
     assert P.n == 49
-    assert all(P.graph.degree(v) == 8 for v in range(49))
+    assert all(P.degree(v) == 8 for v in range(49))
 
 
 def test_strong_product_identity_with_k1():
@@ -116,15 +123,43 @@ def test_strong_product_identity_with_k1():
     K1 = generic_graph(1, [0])
     P = strong_product(C7, K1)
     assert P.n == 7
-    assert [r for r in P.graph.rows] == list(C7.rows)
+    assert [r for r in P.rows] == list(C7.rows)
 
 
 def test_strong_product_tuple_indexing():
     C7 = build_paley(ring(7), 3)
     P = strong_power(C7, 2)
     for i in (0, 13, 48):
-        assert P.vertex_index(P.vertex_tuple(i)) == i
-    assert P.vertex_tuple(13) == (1, 6)
+        assert P.index(P.label([i])[0]) == i
+    assert P.label([13]) == ((1, 6),)
+    # row-major over unequal orders: (a, b, c) sits at (a*5 + b)*3 + c
+    M = strong_product(strong_product(C7, build_paley(ring(5), 2)),
+                       build_paley(zring(3), 2))
+    labels = M.label(range(M.n))
+    assert labels == tuple((a, b, c) for a in range(7) for b in range(5) for c in range(3))
+    assert all(type(c) is int for t in labels for c in t)
+    assert [M.index(t) for t in labels] == list(range(M.n))
+    assert [M.index(list(t)) for t in labels] == list(range(M.n))
+    # a 3-factor power round-trips, and its certificate is plain JSON
+    cube = strong_power(build_paley(ring(5), 2), 3)
+    assert [cube.index(t) for t in cube.label(range(cube.n))] == list(range(125))
+    cert = max_independent_set(cube)
+    assert all(type(c) is int for t in cert.vertices for c in t)
+    assert json.loads(json.dumps(cert.to_json()))["vertices"] == [list(t) for t in cert.vertices]
+    assert verify_independent(cube, cert.vertices)
+    # the first power keeps 1-tuple labels; a non-product keeps ints
+    P1 = strong_power(C7, 1)
+    assert P1.label([0, 6]) == ((0,), (6,)) and P1.index((6,)) == 6
+    g = C7.to_generic()
+    assert g.label([0, 6]) == (0, 6) and g.index(6) == 6
+    with pytest.raises(VertexOutOfRange):
+        g.index((1,))
+    for bad in ((1,), (1, 2, 3), (7, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            P.index(bad)
+    for bad in (49, -1):
+        with pytest.raises(VertexOutOfRange):
+            P.index(bad)
 
 
 def test_strong_product_directed_rule():
@@ -132,11 +167,10 @@ def test_strong_product_directed_rule():
     D = build_paley(zring(3), 2)
     assert not D.symmetric
     P = strong_product(D, D)
-    g = P.graph
     # ordered rule: (a,b)->(c,d) iff each coordinate steps or stays
-    assert g.has_edge(P.vertex_index((1, 1)), P.vertex_index((0, 0)))
-    assert g.has_edge(P.vertex_index((1, 0)), P.vertex_index((0, 0)))
-    assert not g.has_edge(P.vertex_index((0, 0)), P.vertex_index((1, 1)))
+    assert P.has_edge(P.index((1, 1)), P.index((0, 0)))
+    assert P.has_edge(P.index((1, 0)), P.index((0, 0)))
+    assert not P.has_edge(P.index((0, 0)), P.index((1, 1)))
 
 
 def test_product_cap():
@@ -215,6 +249,6 @@ def test_strong_power_of_a_power_is_flat():
     nested = strong_power(strong_power(G, 2), 2)
     flat = strong_power(G, 4)
     assert nested.factors == flat.factors == (G,) * 4
-    assert nested.orders == flat.orders == (5, 5, 5, 5)
-    assert nested.graph.rows == flat.graph.rows
+    assert [f.n for f in nested.factors] == [f.n for f in flat.factors] == [5] * 4
+    assert nested.rows == flat.rows
     assert root_stabilizer(nested) is not None

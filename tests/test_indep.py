@@ -139,7 +139,7 @@ def test_product_alpha_at_least_product_of_alphas():
 
 def test_exhaustive_probe_on_cycle_power():
     P = strong_power(build_paley(ring(5), 2), 2)
-    assert max_independent_set(P).size == exhaustive_mis_size(list(P.graph.rows), 25)
+    assert max_independent_set(P).size == exhaustive_mis_size(list(P.rows), 25)
 
 
 def test_cohen_bound():

@@ -18,7 +18,6 @@ import pytest
 
 from paleyfq.graphs import (
     CayleyGraph,
-    as_generic,
     build_paley,
     generic_graph,
     root_stabilizer,
@@ -112,7 +111,7 @@ CASES = {
 def networkx_alpha(G) -> int:
     """Independence number as the clique number of the complement of the
     symmetrized graph, by networkx's exact max_weight_clique."""
-    g = as_generic(G)
+    g = G.to_generic()
     H = nx.Graph()
     H.add_nodes_from(range(g.n))
     H.add_edges_from((i, j) for i in range(g.n) for j in range(i + 1, g.n)
@@ -121,7 +120,7 @@ def networkx_alpha(G) -> int:
 
 
 def adjacency(G) -> np.ndarray:
-    g = as_generic(G)
+    g = G.to_generic()
     bits = np.array([[r >> j & 1 for j in range(g.n)] for r in g.rows], dtype=bool)
     return bits.reshape(g.n, g.n)
 
@@ -193,7 +192,7 @@ def test_orbit_pruning_cuts_nodes(name):
 
 
 def test_generic_graph_root_fixing_without_orbits():
-    g = as_generic(paley(F(13), 2))
+    g = paley(F(13), 2).to_generic()
     assert root_stabilizer(g) is None
     stats = {}
     cert = max_independent_set(generic_graph(g.n, g.rows), vertex_transitive=True,

@@ -11,7 +11,6 @@ import pytest
 import paleyfq.solver as solver
 from paleyfq.graphs import (
     GenericGraph,
-    as_generic,
     build_paley,
     generic_graph,
     graph_fingerprint,
@@ -52,11 +51,11 @@ def is_symmetric(n, rows):
 def check_product(P, g, h, orders):
     """P's rows against the shift loop on the generic forms of its two
     factors, its symmetric flag against the rows, and its orders."""
-    g, h = as_generic(g), as_generic(h)
+    g, h = g.to_generic(), h.to_generic()
     rows = ref_strong_product_rows(g, h)
-    assert list(P.graph.rows) == rows
-    assert P.graph.symmetric == is_symmetric(P.n, rows)
-    assert P.orders == tuple(orders)
+    assert list(P.rows) == rows
+    assert P.symmetric == is_symmetric(P.n, rows)
+    assert tuple(f.n for f in P.factors) == tuple(orders)
 
 
 def random_generic(rng, n):
@@ -85,8 +84,8 @@ def test_strong_product_matches_shift_loop_on_empty_and_complete(n):
             P = strong_product(g, h)
             check_product(P, g, h, (g.n, h.n))
     # the strong square of an edgeless graph is edgeless, of a clique a clique
-    assert not any(strong_product(empty, empty).graph.rows)
-    K = strong_product(complete, complete).graph
+    assert not any(strong_product(empty, empty).rows)
+    K = strong_product(complete, complete)
     assert all(K.degree(v) == n * n - 1 for v in range(n * n))
 
 
@@ -99,10 +98,10 @@ def test_cayley_squares_and_cubes_match_shift_loop(spec, k):
     G = paley(spec, k)
     square = strong_power(G, 2)
     check_product(square, G, G, (G.n,) * 2)
-    assert square.graph.symmetric == G.symmetric  # fq:19 and fq:23 are directed
+    assert square.symmetric == G.symmetric  # fq:19 and fq:23 are directed
     if G.n ** 3 <= 2000:
         cube = strong_power(G, 3)
-        check_product(cube, square.graph, G, (G.n,) * 3)
+        check_product(cube, square, G, (G.n,) * 3)
 
 
 @pytest.mark.parametrize("spec,k", [("fq:7", 3), ("fq:9", 2), ("fq:8", 3), ("zmod:10", 2)])
@@ -111,7 +110,7 @@ def test_complement_cayley_powers_match_shift_loop(spec, k):
     square = strong_power(C, 2)
     check_product(square, C, C, (C.n,) * 2)
     cube = strong_power(C, 3)
-    check_product(cube, square.graph, C, (C.n,) * 3)
+    check_product(cube, square, C, (C.n,) * 3)
 
 
 def test_mixed_products_match_shift_loop():
@@ -125,7 +124,7 @@ def test_mixed_products_match_shift_loop():
     GH = strong_product(G, H)
     square = strong_power(GH, 2)
     # a power of a product is flat: its factors are those of GH, twice
-    check_product(square, GH.graph, GH.graph, (7, 5, 7, 5))
+    check_product(square, GH, GH, (7, 5, 7, 5))
 
 
 def test_product_fingerprints_are_pinned():
@@ -133,7 +132,7 @@ def test_product_fingerprints_are_pinned():
     assert graph_fingerprint(P) == (
         "0b91e0b3413a644140b268657959828382d6eff04068789001461c4318477775")
     C = complement_power_graph(19, 3)
-    assert C.orders == (19, 19, 19)
+    assert tuple(f.n for f in C.factors) == (19, 19, 19)
     assert graph_fingerprint(C) == (
         "aea8c3a1d3f7783010b354f7a359b079c7d9126f98cb3168493ab25c86c3ec44")
 
@@ -144,7 +143,7 @@ def test_product_fingerprints_are_pinned():
 def solver_closed(G):
     """Closed neighbourhoods of the symmetrized graph, as the solver seeds
     its greedy."""
-    g = as_generic(G)
+    g = G.to_generic()
     return [r | (1 << i) for i, r in enumerate(solver._symmetrize(g))]
 
 
