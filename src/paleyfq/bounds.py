@@ -8,10 +8,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, NotUnimodal, SolverTimeout
+from .errors import DirectedUnsupported, InvariantViolation, NotUnimodal, SolverTimeout
+from .graphs import build_paley
 from .indep import alpha_product
-from .rings import RingSpec, factor_prime_power, make_ring
+from .rings import RingCtx, RingSpec, factor_prime_power, make_ring
 from .solver import DEFAULT_BUDGET_S
+from .theta import lovasz_theta
 
 INV_PHI = (math.sqrt(5) - 1) / 2
 INV_PHI2 = (3 - math.sqrt(5)) / 2
@@ -103,6 +105,7 @@ class BoundsLedger:
     conjectured_tight: bool  # the method limit is only conjectured optimal
     r_k2_source: str | None = None  # "timeout" when the solver ran out of budget
     r_k2_lower: int | None = None  # certified lower bound on r_k2, on timeout only
+    r_k2_upper: int | None = None  # floor(theta^2) upper bound on r_k2, on timeout only
 
     def to_json(self) -> dict:
         out = {
@@ -123,7 +126,24 @@ class BoundsLedger:
             out["r_k2_source"] = self.r_k2_source
         if self.r_k2_lower is not None:
             out["r_k2_lower"] = self.r_k2_lower
+        if self.r_k2_upper is not None:
+            out["r_k2_upper"] = self.r_k2_upper
         return out
+
+
+def _theta_square_floor(R: RingCtx, k: int) -> int | None:
+    """floor(theta(G)^2) for G = Paley_k(R) over a field, an upper bound on
+    alpha(G^2) (strong square) because theta is multiplicative under the
+    strong product and bounds alpha; None when G is directed.  A field
+    Paley graph is edge-transitive, so theta is its exact ratio bound.
+    The square is raised by 1e-9 of itself before the floor, so float
+    error cannot cut the value below the bound."""
+    try:
+        theta = lovasz_theta(build_paley(R, k)).value
+    except DirectedUnsupported:
+        return None
+    square = theta * theta
+    return math.floor(square + 1e-9 * square)
 
 
 def bounds_report(
@@ -143,7 +163,8 @@ def bounds_report(
     runs out of budget r_k2 stays None, r_k2_source reads "timeout" and
     r_k2_lower is the larger of the timeout incumbent's size and q, the
     size of the beta-pair set (a non-k-th power exists since
-    gcd(k, q-1) > 1).
+    gcd(k, q-1) > 1).  Beside it, r_k2_upper is floor(theta(G)^2) for
+    G = Paley_k(F_q) when G is undirected (see _theta_square_floor).
     """
     green = green_exponent(q, k)
     refined = minimize_rate(q, gamma).value if gamma is not None else None
@@ -151,6 +172,7 @@ def bounds_report(
     r_k2 = None
     r_k2_source = None
     r_k2_lower = None
+    r_k2_upper = None
     lower_improved = None
     if math.gcd(k, q - 1) > 1 and q * q <= solver_cap:
         R = make_ring(RingSpec.field(*factor_prime_power(q)))
@@ -160,6 +182,11 @@ def bounds_report(
         except SolverTimeout as exc:
             r_k2_source = "timeout"
             r_k2_lower = max(exc.incumbent.size, q)
+            r_k2_upper = _theta_square_floor(R, k)
+            if r_k2_upper is not None and r_k2_lower > r_k2_upper:
+                raise InvariantViolation(
+                    f"r_k2 lower bound {r_k2_lower} exceeds theta^2 bound {r_k2_upper}"
+                )
     method_limit = q ** (1 - 1 / (k * k))
     greedy = q ** ((n - 1 - (n - 1) // k) / n) if n >= 1 else None
     ledger = BoundsLedger(
@@ -169,6 +196,7 @@ def bounds_report(
         lower_thm_base=lower_thm, lower_improved=lower_improved,
         method_limit=method_limit, greedy=greedy, r_k2=r_k2,
         conjectured_tight=True, r_k2_source=r_k2_source, r_k2_lower=r_k2_lower,
+        r_k2_upper=r_k2_upper,
     )
     chain = [lower_thm, lower_improved] if lower_improved is not None else []
     chain += [method_limit, green.base]

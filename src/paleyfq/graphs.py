@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,11 +68,19 @@ class GenericGraph:
         product a tuple (or list) of factor coordinates.  VertexOutOfRange
         for an int outside range(n) or a tuple on a non-product;
         ValueError for a tuple of the wrong arity or with a coordinate out
-        of range."""
+        of range, however large; TypeError for a non-integer coordinate."""
         if isinstance(v, (tuple, list)):
             if not self.factors:
                 raise VertexOutOfRange("tuple vertex for a non-product graph")
-            return int(np.ravel_multi_index(tuple(v), [f.n for f in self.factors]))
+            if len(v) != len(self.factors):
+                raise ValueError(f"vertex {v!r} needs {len(self.factors)} coordinates")
+            i = 0
+            for c, f in zip(v, self.factors):
+                c = operator.index(c)
+                if not 0 <= c < f.n:
+                    raise ValueError(f"coordinate {c} of vertex {v!r} out of range")
+                i = i * f.n + c
+            return i
         if not 0 <= v < self.n:
             raise VertexOutOfRange(f"vertex {v!r} out of range")
         return v

@@ -3,11 +3,13 @@ import math
 import pytest
 
 from paleyfq.bounds import (
+    _theta_square_floor,
     bounds_report,
     digit_sum,
     green_exponent,
     minimize_rate,
 )
+from paleyfq.rings import RingSpec, factor_prime_power, make_ring
 
 
 def test_digit_sum():
@@ -92,6 +94,29 @@ def test_bounds_report_gives_r_k2_lower_on_timeout():
     assert led["r_k2_lower"] >= 7
     assert led["r_k2"] is None and led["lower_improved_base"] is None
     assert "r_k2_lower" not in bounds_report(7, 3, 6).to_json()
+
+
+def test_bounds_report_gives_r_k2_upper_on_timeout():
+    led = bounds_report(7, 3, 6, budget_s=1e-9).to_json()
+    # theta(C_7) = 7 cos(pi/7) / (1 + cos(pi/7)) = 3.3177..., squared 11.007
+    assert led["r_k2_upper"] == 11
+    assert led["r_k2_lower"] <= led["r_k2_upper"]
+    assert "r_k2_upper" not in bounds_report(7, 3, 6).to_json()
+    # Paley_2(F_7) is directed: no theta bound, though the solve timed out
+    led = bounds_report(7, 2, 6, budget_s=1e-9).to_json()
+    assert led["r_k2_source"] == "timeout"
+    assert "r_k2_upper" not in led
+
+
+@pytest.mark.parametrize("q, k, want", [
+    # the ROADMAP table; theta(Paley_4(F_9)) = 3 and theta(Paley_5(F_16))
+    # = 4 make theta^2 an integer that float error must not floor away
+    (7, 3, 11), (9, 4, 9), (13, 3, 26), (13, 6, 41), (16, 3, 36),
+    (16, 5, 16), (19, 3, 27),
+])
+def test_theta_square_floor(q, k, want):
+    R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    assert _theta_square_floor(R, k) == want
 
 
 def test_bounds_report_f3():

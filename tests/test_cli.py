@@ -238,6 +238,18 @@ def test_bounds_ledger(capsys):
     assert abs(payload["lower_improved_base"] - 5.3716) < 1e-3
 
 
+def test_bounds_timeout_brackets_r_k2(capsys):
+    # r_{3,2}(F_16) is open: the 1 s solve times out between the incumbent
+    # and floor(theta^2) = 36
+    code, payload = run_json(
+        capsys, "bounds", "--q", "16", "--k", "3", "--n", "6", "--budget", "1"
+    )
+    assert code == 0
+    assert payload["r_k2"] is None and payload["r_k2_source"] == "timeout"
+    assert payload["r_k2_upper"] == 36
+    assert 16 <= payload["r_k2_lower"] <= 36
+
+
 def test_json_byte_determinism(capsys):
     _, a = run(capsys, "bounds", "--q", "7", "--k", "3", "--n", "6", "--gamma", "4/9")
     _, b = run(capsys, "bounds", "--q", "7", "--k", "3", "--n", "6", "--gamma", "4/9")

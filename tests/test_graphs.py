@@ -162,6 +162,19 @@ def test_strong_product_tuple_indexing():
             P.index(bad)
 
 
+def test_product_index_refuses_huge_and_negative_coordinates():
+    # coordinates beyond int64 are out of range like any other, not a
+    # numpy TypeError
+    P = strong_power(build_paley(ring(7), 3), 2)
+    for bad in ((10**30, 1), (1, 10**30), (-(10**30), 0), (-1, 0), (0, -7),
+                [10**19, 0], (7, 7)):
+        with pytest.raises(ValueError):
+            P.index(bad)
+    with pytest.raises(TypeError):
+        P.index((1.0, 2))
+    assert P.index((6, 6)) == 48 and P.index([1, 6]) == 13
+
+
 def test_strong_product_directed_rule():
     # directed 3-cycle: 0->1->2->0 wait, edges x->y iff x-y=1: 1->0, 2->1, 0->2
     D = build_paley(zring(3), 2)

@@ -144,6 +144,16 @@ def test_alpha_c11_squared_unit_propagation_node_guard():
     assert stats["up_pruned"] > 0
 
 
+def test_alpha_c11_squared_failed_literal_node_guard():
+    # deterministic perf guard: with unit propagation alone this search
+    # expands 50978 nodes
+    stats = {}
+    cert = max_independent_set(strong_power(build_paley(ring(11), 5), 2), stats=stats)
+    assert cert.size == 27
+    assert stats["nodes"] <= 5_000
+    assert stats["up_pruned"] > 0
+
+
 def test_verify_independent():
     G = build_paley(ring(7), 3)
     assert verify_independent(G, [0, 2, 4])

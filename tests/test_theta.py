@@ -1,12 +1,8 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
-import paleyfq
 from paleyfq.errors import (
     DirectedFactor,
     DirectedUnsupported,
@@ -24,6 +20,8 @@ from paleyfq.theta import (
     ruzsa_bound_check,
     theta_zmod,
 )
+
+from util import run_child
 
 
 def ring(p, s=1):
@@ -193,16 +191,6 @@ def test_alpha_le_theta_zmod():
         G = build_paley(zring(m), k)
         a = max_independent_set(G).size
         assert a <= theta_zmod(m, k).value + 1e-6
-
-
-def run_child(code: str, *flags: str) -> subprocess.CompletedProcess:
-    """Run Python code in a fresh interpreter that imports this paleyfq."""
-    src = os.path.dirname(os.path.dirname(paleyfq.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 def test_spectrum_invariant_survives_optimize_flag():

@@ -1,13 +1,16 @@
-"""Unit-propagation pruning in the clique search (solver._unit_refutes).
+"""Unit-propagation and failed-literal pruning in the clique search
+(solver._unit_refutes, solver._failed_literals_refute).
 
-Hand-made cases pin what the test proves and what it leaves open; a
-seeded property test checks on random graphs that a refutation is sound
+Hand-made cases pin what each test proves and what it leaves open;
+seeded property tests check on random graphs that a refutation is sound
 (no clique takes one vertex from each class, by brute force) and does
-not depend on the order of the classes; and the search with the test is
-compared against the search with it switched off.
+not depend on the order of the classes; and the search with the tests
+is compared against the search with them switched off, and against
+itself under python -O.
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -16,9 +19,9 @@ import paleyfq.solver as solver
 from paleyfq.errors import SolverTimeout
 from paleyfq.graphs import build_paley, strong_power
 from paleyfq.rings import RingSpec, make_ring
-from paleyfq.solver import _unit_refutes, max_independent_set
+from paleyfq.solver import _failed_literals_refute, _unit_refutes, max_independent_set
 
-from util import random_graph
+from util import random_graph, run_child
 
 
 def bits(*vs):
@@ -108,6 +111,60 @@ def test_refutations_are_sound_and_order_free():
     assert refuted > 50
 
 
+def test_failed_literals_refute_the_six_cycle():
+    # assuming x0 cuts Y to {y0} and Z to {z1}, which are not adjacent, so
+    # x0 fails; x1 fails the same way, and X empties
+    x0, x1, y0, y1, z0, z1 = range(6)
+    adj = graph(6, [(x0, y0), (y0, z0), (z0, x1), (x1, y1), (y1, z1), (z1, x0)])
+    classes = [bits(x0, x1), bits(y0, y1), bits(z0, z1)]
+    assert _failed_literals_refute(adj, classes, 3, bits(*range(6)))
+    # with the chord y0-z1 the clique {x0, y0, z1} survives every probe
+    adj = graph(6, [(x0, y0), (y0, z0), (z0, x1), (x1, y1), (y1, z1), (z1, x0),
+                    (y0, z1)])
+    assert not _failed_literals_refute(adj, classes, 3, bits(*range(6)))
+
+
+def test_failed_literals_leave_propagation_conflicts_to_unit_refutes():
+    # the search asks _unit_refutes first; a conflict plain propagation
+    # finds gives False here, so switching _unit_refutes off switches off
+    # both rules
+    adj = graph(3, [(0, 2)])
+    classes = [bits(0), bits(1), bits(2)]
+    assert _unit_refutes(adj, classes, 3, bits(0, 1, 2))
+    assert not _failed_literals_refute(adj, classes, 3, bits(0, 1, 2))
+
+
+def test_failed_literal_refutations_are_sound_and_order_free():
+    # classes of two or three vertices, as colour classes mostly are, and
+    # a P that now and then cuts one to a single vertex
+    rng = random.Random(20261019)
+    refuted = 0
+    for _ in range(400):
+        sizes = [rng.randint(2, 3) for _ in range(rng.randint(2, 5))]
+        n = sum(sizes)
+        adj = list(random_graph(rng, n, rng.uniform(0.4, 0.8)).rows)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        ends = list(itertools.accumulate(sizes))
+        classes = [bits(*verts[i:j]) for i, j in zip([0, *ends], ends)]
+        P = bits(*(v for v in range(n) if rng.random() < 0.95))
+        up = _unit_refutes(adj, classes, len(classes), P)
+        got = _failed_literals_refute(adj, classes, len(classes), P)
+        clique = transversal_clique(adj, classes, P)
+        if up or got:
+            assert not clique
+        if got:
+            refuted += 1
+            assert not up
+        if len(classes) == 2:
+            # a probe on one class cuts the other to its neighbours, so
+            # the two rules together decide two classes exactly
+            assert up or got or clique
+        for perm in itertools.permutations(classes):
+            assert _failed_literals_refute(adj, list(perm), len(perm), P) == got
+    assert refuted > 50
+
+
 def test_unrooted_search_matches_search_without_the_test(monkeypatch):
     rng = random.Random(7)
     graphs = [random_graph(rng, rng.randint(20, 45), rng.uniform(0.15, 0.6))
@@ -125,6 +182,41 @@ def test_unrooted_search_matches_search_without_the_test(monkeypatch):
         assert stats["nodes"] <= plain["nodes"]
         pruned_somewhere |= stats["up_pruned"] > 0
     assert pruned_somewhere
+
+
+def test_failed_literals_prune_beyond_unit_propagation(monkeypatch):
+    G = strong_power(build_paley(make_ring(RingSpec.field(11)), 5), 2)
+    stats = {}
+    cert = max_independent_set(G, stats=stats)
+    monkeypatch.setattr(solver, "_failed_literals_refute",
+                        lambda adj, classes, k, P: False)
+    up_only = {}
+    assert max_independent_set(G, stats=up_only) == cert
+    assert up_only["nodes"] == 50_978
+    # probing to the greatest fixpoint; one round of probes gives 4,051
+    assert stats["nodes"] == 4_016
+    assert stats["orbit_pruned"] == up_only["orbit_pruned"]
+
+
+def test_search_is_the_same_under_optimize_flag():
+    # no exactness check of the pruned search rests on assert
+    code = """
+import json
+from paleyfq.graphs import build_paley, strong_power
+from paleyfq.rings import RingSpec, make_ring
+from paleyfq.solver import max_independent_set
+stats = {}
+cert = max_independent_set(
+    strong_power(build_paley(make_ring(RingSpec.field(11)), 5), 2), stats=stats)
+print(json.dumps({"cert": cert.to_json(), "stats": stats}, sort_keys=True))
+"""
+    proc = run_child(code, "-O")
+    assert proc.returncode == 0, proc.stderr
+    G = strong_power(build_paley(make_ring(RingSpec.field(11)), 5), 2)
+    stats = {}
+    cert = max_independent_set(G, stats=stats)
+    want = {"cert": cert.to_json(), "stats": stats}
+    assert json.loads(proc.stdout) == json.loads(json.dumps(want))
 
 
 @pytest.mark.parametrize("budget", [1e-9, 0.2])

@@ -3,11 +3,15 @@ the library's own search code."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import paleyfq
 from paleyfq.graphs import GenericGraph, generic_graph
 from paleyfq.polys import PolyFq, _field_kth_roots
 from paleyfq.rings import _pmod, _pmul, factorize
@@ -294,3 +298,13 @@ def ref_multistart_greedy(n: int, closed: list[int], deadline: float) -> list[in
         if len(chosen) > len(best):
             best = chosen
     return best
+
+
+def run_child(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter that imports this paleyfq."""
+    src = os.path.dirname(os.path.dirname(paleyfq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
