@@ -12,7 +12,7 @@ from .errors import DirectedUnsupported, InvariantViolation, NotUnimodal, Solver
 from .graphs import build_paley
 from .indep import alpha_product
 from .rings import RingCtx, RingSpec, factor_prime_power, make_ring
-from .solver import DEFAULT_BUDGET_S
+from .solver import DEFAULT_BUDGET_S, SOLVER_VERTEX_CAP
 from .theta import lovasz_theta
 
 INV_PHI = (math.sqrt(5) - 1) / 2
@@ -100,7 +100,7 @@ class BoundsLedger:
     lower_thm_base: float  # q^(1 - 1/(2k)), unconditional construction
     lower_improved: float | None  # (r_{k,2})^(1/(2k)) * q^(1-1/k)
     method_limit: float  # q^(1 - 1/k^2), ceiling of this method
-    greedy: float | None
+    greedy: float
     r_k2: int | None
     conjectured_tight: bool  # the method limit is only conjectured optimal
     r_k2_source: str | None = None  # "timeout" when the solver ran out of budget
@@ -122,12 +122,9 @@ class BoundsLedger:
             "r_k2": self.r_k2,
             "conjectured_tight": self.conjectured_tight,
         }
-        if self.r_k2_source is not None:
-            out["r_k2_source"] = self.r_k2_source
-        if self.r_k2_lower is not None:
-            out["r_k2_lower"] = self.r_k2_lower
-        if self.r_k2_upper is not None:
-            out["r_k2_upper"] = self.r_k2_upper
+        for key in ("r_k2_source", "r_k2_lower", "r_k2_upper"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
 
@@ -152,12 +149,12 @@ def bounds_report(
     n: int,
     gamma: float | None = None,
     budget_s: float = DEFAULT_BUDGET_S,
-    solver_cap: int = 400,
 ) -> BoundsLedger:
-    """Assemble the per-symbol rate ledger for one (q, k, n).
+    """Assemble the per-symbol rate ledger for one (q, k, n): q a prime
+    power, k >= 2 and n >= 1, else ValueError before any work.
 
     The improved lower base needs the exact two-fold product independence
-    number, so it is filled only when q^2 fits under the solver cap.  The
+    number, so it is filled only when q^2 is at most SOLVER_VERTEX_CAP.  The
     method_limit base is also the conjectured optimum; it is reported as
     a marker, never as a proven bound on constructions.  When the solver
     runs out of budget r_k2 stays None, r_k2_source reads "timeout" and
@@ -166,6 +163,9 @@ def bounds_report(
     gcd(k, q-1) > 1).  Beside it, r_k2_upper is floor(theta(G)^2) for
     G = Paley_k(F_q) when G is undirected (see _theta_square_floor).
     """
+    spec = RingSpec.field(*factor_prime_power(q))
+    if k < 2 or n < 1:
+        raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     green = green_exponent(q, k)
     refined = minimize_rate(q, gamma).value if gamma is not None else None
     lower_thm = q ** (1 - 1 / (2 * k))
@@ -174,8 +174,8 @@ def bounds_report(
     r_k2_lower = None
     r_k2_upper = None
     lower_improved = None
-    if math.gcd(k, q - 1) > 1 and q * q <= solver_cap:
-        R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    if math.gcd(k, q - 1) > 1 and q * q <= SOLVER_VERTEX_CAP:
+        R = make_ring(spec)
         try:
             r_k2 = alpha_product(R, k, 2, budget_s=budget_s)
             lower_improved = r_k2 ** (1 / (2 * k)) * q ** (1 - 1 / k)
@@ -188,7 +188,7 @@ def bounds_report(
                     f"r_k2 lower bound {r_k2_lower} exceeds theta^2 bound {r_k2_upper}"
                 )
     method_limit = q ** (1 - 1 / (k * k))
-    greedy = q ** ((n - 1 - (n - 1) // k) / n) if n >= 1 else None
+    greedy = q ** ((n - 1 - (n - 1) // k) / n)
     ledger = BoundsLedger(
         q=q, k=k, n=n,
         green_exponent=green.exponent, green_rate=green.base,

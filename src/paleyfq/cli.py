@@ -101,7 +101,8 @@ def _ring_payload(R: RingCtx) -> dict:
 
 def _power(G, n: int):
     """G^n, refused before it is built when |G|^n is over PRODUCT_CAP
-    (ProductTooLarge) or the solver memory cap (OrderTooLarge)."""
+    (ProductTooLarge) or the solver memory cap (OrderTooLarge), or n < 1
+    (ValueError, from strong_power).  Callers skip it for n = 1."""
     check_solver_memory(check_product_order(G.n ** n))
     return strong_power(G, n)
 
@@ -127,7 +128,7 @@ def _cmd_graph(args) -> dict:
             "symmetric": target.symmetric,
             "connection": sorted(target.connection),
         }
-    if args.power > 1:
+    if args.power != 1:
         P = _power(target, args.power)
         payload["power"] = {
             "n": args.power,
@@ -144,7 +145,7 @@ def _cmd_graph(args) -> dict:
 def _cmd_alpha(args) -> dict:
     R = _parse_ring(args.ring)
     G = build_paley(R, args.k)
-    H = _power(G, args.power) if args.power > 1 else G
+    H = _power(G, args.power) if args.power != 1 else G
     cert = max_independent_set(H, budget_s=args.budget)
     return {
         **_ring_payload(R),

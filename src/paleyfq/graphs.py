@@ -359,11 +359,12 @@ def export_dimacs(G, path: str) -> None:
 
 
 def import_dimacs(path: str) -> GenericGraph:
-    """Read a DIMACS undirected graph file."""
+    """Read a DIMACS undirected graph file; a malformed edge line (before
+    the p line, or an endpoint outside 1..n) raises ValueError naming it."""
     n = 0
-    rows: list[int] = []
+    rows: list[int] | None = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts or parts[0] == "c":
                 continue
@@ -372,10 +373,14 @@ def import_dimacs(path: str) -> GenericGraph:
                 rows = [0] * n
             elif parts[0] == "e":
                 i, j = int(parts[1]) - 1, int(parts[2]) - 1
+                if rows is None:
+                    raise ValueError(f"{path}:{lineno}: edge before the p line")
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError(f"{path}:{lineno}: edge endpoint outside 1..{n}")
                 if i != j:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-    return GenericGraph(n=n, rows=tuple(rows), symmetric=True)
+    return GenericGraph(n=n, rows=tuple(rows or ()), symmetric=True)
 
 
 def graph_fingerprint(G) -> str:

@@ -26,13 +26,12 @@ from .rings import (
 )
 from .solver import (
     DEFAULT_BUDGET_S,
+    SOLVER_VERTEX_CAP,
     IndepSet,
     check_solver_memory,
     max_independent_set,
     verify_independent,
 )
-
-SOLVER_VERTEX_CAP = 400
 
 
 def alpha_product(R: RingCtx, k: int, n: int, budget_s: float = DEFAULT_BUDGET_S) -> int:
@@ -136,11 +135,11 @@ def capacity_bounds(
     max_n: int,
     use_complement: bool = False,
     budget_s: float = DEFAULT_BUDGET_S,
-    solver_cap: int = SOLVER_VERTEX_CAP,
 ) -> CapacityBounds:
     """Lower bound: max over 1 <= n <= max_n of alpha(G^n)^(1/n), solving
-    exactly when the power fits under solver_cap and falling back to the
-    explicit constructions otherwise.  Upper bound: the theta value.
+    exactly when the power has at most SOLVER_VERTEX_CAP vertices and
+    falling back to the explicit constructions otherwise.  Upper bound:
+    the theta value.
     """
     from .theta import lovasz_theta, lovasz_theta_complement
 
@@ -151,7 +150,7 @@ def capacity_bounds(
     n_used = 0
     for n in range(1, max_n + 1):
         alpha_n = None
-        if q**n <= solver_cap:
+        if q**n <= SOLVER_VERTEX_CAP:
             H = base if n == 1 else strong_power(base, n)
             try:
                 alpha_n = max_independent_set(H, budget_s=budget_s).size

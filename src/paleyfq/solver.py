@@ -4,10 +4,10 @@ Independence in a directed graph means independence in the symmetrized
 graph, so the input is symmetrized and the search runs as a maximum
 clique search on the complement, using bit-parallel candidate sets and a
 greedy coloring upper bound.  Where that bound is tight, a branch is
-first tried by unit propagation over the colour classes and then by
-failed-literal detection (MaxSAT-style inconsistent-subset reasoning, as
-in Li & Quan's MaxCLQ) and dropped unexpanded when no clique through it
-can beat the incumbent.  A multistart greedy supplies the incumbent, and
+tested once, by unit propagation over the colour classes and then
+failed-literal probing (MaxSAT-style inconsistent-subset reasoning, as
+in Li & Quan's MaxCLQ), and dropped unexpanded when no clique through
+it can beat the incumbent.  A multistart greedy supplies the incumbent, and
 for vertex-transitive inputs the search is rooted at vertex 0, which is
 exact because automorphisms carry any maximum set through any chosen
 vertex; on Cayley inputs, depth-1 branches are further pruned by orbits
@@ -30,9 +30,12 @@ from .errors import OrderTooLarge, SolverTimeout
 from .graphs import GenericGraph, graph_fingerprint, root_stabilizer
 
 DEFAULT_BUDGET_S = 300.0
-# bytes for the solver's three n x n adjacency bitmask copies (symmetrized,
-# complement, closed neighbourhoods), estimated as 3 * n^2 / 8
+# bytes for the solver's n x n adjacency bitmasks, estimated as 3 * n^2 / 8:
+# an upper bound, as a directed input holds three copies (its rows, the
+# symmetrized rows, the complement) and an undirected one two
 SOLVER_MEMORY_CAP = 512 << 20
+# most vertices bounds_report, capacity_bounds and ruzsa_bound_check solve
+SOLVER_VERTEX_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -100,17 +103,17 @@ class _CliqueSearch:
         fixing r carries each clique through {r, g(v)} to one through
         {r, v} of the same size, so none of them can beat it.
 
-        A branch on v in class c with |R| + c = best + 1 is first tried by
-        _unit_refutes and then by _failed_literals_refute on classes
-        1..c-1 cut to P & adj[v]; when either refutes it, v leaves P (with
-        its orbit at depth 1) unexpanded, as after a finished branch.
+        A branch on v in class c with |R| + c = best + 1 is tested by
+        _refutes on classes 1..c-1 cut to P & adj[v]; when that refutes
+        it, v leaves P (with its orbit at depth 1) unexpanded, as after a
+        finished branch.
         Exact: every class above c has already left P and each class is
         independent, so a clique through v that beats the incumbent needs
         c - 1 more vertices, one from each of classes 1..c-1, which the
         refutation shows impossible.  The pruned subtree holds only
         cliques of size <= best, which never replace the incumbent, so
         the colouring, the branch order and the sequence of incumbents
-        (hence every certificate) are the same as without the tests, and
+        (hence every certificate) are the same as without the test, and
         the orbit argument above still holds for a refuted v."""
         self.nodes += 1
         if not self.nodes & 2047 and time.monotonic() >= self.deadline:
@@ -137,10 +140,7 @@ class _CliqueSearch:
                 v = cls.bit_length() - 1
                 bit = 1 << v
                 P2 = P & adj[v]
-                if size + c == self.best_size + 1 and (
-                    _unit_refutes(adj, classes, c - 1, P2)
-                    or _failed_literals_refute(adj, classes, c - 1, P2)
-                ):
+                if size + c == self.best_size + 1 and _refutes(adj, classes, c - 1, P2):
                     self.up_pruned += 1
                 else:
                     R.append(v)
@@ -157,15 +157,6 @@ class _CliqueSearch:
                     self.orbit_pruned += (P & orbit[v]).bit_count() - 1
                     P &= ~orbit[v]
                     cls &= P
-
-
-def _unit_refutes(adj: list[int], classes: list[int], k: int, P: int) -> bool:
-    """True iff no clique takes one vertex from each of classes[:k] & P,
-    as shown by unit propagation: a class cut to one vertex u forces u,
-    so every class still open is cut to adj[u]; an empty class refutes.
-    False says nothing.  Cutting only shrinks classes, so the forced set
-    and hence the answer do not depend on the order of propagation."""
-    return _propagate(adj, classes[:k], P) is None
 
 
 def _propagate(adj: list[int], xs: list[int], P: int = -1) -> list[int] | None:
@@ -203,25 +194,25 @@ def _propagate(adj: list[int], xs: list[int], P: int = -1) -> list[int] | None:
     return open_
 
 
-def _failed_literals_refute(adj: list[int], classes: list[int], k: int, P: int) -> bool:
-    """True iff failed-literal detection shows that no clique takes one
-    vertex from each of classes[:k] & P.  False says nothing.
+def _refutes(adj: list[int], classes: list[int], k: int, P: int) -> bool:
+    """True iff unit propagation and failed-literal detection show that no
+    clique takes one vertex from each of classes[:k] & P.  False says
+    nothing.
 
-    From the unit-propagation fixpoint, each vertex u of each class of two
-    or more vertices is probed: _unit_refutes on the other classes cut to
-    adj[u].  A refuted u (a failed literal) lies in no such clique and
-    leaves its class; a class cut to one vertex is propagated again, and
-    an empty class or a propagation conflict refutes.  Probing goes round
-    the classes until a full round removes nothing.  Removing vertices
-    only shrinks classes, and a probe refuted once stays refuted on
-    smaller classes, so this greatest fixpoint, and hence the answer, do
-    not depend on the order of the classes or of the probes.  A conflict
-    of plain propagation on the input is left to _unit_refutes, which the
-    search asks first, and gives False here: every refutation rests on a
-    probe, so switching _unit_refutes off switches off both rules."""
+    Unit propagation runs first: a class cut to one vertex u forces u, so
+    every class still open is cut to adj[u], and a conflict refutes.  From
+    its fixpoint, each vertex u of each class of two or more vertices is
+    probed by propagating the other classes cut to adj[u].  A refuted u
+    (a failed literal) lies in no such clique and leaves its class; a
+    class cut to one vertex or none is propagated again, and a conflict
+    refutes.  Probing goes round the classes until a full round removes
+    nothing.  Cutting and removing only shrink classes, and a probe
+    refuted once stays refuted on smaller classes, so this greatest
+    fixpoint, and hence the answer, do not depend on the order of the
+    classes or of the probes."""
     open_ = _propagate(adj, classes[:k], P)
     if open_ is None:
-        return False
+        return True
     # small classes first: they empty after the fewest probes
     open_.sort(key=int.bit_count)
     i = quiet = 0
@@ -233,7 +224,7 @@ def _failed_literals_refute(adj: list[int], classes: list[int], k: int, P: int) 
         while rest:
             b = rest & -rest
             rest ^= b
-            if _unit_refutes(adj, others, len(others), adj[b.bit_length() - 1]):
+            if _propagate(adj, others, adj[b.bit_length() - 1]) is None:
                 keep ^= b
         if keep == x:
             quiet += 1
@@ -241,8 +232,7 @@ def _failed_literals_refute(adj: list[int], classes: list[int], k: int, P: int) 
             open_[i] = keep
             quiet = 1
         else:
-            if not keep:
-                return True
+            # an emptied class is a conflict of the propagation
             open_[i] = keep
             open_ = _propagate(adj, open_)
             if open_ is None:
@@ -257,8 +247,10 @@ class _Expired(Exception):
     pass
 
 
-def _multistart_greedy(n: int, closed: list[int], deadline: float) -> list[int]:
-    """Deterministic incumbent: index-order greedy from staggered offsets.
+def _multistart_greedy(n: int, adj: list[int], deadline: float) -> list[int]:
+    """Deterministic incumbent: index-order greedy from staggered offsets,
+    on the loopless complement rows adj the clique search holds (a
+    chosen v leaves only adj[v] available: v and its neighbours go).
     The first start always runs, so even an expired budget leaves a
     nonempty set; the deadline is checked before each later start.
     Start s takes the lowest uncovered vertex at or above s (hi), then
@@ -276,7 +268,7 @@ def _multistart_greedy(n: int, closed: list[int], deadline: float) -> list[int]:
             pick = hi or avail
             v = (pick & -pick).bit_length() - 1
             chosen.append(v)
-            avail &= ~closed[v]
+            avail &= adj[v]
         if len(chosen) > len(best):
             best = chosen
     return best
@@ -320,8 +312,8 @@ def check_budget(budget_s: float) -> float:
 
 
 def check_solver_memory(n: int) -> int:
-    """n if the solver's three bitmask copies of a graph on n vertices fit
-    in SOLVER_MEMORY_CAP bytes, else OrderTooLarge."""
+    """n if the solver's bitmask copies of a graph on n vertices, at most
+    three, fit in SOLVER_MEMORY_CAP bytes, else OrderTooLarge."""
     need = 3 * n * n // 8
     if need > SOLVER_MEMORY_CAP:
         raise OrderTooLarge(
@@ -343,10 +335,10 @@ def max_independent_set(
     checked inside the greedy incumbent, after it, after the orbit build
     and every 2048 search nodes; when it expires SolverTimeout carries the
     best set found so far (never empty on a nonempty graph).  budget_s
-    must be positive and finite, else ValueError.  A graph whose three
-    bitmask copies would take more than SOLVER_MEMORY_CAP bytes raises
-    OrderTooLarge before any adjacency is built.  The certificate is
-    deterministic for a given graph.
+    must be positive and finite, else ValueError.  A graph whose bitmask
+    copies (see check_solver_memory) would take more than
+    SOLVER_MEMORY_CAP bytes raises OrderTooLarge before any adjacency is
+    built.  The certificate is deterministic for a given graph.
 
     When the graph is known vertex-transitive (graphs.root_stabilizer
     gives generators for Cayley graphs and their strong products), the
@@ -375,9 +367,7 @@ def max_independent_set(
     sym = _symmetrize(g)
     full = (1 << n) - 1
     comp = [(full & ~sym[i]) & ~(1 << i) for i in range(n)]
-    closed = [sym[i] | (1 << i) for i in range(n)]
-    search = _CliqueSearch(comp, sym, deadline,
-                           _multistart_greedy(n, closed, deadline))
+    search = _CliqueSearch(comp, sym, deadline, _multistart_greedy(n, comp, deadline))
     orbit = None
     completed = True
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .graphs import CayleyGraph, build_paley
 from .rings import RingSpec, factorize, is_prime, make_ring
-from .solver import DEFAULT_BUDGET_S, max_independent_set
+from .solver import DEFAULT_BUDGET_S, SOLVER_VERTEX_CAP, max_independent_set
 
 SPECTRUM_CAP = 1 << 16
 REL_TOL = 1e-6
@@ -197,14 +197,13 @@ def ruzsa_bound_check(
     m: int,
     k: int,
     budget_s: float = DEFAULT_BUDGET_S,
-    solver_cap: int = 400,
 ) -> RuzsaCheck:
     """Check the composite-modulus bound alpha(Paley_k(Z/m)) < m^(1-1/k).
 
     Applicable iff m > 1 is squarefree and, writing k = d * 2^s with d
     odd, every prime dividing m is 1 mod 2^(s+1) (for odd k this only
     requires odd primes).  Strictness is asserted through integrality:
-    alpha <= ceil(bound) - 1.
+    alpha <= ceil(bound) - 1.  alpha is solved for m <= SOLVER_VERTEX_CAP.
     """
     if m <= 1:
         raise ValueError("m must exceed 1")
@@ -220,7 +219,7 @@ def ruzsa_bound_check(
     bound = m ** (1 - 1 / k)
     alpha = None
     status = "skipped"
-    if m <= solver_cap:
+    if m <= SOLVER_VERTEX_CAP:
         G = build_paley(make_ring(RingSpec.zmod(m)), k)
         try:
             alpha = max_independent_set(G, budget_s=budget_s).size

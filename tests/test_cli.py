@@ -357,6 +357,45 @@ def test_bounds_rejects_bad_budget_without_a_solve(capsys, budget):
     assert payload["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("command", ["alpha", "graph"])
+@pytest.mark.parametrize("power", ["0", "-3"])
+def test_exit_2_on_power_below_one(capsys, command, power):
+    code, payload = run_json(capsys, command, "--ring", "fq:5", "--k", "2", "--power", power)
+    assert code == 2
+    assert payload == {"schema": 1, "error": "ValueError", "message": "power must be >= 1"}
+
+
+@pytest.mark.parametrize("command", ["alpha", "graph"])
+def test_power_one_is_the_graph_itself(capsys, command):
+    # no strong power is taken, so labels stay plain vertices, not 1-tuples
+    code, plain = run(capsys, command, "--ring", "fq:5", "--k", "2")
+    assert code == 0
+    assert run(capsys, command, "--ring", "fq:5", "--k", "2", "--power", "1") == (0, plain)
+    if command == "alpha":
+        assert json.loads(plain)["certificate"]["vertices"] == [0, 2]
+
+
+@pytest.mark.parametrize("q,k,n,message", [
+    ("6", "2", "4", "6 is not a prime power"),
+    ("5", "2", "0", "need k >= 2 and n >= 1"),
+    ("5", "2", "-6", "need k >= 2 and n >= 1"),
+    ("5", "1", "4", "need k >= 2 and n >= 1"),
+])
+def test_bounds_exit_2_on_invalid_q_k_n(capsys, monkeypatch, q, k, n, message):
+    # refused before any work: q^2 = 25 is under the solver cap, yet
+    # nothing is solved
+    import paleyfq.bounds as bounds
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounds_report solved before checking its input")
+
+    monkeypatch.setattr(bounds, "alpha_product", refuse)
+    code, payload = run_json(capsys, "bounds", "--q", q, "--k", k, "--n", n)
+    assert code == 2
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith(message)
+
+
 def test_budget_covers_setup_of_large_solve(capsys):
     # 2017 vertices: adjacency, fingerprint and one greedy start, then the
     # expired deadline stops the call; about 0.2 s, bound 5 s

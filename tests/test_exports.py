@@ -1,4 +1,13 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
 import paleyfq
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -7,3 +16,47 @@ def test_every_exported_name_resolves():
     missing = [name for name in paleyfq.__all__ if getattr(paleyfq, name, None) is None]
     assert missing == []
     assert len(set(paleyfq.__all__)) == len(paleyfq.__all__)
+
+
+def load_perfbench(name):
+    """A perfbench module, loaded from its file without running anything."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(dotted):
+    """The object a dotted name reaches: the longest importable module
+    prefix, then attributes; None where a link is missing."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr, None)
+        return obj
+    return None
+
+
+BOUNDARIES = {f"{mod}.{attr}": resolve(f"{mod}.{attr}")
+              for mod, attr, _ in load_perfbench("spans").BOUNDARIES}
+FIRES = sorted({name for slots in load_perfbench("workloads").WORKLOADS.values()
+                for slot in slots for name in slot.fires})
+
+
+def test_perfbench_boundaries_resolve():
+    # the trace wraps these; a renamed or moved one fails here rather than
+    # only under perfbench/run.py --trace 1
+    missing = [name for name, obj in BOUNDARIES.items() if not callable(obj)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", FIRES)
+def test_perfbench_fires_names_bind_a_boundary(name):
+    # the trace installs a wrapper on every binding of a boundary object,
+    # so each name a slot must see fire has to be one
+    assert any(resolve(name) is obj for obj in BOUNDARIES.values())

@@ -244,6 +244,19 @@ def test_dimacs_roundtrip(tmp_path):
     assert pe.read_text().strip().splitlines() == ["p edge 3 0"]
 
 
+@pytest.mark.parametrize("text,line,what", [
+    ("p edge 3 1\ne 1 5\n", 2, "outside 1..3"),
+    ("c a comment\np edge 3 1\ne 0 2\n", 3, "outside 1..3"),
+    ("p edge 3 1\ne -1 2\n", 2, "outside 1..3"),
+    ("c a comment\ne 1 2\np edge 3 1\n", 2, "before the p line"),
+])
+def test_dimacs_import_names_the_malformed_line(tmp_path, text, line, what):
+    path = tmp_path / "bad.col"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f":{line}: .*{what}"):
+        import_dimacs(str(path))
+
+
 def test_dimacs_rejects_directed(tmp_path):
     D = build_paley(zring(3), 2)
     with pytest.raises(DirectedUnsupported):

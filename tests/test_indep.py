@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import paleyfq.indep
 from paleyfq.errors import AllPowers
 from paleyfq.graphs import build_paley, strong_power
 from paleyfq.indep import (
@@ -167,8 +168,9 @@ def test_capacity_bounds_c7():
     assert cb.lower <= cb.upper
 
 
-def test_capacity_bounds_complement_uses_diagonal_seed():
-    cb = capacity_bounds(ring(7), 3, 3, use_complement=True, solver_cap=40)
+def test_capacity_bounds_complement_uses_diagonal_seed(monkeypatch):
+    monkeypatch.setattr(paleyfq.indep, "SOLVER_VERTEX_CAP", 40)
+    cb = capacity_bounds(ring(7), 3, 3, use_complement=True)
     assert cb.lower >= 7 ** (1 / 3) - 1e-9
     assert cb.lower <= cb.upper + 1e-9
 

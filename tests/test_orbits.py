@@ -139,12 +139,12 @@ def test_orbit_pruning_matches_unpruned_and_networkx(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_unit_propagation_keeps_certificate_and_cuts_nodes(name, monkeypatch):
-    # the same search with solver._unit_refutes never refuting: the same
+    # the same search with solver._refutes never refuting: the same
     # independence number and certificate, and never fewer nodes
     G = CASES[name]()
     stats = {}
     cert = max_independent_set(G, stats=stats)
-    monkeypatch.setattr(solver, "_unit_refutes", lambda adj, classes, k, P: False)
+    monkeypatch.setattr(solver, "_refutes", lambda adj, classes, k, P: False)
     plain = {}
     assert max_independent_set(G, stats=plain) == cert
     assert plain["up_pruned"] == 0

@@ -148,7 +148,10 @@ def solver_closed(G):
 
 
 def check_greedy(n, closed, deadline=math.inf):
-    got = solver._multistart_greedy(n, closed, deadline)
+    # the solver's greedy reads the loopless complement rows, the
+    # reference the closed neighbourhoods
+    full = (1 << n) - 1
+    got = solver._multistart_greedy(n, [full & ~c for c in closed], deadline)
     assert got == ref_multistart_greedy(n, closed, deadline)
     return got
 

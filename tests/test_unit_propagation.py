@@ -1,5 +1,5 @@
 """Unit-propagation and failed-literal pruning in the clique search
-(solver._unit_refutes, solver._failed_literals_refute).
+(solver._refutes, and solver._propagate for unit propagation alone).
 
 Hand-made cases pin what each test proves and what it leaves open;
 seeded property tests check on random graphs that a refutation is sound
@@ -19,7 +19,7 @@ import paleyfq.solver as solver
 from paleyfq.errors import SolverTimeout
 from paleyfq.graphs import build_paley, strong_power
 from paleyfq.rings import RingSpec, make_ring
-from paleyfq.solver import _failed_literals_refute, _unit_refutes, max_independent_set
+from paleyfq.solver import _refutes, max_independent_set
 
 from util import random_graph, run_child
 
@@ -36,6 +36,11 @@ def graph(n, edges):
     return adj
 
 
+def up(adj, classes, k, P):
+    """Unit propagation alone refutes classes[:k] & P."""
+    return solver._propagate(adj, classes[:k], P) is None
+
+
 def transversal_clique(adj, classes, P):
     """Brute force: is there a clique with one vertex of each class & P?"""
     members = [[v for v in range(P.bit_length()) if (c & P) >> v & 1] for c in classes]
@@ -48,9 +53,9 @@ def transversal_clique(adj, classes, P):
 def test_empty_restricted_class():
     adj = graph(4, [(0, 2), (1, 3)])
     classes = [bits(0, 1), bits(2, 3)]
-    assert _unit_refutes(adj, classes, 2, bits(0, 1))
+    assert up(adj, classes, 2, bits(0, 1))
     # the class outside classes[:k] is not looked at
-    assert not _unit_refutes(adj, classes, 1, bits(0, 1))
+    assert not up(adj, classes, 1, bits(0, 1))
 
 
 def test_conflict_after_two_propagation_steps():
@@ -60,15 +65,15 @@ def test_conflict_after_two_propagation_steps():
     adj = graph(5, [(a, b1), (a, c1), (a, c2)])
     A, B, C = bits(a), bits(b1, b2), bits(c1, c2)
     full = bits(a, b1, b2, c1, c2)
-    assert _unit_refutes(adj, [A, B, C], 3, full)
+    assert up(adj, [A, B, C], 3, full)
     # one step alone proves nothing: without B, a leaves C = {c1, c2}
-    assert not _unit_refutes(adj, [A, C], 2, full)
+    assert not up(adj, [A, C], 2, full)
     assert transversal_clique(adj, [A, C], full)
 
 
 def test_two_forced_vertices_not_adjacent():
     adj = graph(3, [(0, 2)])
-    assert _unit_refutes(adj, [bits(0), bits(1), bits(2)], 3, bits(0, 1, 2))
+    assert up(adj, [bits(0), bits(1), bits(2)], 3, bits(0, 1, 2))
 
 
 def test_no_conflict():
@@ -77,8 +82,8 @@ def test_no_conflict():
     adj = graph(5, [(a, b1), (a, c2), (b1, c2), (b2, c1)])
     classes = [bits(a), bits(b1, b2), bits(c1, c2)]
     full = bits(a, b1, b2, c1, c2)
-    assert not _unit_refutes(adj, classes, 3, full)
-    assert not _unit_refutes(adj, [], 0, full)
+    assert not up(adj, classes, 3, full)
+    assert not up(adj, [], 0, full)
 
 
 def test_false_says_nothing_without_units():
@@ -87,7 +92,7 @@ def test_false_says_nothing_without_units():
     x0, x1, y0, y1, z0, z1 = range(6)
     adj = graph(6, [(x0, y0), (y0, z0), (z0, x1), (x1, y1), (y1, z1), (z1, x0)])
     classes = [bits(x0, x1), bits(y0, y1), bits(z0, z1)]
-    assert not _unit_refutes(adj, classes, 3, bits(*range(6)))
+    assert not up(adj, classes, 3, bits(*range(6)))
     assert not transversal_clique(adj, classes, bits(*range(6)))
 
 
@@ -102,12 +107,12 @@ def test_refutations_are_sound_and_order_free():
         cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(4, n - 1))))
         classes = [bits(*verts[i:j]) for i, j in zip([0, *cuts], [*cuts, n])]
         P = rng.getrandbits(n) | bits(*rng.sample(range(n), 1))
-        got = _unit_refutes(adj, classes, len(classes), P)
+        got = up(adj, classes, len(classes), P)
         if got:
             refuted += 1
             assert not transversal_clique(adj, classes, P)
         for perm in itertools.permutations(classes):
-            assert _unit_refutes(adj, list(perm), len(perm), P) == got
+            assert up(adj, list(perm), len(perm), P) == got
     assert refuted > 50
 
 
@@ -117,21 +122,20 @@ def test_failed_literals_refute_the_six_cycle():
     x0, x1, y0, y1, z0, z1 = range(6)
     adj = graph(6, [(x0, y0), (y0, z0), (z0, x1), (x1, y1), (y1, z1), (z1, x0)])
     classes = [bits(x0, x1), bits(y0, y1), bits(z0, z1)]
-    assert _failed_literals_refute(adj, classes, 3, bits(*range(6)))
+    assert _refutes(adj, classes, 3, bits(*range(6)))
     # with the chord y0-z1 the clique {x0, y0, z1} survives every probe
     adj = graph(6, [(x0, y0), (y0, z0), (z0, x1), (x1, y1), (y1, z1), (z1, x0),
                     (y0, z1)])
-    assert not _failed_literals_refute(adj, classes, 3, bits(*range(6)))
+    assert not _refutes(adj, classes, 3, bits(*range(6)))
 
 
-def test_failed_literals_leave_propagation_conflicts_to_unit_refutes():
-    # the search asks _unit_refutes first; a conflict plain propagation
-    # finds gives False here, so switching _unit_refutes off switches off
-    # both rules
+def test_refutes_a_plain_propagation_conflict():
+    # unit propagation runs first inside the one test, so a conflict it
+    # finds refutes without any probe
     adj = graph(3, [(0, 2)])
     classes = [bits(0), bits(1), bits(2)]
-    assert _unit_refutes(adj, classes, 3, bits(0, 1, 2))
-    assert not _failed_literals_refute(adj, classes, 3, bits(0, 1, 2))
+    assert up(adj, classes, 3, bits(0, 1, 2))
+    assert _refutes(adj, classes, 3, bits(0, 1, 2))
 
 
 def test_failed_literal_refutations_are_sound_and_order_free():
@@ -148,20 +152,21 @@ def test_failed_literal_refutations_are_sound_and_order_free():
         ends = list(itertools.accumulate(sizes))
         classes = [bits(*verts[i:j]) for i, j in zip([0, *ends], ends)]
         P = bits(*(v for v in range(n) if rng.random() < 0.95))
-        up = _unit_refutes(adj, classes, len(classes), P)
-        got = _failed_literals_refute(adj, classes, len(classes), P)
+        unit = up(adj, classes, len(classes), P)
+        got = _refutes(adj, classes, len(classes), P)
         clique = transversal_clique(adj, classes, P)
-        if up or got:
+        if unit or got:
             assert not clique
-        if got:
+        if unit:
+            assert got
+        if got and not unit:
             refuted += 1
-            assert not up
         if len(classes) == 2:
             # a probe on one class cuts the other to its neighbours, so
             # the two rules together decide two classes exactly
-            assert up or got or clique
+            assert unit or got or clique
         for perm in itertools.permutations(classes):
-            assert _failed_literals_refute(adj, list(perm), len(perm), P) == got
+            assert _refutes(adj, list(perm), len(perm), P) == got
     assert refuted > 50
 
 
@@ -173,7 +178,7 @@ def test_unrooted_search_matches_search_without_the_test(monkeypatch):
     for G in graphs:
         stats = {}
         runs.append((max_independent_set(G, stats=stats), stats))
-    monkeypatch.setattr(solver, "_unit_refutes", lambda adj, classes, k, P: False)
+    monkeypatch.setattr(solver, "_refutes", lambda adj, classes, k, P: False)
     pruned_somewhere = False
     for G, (cert, stats) in zip(graphs, runs):
         plain = {}
@@ -188,8 +193,7 @@ def test_failed_literals_prune_beyond_unit_propagation(monkeypatch):
     G = strong_power(build_paley(make_ring(RingSpec.field(11)), 5), 2)
     stats = {}
     cert = max_independent_set(G, stats=stats)
-    monkeypatch.setattr(solver, "_failed_literals_refute",
-                        lambda adj, classes, k, P: False)
+    monkeypatch.setattr(solver, "_refutes", up)
     up_only = {}
     assert max_independent_set(G, stats=up_only) == cert
     assert up_only["nodes"] == 50_978
