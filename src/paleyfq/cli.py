@@ -88,8 +88,10 @@ def _parse_ring(text: str) -> RingCtx:
 
 def _parse_gamma(text: str) -> float:
     if "/" in text:
-        num, den = text.split("/", 1)
-        return int(num) / int(den)
+        num, den = (int(t) for t in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"gamma {text!r} has a zero denominator")
+        return num / den
     return float(text)
 
 

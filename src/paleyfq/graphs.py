@@ -31,19 +31,23 @@ _BLOCK_ELEMS = 1 << 20  # bound on the elements of each to_generic temporary
 class GenericGraph:
     """Plain adjacency-bitmask graph; no self-loops.
 
+    symmetric (every edge has its reverse) is worked out from the rows;
+    only the builders in this module, which know it exactly, pass it.
     factors is empty unless the graph is a strong product; then it holds
     the factor graphs (CayleyGraph or GenericGraph) and vertex i is the
     tuple of factor coordinates at row-major index i."""
 
     n: int
     rows: tuple[int, ...]
-    symmetric: bool = field(default=False)
+    symmetric: bool | None = None
     factors: tuple = ()
 
     def __post_init__(self):
         for i, r in enumerate(self.rows):
             if r >> i & 1:
                 raise ValueError("self-loops are not allowed")
+        if self.symmetric is None:
+            object.__setattr__(self, "symmetric", _rows_symmetric(self.n, self.rows))
 
     def to_generic(self) -> "GenericGraph":
         return self
@@ -97,25 +101,22 @@ def _rows_symmetric(n: int, rows) -> bool:
     return True
 
 
-def generic_graph(n: int, rows) -> GenericGraph:
-    rows = tuple(rows)
-    return GenericGraph(n=n, rows=rows, symmetric=_rows_symmetric(n, rows))
-
-
 @dataclass(frozen=True)
 class CayleyGraph:
-    """Paley_k(R): x -> y is an edge iff x - y is a k-th power (nonzero).
-
-    power_connection records whether the connection set really is the
-    k-th-power set; complements carry False, which matters because only
-    the power connection is known edge-transitive.
+    """Cayley graph on the ring R: x -> y is an edge iff x - y lies in the
+    connection set (nonzero elements).  build_paley makes Paley_k(R), whose
+    set is the nonzero k-th powers; its complement keeps k.  symmetric is
+    derived: True iff the connection set is closed under negation.
     """
 
     ring: RingCtx
     k: int
     connection: frozenset[int]
-    symmetric: bool
-    power_connection: bool = True
+    symmetric: bool = field(init=False)
+
+    def __post_init__(self):
+        R, conn = self.ring, self.connection
+        object.__setattr__(self, "symmetric", all(R.neg(s) in conn for s in conn))
 
     @property
     def n(self) -> int:
@@ -150,33 +151,24 @@ class CayleyGraph:
         conn = frozenset(
             x for x in self.ring.elements() if x and x not in self.connection
         )
-        return CayleyGraph(
-            ring=self.ring, k=self.k, connection=conn,
-            symmetric=_negation_closed(self.ring, conn),
-            power_connection=False,
-        )
-
-
-def _negation_closed(R: RingCtx, conn: frozenset[int]) -> bool:
-    return all(R.neg(s) in conn for s in conn)
+        return CayleyGraph(ring=self.ring, k=self.k, connection=conn)
 
 
 def build_paley(R: RingCtx, k: int) -> CayleyGraph:
     """Construct Paley_k(R) from the k-th power set of R."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    conn = frozenset(kth_power_set(R, k) - {0})
-    symmetric = _negation_closed(R, conn)
+    G = CayleyGraph(ring=R, k=k, connection=frozenset(kth_power_set(R, k) - {0}))
     if R.is_field and R.spec.p != 2:
         # -1 is a k-th power iff (q-1)/gcd(q-1,k) is even; char 2 has -1 = 1
         q = R.order
         criterion = ((q - 1) // math.gcd(q - 1, k)) % 2 == 0
-        if symmetric != criterion:
+        if G.symmetric != criterion:
             raise InvariantViolation(
                 f"negation closure of Paley_{k}(F_{q}) disagrees with the "
                 "gcd criterion"
             )
-    return CayleyGraph(ring=R, k=k, connection=conn, symmetric=symmetric)
+    return G
 
 
 def complement(G) -> GenericGraph:
@@ -282,8 +274,9 @@ def strong_product(G, H) -> GenericGraph:
     closed_h[b] < 2^|H| these fill disjoint bit ranges, so the OR is the
     carry-free product spread_a * closed_h[b], where spread_a is the sum
     of 2^(x*|H|) over x in N[a].  Its own bit, always set, is xor-ed off.
-    The factors are those of G then H, a product contributing its own, so
-    powers of powers are flat."""
+    The product is symmetric iff both factors are, or either is empty
+    (then it has no vertices).  The factors are those of G then H, a
+    product contributing its own, so powers of powers are flat."""
     g, h = G.to_generic(), H.to_generic()
     n = check_product_order(g.n * h.n)
     closed_h = [h.rows[b] | (1 << b) for b in range(h.n)]
@@ -297,7 +290,7 @@ def strong_product(G, H) -> GenericGraph:
             ca &= ca - 1
         for chb in closed_h:
             rows.append((spread * chb) ^ (1 << len(rows)))
-    symmetric = (g.symmetric and h.symmetric) or _rows_symmetric(n, rows)
+    symmetric = (g.symmetric and h.symmetric) or n == 0
     return GenericGraph(n, tuple(rows), symmetric,
                         factors=(g.factors or (G,)) + (h.factors or (H,)))
 

@@ -61,11 +61,14 @@ def diagonal_indep_set(q: int, k: int, graph: GenericGraph | None = None) -> Ind
             row.append(acc)
             acc = R.mul(acc, beta)
         tuples.append(tuple(row))
-    out = IndepSet(
-        vertices=tuple(tuples), size=len(tuples),
-        graph_fingerprint=graph_fingerprint(graph),
-    )
-    if not verify_independent(graph, out.vertices):
+    return _certify(graph, tuple(tuples))
+
+
+def _certify(graph: GenericGraph, tuples: tuple) -> IndepSet:
+    """Certificate for an explicit construction, checked on graph before
+    it is returned (InvariantViolation if the tuples are not independent)."""
+    out = IndepSet(vertices=tuples, graph_fingerprint=graph_fingerprint(graph))
+    if not verify_independent(graph, tuples):
         raise InvariantViolation("explicit tuples are not independent")
     return out
 
@@ -85,14 +88,7 @@ def beta_pair_set(q: int, k: int, graph: GenericGraph | None = None) -> IndepSet
     beta = non_kth_power(R, k)  # raises AllPowers when gcd(k, q-1) = 1
     if graph is None:
         graph = strong_power(build_paley(R, k), 2)
-    tuples = tuple((x, R.mul(beta, x)) for x in R.elements())
-    out = IndepSet(
-        vertices=tuples, size=len(tuples),
-        graph_fingerprint=graph_fingerprint(graph),
-    )
-    if not verify_independent(graph, out.vertices):
-        raise InvariantViolation("explicit tuples are not independent")
-    return out
+    return _certify(graph, tuple((x, R.mul(beta, x)) for x in R.elements()))
 
 
 def clique_number(G, budget_s: float = DEFAULT_BUDGET_S) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,8 +43,11 @@ class IndepSet:
     """Certificate: pairwise non-adjacent vertices, bound to a graph hash."""
 
     vertices: tuple
-    size: int
+    size: int = field(init=False)
     graph_fingerprint: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", len(self.vertices))
 
     def to_json(self) -> dict:
         verts = [list(v) if isinstance(v, tuple) else v for v in self.vertices]
@@ -326,7 +329,6 @@ def check_solver_memory(n: int) -> int:
 def max_independent_set(
     G,
     budget_s: float = DEFAULT_BUDGET_S,
-    vertex_transitive: bool | None = None,
     stats: dict | None = None,
 ) -> IndepSet:
     """Exact maximum independent set with certificate.
@@ -340,13 +342,14 @@ def max_independent_set(
     SOLVER_MEMORY_CAP bytes raises OrderTooLarge before any adjacency is
     built.  The certificate is deterministic for a given graph.
 
-    When the graph is known vertex-transitive (graphs.root_stabilizer
-    gives generators for Cayley graphs and their strong products), the
-    search is rooted at vertex 0, exact because automorphisms carry any
-    maximum set through any chosen vertex, and depth-1 branches are
-    pruned by orbits of the stabilizer of 0 (see _CliqueSearch.expand).
-    vertex_transitive=True overrides the detection with plain root
-    fixing, no orbits; False searches unrooted.
+    The search is rooted at vertex 0 exactly when graphs.root_stabilizer
+    returns generators, that is on Cayley graphs and their strong
+    products, which are vertex-transitive: exact because automorphisms
+    carry any maximum set through any chosen vertex.  Depth-1 branches
+    are then pruned by orbits of the stabilizer of 0 (see
+    _CliqueSearch.expand); with no generators (root_stabilizer returns
+    []: no multiplier keeps the connection set) the root is fixed without
+    orbits.  Any other graph is searched unrooted.
 
     stats, if given, is filled with nodes (search nodes expanded),
     root_fixed, depth1_orbits (orbits of the root's candidates, 0 without
@@ -361,8 +364,8 @@ def max_independent_set(
     check_solver_memory(G.n)
     g = G.to_generic()
     n = g.n
-    gens = root_stabilizer(G) if vertex_transitive is None else None
-    root_fixed = gens is not None if vertex_transitive is None else vertex_transitive
+    gens = root_stabilizer(G)
+    root_fixed = gens is not None
     fingerprint = graph_fingerprint(g)
     sym = _symmetrize(g)
     full = (1 << n) - 1
@@ -394,7 +397,7 @@ def max_independent_set(
     if stats is not None:
         stats.update(counters)
     result = IndepSet(vertices=g.label(sorted(search.best)),
-                      size=len(search.best), graph_fingerprint=fingerprint)
+                      graph_fingerprint=fingerprint)
     if not completed:
         raise SolverTimeout(incumbent=result, budget_s=budget_s, stats=counters)
     return result

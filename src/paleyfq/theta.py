@@ -29,7 +29,7 @@ from .errors import (
     SolverTimeout,
 )
 from .graphs import CayleyGraph, build_paley
-from .rings import RingSpec, factorize, is_prime, make_ring
+from .rings import RingSpec, factorize, is_prime, kth_power_set, make_ring
 from .solver import DEFAULT_BUDGET_S, SOLVER_VERTEX_CAP, max_independent_set
 
 SPECTRUM_CAP = 1 << 16
@@ -105,10 +105,11 @@ def _ratio_theta(G: CayleyGraph) -> ThetaReport:
 
 def _edge_transitive(G: CayleyGraph) -> bool:
     # field Paley graphs: maps x -> a x + b with a a k-th power act
-    # transitively on edges; Z/p is the field F_p; complement connection
-    # sets are unions of power cosets and lose this
+    # transitively on edges; Z/p is the field F_p; no other connection set
+    # is known to keep this (complements, unions of power cosets, lose it)
     spec = G.ring.spec
-    return G.power_connection and (spec.kind == "fq" or is_prime(spec.m))
+    return ((spec.kind == "fq" or is_prime(spec.m))
+            and G.connection == kth_power_set(G.ring, G.k) - {0})
 
 
 def lovasz_theta(G: CayleyGraph) -> ThetaReport:

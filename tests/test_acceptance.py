@@ -222,9 +222,9 @@ def test_criterion_11_greedy_baseline():
     for x in range(32):
         for s in powers:
             rows[x] |= 1 << (x ^ s)
-    from paleyfq.graphs import generic_graph
+    from paleyfq.graphs import GenericGraph
 
-    opt = max_independent_set(generic_graph(32, rows)).size
+    opt = max_independent_set(GenericGraph(n=32, rows=tuple(rows))).size
     assert len(greedy) <= opt
     return f"greedy size {len(greedy)} in [4, 8], solver optimum {opt} >= greedy"
 

@@ -396,6 +396,15 @@ def test_bounds_exit_2_on_invalid_q_k_n(capsys, monkeypatch, q, k, n, message):
     assert payload["message"].startswith(message)
 
 
+def test_bounds_exit_2_on_zero_gamma_denominator(capsys):
+    code, payload = run_json(
+        capsys, "bounds", "--q", "7", "--k", "3", "--n", "6", "--gamma", "1/0"
+    )
+    assert code == 2
+    assert payload["error"] == "ValueError"
+    assert "zero denominator" in payload["message"]
+
+
 def test_budget_covers_setup_of_large_solve(capsys):
     # 2017 vertices: adjacency, fingerprint and one greedy start, then the
     # expired deadline stops the call; about 0.2 s, bound 5 s

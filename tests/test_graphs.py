@@ -10,11 +10,12 @@ from paleyfq.errors import (
     VertexOutOfRange,
 )
 from paleyfq.graphs import (
+    CayleyGraph,
+    GenericGraph,
     build_paley,
     complement,
     crt_factor_check,
     export_dimacs,
-    generic_graph,
     graph_fingerprint,
     import_dimacs,
     root_stabilizer,
@@ -54,6 +55,13 @@ def test_paley_directed_f7_k6():
     G = build_paley(ring(7), 6)
     assert G.connection == {1}
     assert not G.symmetric
+    # built directly, the graph works out its directedness the same way,
+    # and its certificate is independent in the symmetrized 7-cycle
+    D = CayleyGraph(ring=ring(7), k=6, connection=frozenset({1}))
+    assert not D.symmetric and not D.to_generic().symmetric
+    cert = max_independent_set(D)
+    assert cert.size == 3
+    assert verify_independent(D, cert.vertices)
 
 
 def test_paley_symmetry_criterion_against_negation_closure():
@@ -120,7 +128,7 @@ def test_strong_product_c7_degrees():
 
 def test_strong_product_identity_with_k1():
     C7 = build_paley(ring(7), 3).to_generic()
-    K1 = generic_graph(1, [0])
+    K1 = GenericGraph(n=1, rows=(0,))
     P = strong_product(C7, K1)
     assert P.n == 7
     assert [r for r in P.rows] == list(C7.rows)
@@ -238,10 +246,19 @@ def test_dimacs_roundtrip(tmp_path):
     export_dimacs(K5, str(p5))
     assert len(p5.read_text().strip().splitlines()) == 11
 
-    empty = generic_graph(3, [0, 0, 0])
+    empty = GenericGraph(n=3, rows=(0, 0, 0))
     pe = tmp_path / "empty.col"
     export_dimacs(empty, str(pe))
     assert pe.read_text().strip().splitlines() == ["p edge 3 0"]
+
+    # an undirected GenericGraph built from rows alone is exportable
+    C5 = GenericGraph(n=5, rows=tuple(1 << (i + 1) % 5 | 1 << (i - 1) % 5
+                                      for i in range(5)))
+    assert C5.symmetric
+    p5 = tmp_path / "c5.col"
+    export_dimacs(C5, str(p5))
+    assert p5.read_text().splitlines() == [
+        "p edge 5 5", "e 1 2", "e 1 5", "e 2 3", "e 3 4", "e 4 5"]
 
 
 @pytest.mark.parametrize("text,line,what", [

@@ -18,8 +18,9 @@ import pytest
 
 from paleyfq.graphs import (
     CayleyGraph,
+    GenericGraph,
+    _rows_symmetric,
     build_paley,
-    generic_graph,
     root_stabilizer,
     strong_power,
     strong_product,
@@ -54,9 +55,7 @@ def random_cayley(R, seed, symmetric=True):
             conn.add(x)
             if symmetric:
                 conn.add(R.neg(x))
-    conn = frozenset(conn)
-    return CayleyGraph(ring=R, k=2, connection=conn,
-                       symmetric=all(R.neg(s) in conn for s in conn))
+    return CayleyGraph(ring=R, k=2, connection=frozenset(conn))
 
 
 CASES = {
@@ -126,14 +125,18 @@ def adjacency(G) -> np.ndarray:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_orbit_pruning_matches_unpruned_and_networkx(name):
+def test_orbit_pruning_matches_unpruned_and_networkx(name, monkeypatch):
     G = CASES[name]()
     stats = {}
     cert = max_independent_set(G, stats=stats)
     assert stats["root_fixed"]
     assert verify_independent(G, cert.vertices)
-    assert cert == max_independent_set(G, vertex_transitive=True)
-    assert cert.size == max_independent_set(G, vertex_transitive=False).size
+    g = G.to_generic()
+    # a factor-free copy has no stabilizer and is searched unrooted
+    assert cert.size == max_independent_set(GenericGraph(g.n, g.rows)).size
+    # plain root fixing, no orbits
+    monkeypatch.setattr(solver, "root_stabilizer", lambda G: [])
+    assert cert == max_independent_set(G)
     assert cert.size == networkx_alpha(G)
 
 
@@ -157,6 +160,9 @@ def test_root_stabilizer_generators_are_automorphisms_fixing_0(name):
     G = CASES[name]()
     gens = root_stabilizer(G)
     A = adjacency(G)
+    # the derived symmetric flag, on the graph and its generic form
+    g = G.to_generic()
+    assert G.symmetric == g.symmetric == _rows_symmetric(g.n, g.rows)
     n = A.shape[0]
     for perm in gens:
         assert perm[0] == 0
@@ -179,24 +185,26 @@ def test_generator_sets_use_each_symmetry():
 
 @pytest.mark.parametrize("name", ["F101-k2", "F43-k3", "C5-cubed",
                                   "comp-F13-k3-squared", "F5xF13", "Z65-k2"])
-def test_orbit_pruning_cuts_nodes(name):
+def test_orbit_pruning_cuts_nodes(name, monkeypatch):
     # C_5^3 stays out of CASES: its unpruned and networkx solves take 40 s
     G = strong_power(paley(F(5), 2), 3) if name == "C5-cubed" else CASES[name]()
     pruned, plain = {}, {}
     max_independent_set(G, stats=pruned)
-    max_independent_set(G, vertex_transitive=True, stats=plain)
+    monkeypatch.setattr(solver, "root_stabilizer", lambda G: [])
+    max_independent_set(G, stats=plain)
     assert pruned["depth1_orbits"] > 0
     assert pruned["orbit_pruned"] > 0
     assert pruned["nodes"] < plain["nodes"]
     assert plain["depth1_orbits"] == plain["orbit_pruned"] == 0
 
 
-def test_generic_graph_root_fixing_without_orbits():
+def test_generic_graph_root_fixing_without_orbits(monkeypatch):
     g = paley(F(13), 2).to_generic()
     assert root_stabilizer(g) is None
     stats = {}
-    cert = max_independent_set(generic_graph(g.n, g.rows), vertex_transitive=True,
-                               stats=stats)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "root_stabilizer", lambda G: [])
+        cert = max_independent_set(GenericGraph(n=g.n, rows=g.rows), stats=stats)
     assert cert.size == 3
     assert stats["root_fixed"] and stats["depth1_orbits"] == 0
     auto = {}

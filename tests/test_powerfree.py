@@ -253,9 +253,9 @@ def test_greedy_vs_exact_optimum_tiny():
         opt = exhaustive_mis_size(rows, 2**n)
         greedy = len(greedy_difference_free(R, n, 2))
         assert greedy <= opt
-        from paleyfq.graphs import generic_graph
+        from paleyfq.graphs import GenericGraph
 
-        solved = max_independent_set(generic_graph(2**n, rows)).size
+        solved = max_independent_set(GenericGraph(n=2**n, rows=tuple(rows))).size
         assert solved == opt
 
 

@@ -12,7 +12,6 @@ import paleyfq.solver as solver
 from paleyfq.graphs import (
     GenericGraph,
     build_paley,
-    generic_graph,
     graph_fingerprint,
     strong_power,
     strong_product,
@@ -78,7 +77,7 @@ def test_strong_product_matches_shift_loop_on_random_graphs(seed):
 def test_strong_product_matches_shift_loop_on_empty_and_complete(n):
     empty = GenericGraph(n=n, rows=(0,) * n)
     full = (1 << n) - 1
-    complete = generic_graph(n, [full ^ (1 << i) for i in range(n)])
+    complete = GenericGraph(n=n, rows=tuple(full ^ (1 << i) for i in range(n)))
     for g in (empty, complete):
         for h in (empty, complete, GenericGraph(n=3, rows=(0, 0, 0))):
             P = strong_product(g, h)

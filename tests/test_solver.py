@@ -4,7 +4,7 @@ import random
 import pytest
 
 from paleyfq.errors import SolverTimeout, VertexOutOfRange
-from paleyfq.graphs import build_paley, generic_graph, strong_power
+from paleyfq.graphs import GenericGraph, build_paley, strong_power
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set, verify_independent
 
@@ -81,7 +81,8 @@ def test_certificate_deterministic():
 def test_vertex_transitive_flag_agrees():
     G = strong_power(build_paley(ring(7), 3), 2)
     fast = max_independent_set(G)  # auto-detected vertex-transitive
-    slow = max_independent_set(G, vertex_transitive=False)
+    g = G.to_generic()
+    slow = max_independent_set(GenericGraph(g.n, g.rows))  # no factors: unrooted
     assert fast.size == slow.size == 10
 
 
@@ -163,5 +164,5 @@ def test_verify_independent():
 
 
 def test_empty_and_singleton():
-    g0 = generic_graph(1, [0])
+    g0 = GenericGraph(n=1, rows=(0,))
     assert max_independent_set(g0).size == 1

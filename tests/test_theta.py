@@ -9,7 +9,7 @@ from paleyfq.errors import (
     NotEdgeTransitive,
     NotSquarefree,
 )
-from paleyfq.graphs import build_paley
+from paleyfq.graphs import CayleyGraph, build_paley
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set
 from paleyfq.theta import (
@@ -99,6 +99,10 @@ def test_theta_rejects_complement_connection():
     # closed form instead of silently returning the loose value
     with pytest.raises(NotEdgeTransitive):
         lovasz_theta(build_paley(ring(13), 3).complement_cayley())
+    # an undirected connection set that is not the power set, with k = 2:
+    # its ratio value 2.8206 is not theta = 13 / theta(C_13) = 2.0299
+    with pytest.raises(NotEdgeTransitive):
+        lovasz_theta(CayleyGraph(ring(13), 2, frozenset(range(2, 12))))
 
 
 def test_theta_product_identity_self_complementary():
@@ -194,7 +198,8 @@ def test_alpha_le_theta_zmod():
 
 
 def test_spectrum_invariant_survives_optimize_flag():
-    # {1} in F_7 is not closed under negation; the graph claims otherwise.
+    # {1} in F_7 is not closed under negation; the graph is made to claim
+    # otherwise.
     # With the independence check forced to fail, the explicit diagonal
     # tuples must be refused; with r_{k,2} forced far above the method
     # limit, the rate ledger must be refused.
@@ -206,7 +211,8 @@ from paleyfq.graphs import CayleyGraph
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.theta import cayley_spectrum
 G = CayleyGraph(ring=make_ring(RingSpec.field(7)), k=6,
-                connection=frozenset({1}), symmetric=True)
+                connection=frozenset({1}))
+object.__setattr__(G, "symmetric", True)
 paleyfq.indep.verify_independent = lambda graph, vertices: False
 paleyfq.bounds.alpha_product = lambda *args, **kwargs: 10**6
 for check in (lambda: cayley_spectrum(G),

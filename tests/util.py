@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import paleyfq
-from paleyfq.graphs import GenericGraph, generic_graph
+from paleyfq.graphs import GenericGraph
 from paleyfq.polys import PolyFq, _field_kth_roots
 from paleyfq.rings import _pmod, _pmul, factorize
 
@@ -43,7 +43,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> GenericGraph:
             if rng.random() < p:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return generic_graph(n, rows)
+    return GenericGraph(n=n, rows=tuple(rows))
 
 
 def random_directed_graph(rng: random.Random, n: int, p: float) -> GenericGraph:
@@ -52,7 +52,7 @@ def random_directed_graph(rng: random.Random, n: int, p: float) -> GenericGraph:
         for j in range(n):
             if i != j and rng.random() < p:
                 rows[i] |= 1 << j
-    return generic_graph(n, rows)
+    return GenericGraph(n=n, rows=tuple(rows))
 
 
 # -- per-element reference oracles for the vectorized ring/graph/spectrum
