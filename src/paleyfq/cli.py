@@ -139,6 +139,7 @@ def _cmd_graph(args) -> dict:
         }
         target = P
     if args.dimacs:
+        check_solver_memory(target.n)
         export_dimacs(target, args.dimacs)
         payload["dimacs"] = args.dimacs
     return payload

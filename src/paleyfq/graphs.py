@@ -124,22 +124,17 @@ class CayleyGraph:
 
     def to_generic(self) -> GenericGraph:
         """Row x has bit x - s set for each s in the connection set.  The
-        index block x - s is formed for a block of rows at a time (digit-wise
-        mod p for fields, mod m for Z/m) and packed into row ints."""
+        index block x - s is formed digit-wise mod R.radix, for a block of
+        rows at a time, and packed into row ints."""
         R = self.ring
         n = R.order
-        conn = np.fromiter(self.connection, dtype=np.int64, count=len(self.connection))
-        if R.is_field:
-            conn = R.digit_array(conn)
+        conn = R.digit_array(
+            np.fromiter(self.connection, dtype=np.int64, count=len(self.connection)))
         step = max(1, _BLOCK_ELEMS // max(n, conn.size))
         rows = []
         for lo in range(0, n, step):
             xs = np.arange(lo, min(lo + step, n))
-            if R.is_field:
-                diff = (R.digit_array(xs)[:, None, :] - conn) % R.spec.p
-                idx = R.from_digit_array(diff)
-            else:
-                idx = (xs[:, None] - conn) % R.spec.m
+            idx = R.from_digit_array((R.digit_array(xs)[:, None, :] - conn) % R.radix)
             block = np.zeros((len(xs), n), dtype=bool)
             np.put_along_axis(block, idx, True, axis=1)
             packed = np.packbits(block, axis=1, bitorder="little")

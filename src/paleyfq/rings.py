@@ -154,19 +154,20 @@ def _find_modulus(p: int, s: int) -> tuple[int, ...]:
     raise InvariantViolation("an irreducible of every degree exists")
 
 
-def _place_values(p: int, s: int) -> np.ndarray:
-    return p ** np.arange(s, dtype=np.int64)
-
-
 class RingCtx:
     """Arithmetic context for one ring; build via make_ring().
 
     make_ring picks the arithmetic once: _ResidueRing (Z/m and F_p, plain
     integers mod the order) or _ExtensionField (F_{p^s} with s > 1,
     exp/log and Zech tables).  Every field keeps the exp/log tables of its
-    least-index generator."""
+    least-index generator.
 
-    __slots__ = ("spec", "order", "modulus", "exp", "log", "_power_sets")
+    The additive group is the grid (Z/radix)^len(shape): shape is (p,)*s
+    for F_{p^s} and (m,) for Z/m.  An index is the base-radix number of
+    its digits, lowest place first, and addition is digit-wise mod radix."""
+
+    __slots__ = ("spec", "order", "radix", "shape", "modulus", "exp", "log",
+                 "_power_sets")
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
@@ -174,36 +175,38 @@ class RingCtx:
         self._power_sets: dict[int, frozenset[int]] = {}
         self.modulus = self.exp = self.log = None
         if spec.kind == "fq":
+            self.radix, self.shape = spec.p, (spec.p,) * spec.s
             self.modulus = _find_modulus(spec.p, spec.s) if spec.s > 1 else (0, 1)
             self._build_tables()
+        else:
+            self.radix, self.shape = spec.m, (spec.m,)
 
-    # -- representation helpers (fields) ------------------------------------
+    # -- additive layout ------------------------------------------------------
 
     def digits(self, x: int) -> tuple[int, ...]:
-        """Coefficient vector of the residue representative (fields only)."""
-        p = self.spec.p
+        """Digits of x, lowest place first: for F_{p^s} the coefficient
+        vector of the residue representative, for Z/m the 1-tuple (x,)."""
         out = []
-        for _ in range(self.spec.s):
-            x, r = divmod(x, p)
+        for _ in self.shape:
+            x, r = divmod(x, self.radix)
             out.append(r)
         return tuple(out)
 
     def from_digits(self, d) -> int:
-        p = self.spec.p
         x = 0
         for c in reversed(d):
-            x = x * p + c
+            x = x * self.radix + c
         return x
 
     def digit_array(self, xs: np.ndarray) -> np.ndarray:
-        """Coefficient vectors of the indices xs as a (len(xs), s) int64
-        array, low degree first (fields only)."""
-        p, s = self.spec.p, self.spec.s
-        return np.asarray(xs, dtype=np.int64)[:, None] // _place_values(p, s) % p
+        """Digits of the indices xs as a (len(xs), len(shape)) int64
+        array, lowest place first."""
+        places = self.radix ** np.arange(len(self.shape), dtype=np.int64)
+        return np.asarray(xs, dtype=np.int64)[:, None] // places % self.radix
 
     def from_digit_array(self, d: np.ndarray) -> np.ndarray:
-        """Indices of the coefficient vectors along the last axis of d."""
-        return d @ _place_values(self.spec.p, self.spec.s)
+        """Indices of the digit vectors along the last axis of d."""
+        return d @ self.radix ** np.arange(len(self.shape), dtype=np.int64)
 
     def _raw_mul(self, x: int, y: int) -> int:
         p = self.spec.p

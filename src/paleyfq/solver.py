@@ -334,10 +334,10 @@ def max_independent_set(
     """Exact maximum independent set with certificate.
 
     The budget covers the whole call: its deadline starts on entry and is
-    checked inside the greedy incumbent, after it, after the orbit build
-    and every 2048 search nodes; when it expires SolverTimeout carries the
-    best set found so far (never empty on a nonempty graph).  budget_s
-    must be positive and finite, else ValueError.  A graph whose bitmask
+    checked inside the greedy incumbent, after it and every 2048 search
+    nodes; when it expires SolverTimeout carries the best set found so
+    far (never empty on a nonempty graph).  budget_s must be positive and
+    finite, else ValueError.  A graph whose bitmask
     copies (see check_solver_memory) would take more than
     SOLVER_MEMORY_CAP bytes raises OrderTooLarge before any adjacency is
     built.  The certificate is deterministic for a given graph.
@@ -348,8 +348,9 @@ def max_independent_set(
     carry any maximum set through any chosen vertex.  Depth-1 branches
     are then pruned by orbits of the stabilizer of 0 (see
     _CliqueSearch.expand); with no generators (root_stabilizer returns
-    []: no multiplier keeps the connection set) the root is fixed without
-    orbits.  Any other graph is searched unrooted.
+    []: no multiplier keeps the connection set) every orbit is one vertex,
+    so the root is fixed and nothing is pruned.  Any other graph is
+    searched unrooted.
 
     stats, if given, is filled with nodes (search nodes expanded),
     root_fixed, depth1_orbits (orbits of the root's candidates, 0 without
@@ -378,10 +379,7 @@ def max_independent_set(
         if time.monotonic() >= deadline:
             raise _Expired()
         if n and root_fixed:
-            if gens:
-                orbit = _root_orbits(gens, n, comp[0])
-                if time.monotonic() >= deadline:
-                    raise _Expired()
+            orbit = _root_orbits(gens, n, comp[0])
             search.expand([0], comp[0], orbit)
         elif n:
             search.expand([], full)
@@ -390,7 +388,7 @@ def max_independent_set(
     counters = dict(
         nodes=search.nodes,
         root_fixed=root_fixed,
-        depth1_orbits=len(set(orbit) - {0}) if orbit else 0,
+        depth1_orbits=len(set(orbit) - {0}) if gens and orbit else 0,
         orbit_pruned=search.orbit_pruned,
         up_pruned=search.up_pruned,
     )

@@ -61,10 +61,10 @@ def cayley_spectrum(G: CayleyGraph) -> list[float]:
 
     The eigenvalue at a character is the character sum over the connection
     set, so the spectrum is the DFT of the connection-set indicator over
-    the group: a 1-D FFT for Z/m, and for F_{p^s} = (Z/p)^s an s-fold FFT
-    of the indicator reshaped to (p,)*s.  The FFT uses the conjugate
-    characters, which yields the same multiset.  Imaginary parts must
-    vanish, which checks the symmetry of the connection set.
+    the group: the FFT of the indicator reshaped to the additive grid
+    R.shape, (m,) for Z/m and (p,)*s for F_{p^s} = (Z/p)^s.  The FFT uses
+    the conjugate characters, which yields the same multiset.  Imaginary
+    parts must vanish, which checks the symmetry of the connection set.
     """
     if not G.symmetric:
         raise DirectedUnsupported("spectrum needs an undirected graph")
@@ -77,10 +77,7 @@ def cayley_spectrum(G: CayleyGraph) -> list[float]:
         return [0.0] * n
     indicator = np.zeros(n)
     indicator[np.fromiter(G.connection, dtype=np.int64, count=deg)] = 1.0
-    if R.spec.kind == "zmod":
-        vals = np.fft.fft(indicator)
-    else:
-        vals = np.fft.fftn(indicator.reshape((R.spec.p,) * R.spec.s)).ravel()
+    vals = np.fft.fftn(indicator.reshape(R.shape)).ravel()
     if np.abs(vals.imag).max() >= 1e-9:
         raise InvariantViolation("connection set is not closed under negation")
     lam = np.sort(vals.real)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import pathlib
+import shlex
 import time
 
 import pytest
@@ -286,6 +288,28 @@ def test_exit_3_on_solver_memory_cap(capsys):
     assert payload["error"] == "OrderTooLarge"
 
 
+def test_graph_dimacs_refused_over_solver_memory_cap(capsys, tmp_path, monkeypatch):
+    # Paley_3(F_65536) has 715,816,960 edges; the export is refused before
+    # any adjacency row or edge list is built, and no file is written
+    import paleyfq.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("export_dimacs called on an over-cap order")
+
+    monkeypatch.setattr(cli, "export_dimacs", refuse)
+    out = tmp_path / "f.col"
+    start = time.monotonic()
+    code, payload = run_json(capsys, "graph", "--ring", "fq:65536", "--k", "3",
+                             "--dimacs", str(out))
+    assert code == 3
+    assert time.monotonic() - start < 5.0
+    assert payload["error"] == "OrderTooLarge"
+    assert not out.exists()
+    code, payload = run_json(capsys, "graph", "--ring", "fq:65536", "--k", "3")
+    assert code == 0
+    assert payload["order"] == 65536 and payload["degree"] == 21845
+
+
 def test_exit_3_on_solver_memory_cap_before_building_the_power(capsys, monkeypatch):
     # 197^2 = 38,809 vertices fits PRODUCT_CAP but not the solver's memory
     # cap; the product is refused before strong_power builds it
@@ -437,3 +461,53 @@ def test_twelve_significant_digits(capsys):
     _, payload = run_json(capsys, "theta", "--ring", "fq:13", "--k", "2")
     v = payload["theta"]["value"]
     assert v == float(f"{math.sqrt(13):.12g}")
+
+
+# Every example of the README's CLI block, run in order from one directory
+# (so `verify --in A.json` reads what `construct` wrote): exit code, sha256
+# of stdout and sha256 of each file the command wrote.
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+README_EXAMPLES = {
+    "graph --ring fq:7 --k 3": (
+        0, "10cd1beefa812f07fd976d4243fd8b50c3612bc237aca577c8c5d1a655e09cec", {}),
+    "graph --ring zmod:65 --k 2 --dimacs out.col": (
+        0, "35228d2c64ee5bfbf024fb11bca98e6296ddce48a171bbd8ed8ced8dd935bc77",
+        {"out.col": "efd1200d1eda2920b49a474e0eefbcce75e0df77b290bfb1f1f25bc53b1a051f"}),
+    "alpha --ring fq:7 --k 3 --power 2": (
+        0, "894bae0ec123e4a0659a0c4a353b0c019eac8535c25a9067da7dd43f835c36bf", {}),
+    "alpha --ring fq:11 --k 5 --power 2 --budget 300": (
+        0, "5d23626d1ed01912d1c7a5fdc5c247d83eb675591b436a97f7d846368ff319c1", {}),
+    "theta --ring fq:13 --k 2": (
+        0, "aec983bc35955892c6eea22fa23ec61f606c1c7a0219112f1f51c3e78ce18507", {}),
+    "theta --ring fq:13 --k 3 --complement": (
+        0, "30b6384e242e3d649e0a56aeaa7c32a3209ebb2edbd26eb15bf69c4d529f52cb", {}),
+    "theta --ring zmod:65 --k 2": (
+        0, "8210fc4f95068f8ef03f124eaf3d4bf4037d5ebd8575c4f334f299e2195e5486", {}),
+    "construct --q 7 --k 3 --n 6 --variant power --out A.json": (
+        0, "0e11484559b9556d4d9c976535e4308e44f13b2e11cf338b9fbc1b8049e3afbf",
+        {"A.json": "4d8b3acd8c11c21f9f959893da2df3737ee5f7e833ce1c496e90a8f8546e0574"}),
+    "verify --in A.json": (
+        0, "7691a55fda34c17a7e542bb63911621150bcc06cf97e4ec0344c853600d326ee", {}),
+    "bounds --q 7 --k 3 --n 6 --gamma 4/9": (
+        0, "c25ea8535cdee827c6d75004f69890c1d93f4f59baad1e681764906773aade81", {}),
+}
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """Argument lists of the `paleyfq ...` lines of the README's CLI block."""
+    text = README.read_text().split("## CLI", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_cli_examples_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for argv in readme_cli_examples():
+        assert argv[0] == "paleyfq"
+        before = set(tmp_path.iterdir())
+        code, out = run(capsys, *argv[1:])
+        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in sorted(set(tmp_path.iterdir()) - before)}
+        got[" ".join(argv[1:])] = (code, hashlib.sha256(out.encode()).hexdigest(), written)
+    assert got == README_EXAMPLES

@@ -1,6 +1,7 @@
 """Differential tests: the vectorized ring tables, scalar ring arithmetic,
 Cayley adjacency and FFT spectra against the reference oracles in util.py."""
 
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from paleyfq.theta import cayley_spectrum
 from util import (
     ref_add,
     ref_cayley_rows,
+    ref_digits,
     ref_field_tables,
     ref_mul,
     ref_neg,
@@ -52,6 +54,25 @@ def test_field_tables_match_oracle(q):
     assert R.exp == exp
     assert R.log == log
     assert [R.digits(x) for x in range(q)] == digits
+
+
+@pytest.mark.parametrize("make,order", RINGS)
+def test_additive_layout_matches_oracle(make, order):
+    R = make(order)
+    n = R.order
+    assert math.prod(R.shape) == n
+    assert set(R.shape) == {R.radix}
+    xs = np.arange(n)
+    d = R.digit_array(xs)
+    assert d.tolist() == [list(ref_digits(R, x)) for x in range(n)]
+    assert [R.digits(x) for x in range(n)] == [tuple(r) for r in d.tolist()]
+    assert R.from_digit_array(d).tolist() == xs.tolist()
+    assert [R.from_digits(R.digits(x)) for x in range(n)] == xs.tolist()
+    # addition is digit-wise mod radix
+    rng = np.random.default_rng(n)
+    x, y = rng.integers(0, n, 500), rng.integers(0, n, 500)
+    got = R.from_digit_array((R.digit_array(x) + R.digit_array(y)) % R.radix)
+    assert (got == ref_add(R, x, y)).all()
 
 
 @pytest.mark.parametrize("make,order", RINGS)

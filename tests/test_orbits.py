@@ -12,7 +12,6 @@ connection sets the factor-swap condition.
 
 import random
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -28,6 +27,8 @@ from paleyfq.graphs import (
 import paleyfq.solver as solver
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set, verify_independent
+
+from util import networkx_alpha
 
 
 def F(p, s=1):
@@ -105,17 +106,6 @@ CASES = {
     "rnd-F25": lambda: random_cayley(F(5, 2), 6),
     "rnd-F27-directed": lambda: random_cayley(F(3, 3), 7, symmetric=False),
 }
-
-
-def networkx_alpha(G) -> int:
-    """Independence number as the clique number of the complement of the
-    symmetrized graph, by networkx's exact max_weight_clique."""
-    g = G.to_generic()
-    H = nx.Graph()
-    H.add_nodes_from(range(g.n))
-    H.add_edges_from((i, j) for i in range(g.n) for j in range(i + 1, g.n)
-                     if not (g.rows[i] >> j & 1 or g.rows[j] >> i & 1))
-    return nx.max_weight_clique(H, weight=None)[1]
 
 
 def adjacency(G) -> np.ndarray:

@@ -36,6 +36,19 @@ def exhaustive_mis_size(rows: list[int], n: int) -> int:
     return best
 
 
+def networkx_alpha(G) -> int:
+    """Independence number as the clique number of the complement of the
+    symmetrized graph, by networkx's exact max_weight_clique."""
+    import networkx as nx  # only the tests that call this need networkx
+
+    g = G.to_generic()
+    H = nx.Graph()
+    H.add_nodes_from(range(g.n))
+    H.add_edges_from((i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                     if not (g.rows[i] >> j & 1 or g.rows[j] >> i & 1))
+    return nx.max_weight_clique(H, weight=None)[1]
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> GenericGraph:
     rows = [0] * n
     for i in range(n):
@@ -65,6 +78,12 @@ def _ref_digits(x: int, p: int, s: int) -> tuple[int, ...]:
         d.append(x % p)
         x //= p
     return tuple(d)
+
+
+def ref_digits(R, x: int) -> tuple[int, ...]:
+    """Digits of x in the additive group: the coefficient vector for
+    F_{p^s}, lowest degree first, and (x,) for Z/m."""
+    return _ref_digits(x, R.spec.p, R.spec.s) if R.is_field else (x,)
 
 
 def ref_field_tables(R) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
