@@ -17,17 +17,15 @@ from .errors import (
     EnumerationTooLarge,
     OrderTooLarge,
     PaleyfqError,
-    ProductTooLarge,
     SolverTimeout,
     VerificationTooLarge,
 )
-from .graphs import build_paley, check_product_order, export_dimacs, strong_power
+from .graphs import build_paley, export_dimacs, strong_power
 from .polys import parse_poly
 from .rings import RingCtx, RingSpec, factor_prime_power, make_ring
 from .solver import (
     DEFAULT_BUDGET_S,
     check_budget,
-    check_solver_memory,
     max_independent_set,
 )
 from .theta import lovasz_theta, lovasz_theta_complement, theta_zmod
@@ -36,7 +34,6 @@ SCHEMA = 1
 
 _CAP_ERRORS = (
     OrderTooLarge,
-    ProductTooLarge,
     EnumerationTooLarge,
     VerificationTooLarge,
 )
@@ -101,14 +98,6 @@ def _ring_payload(R: RingCtx) -> dict:
     return {"ring": f"zmod:{R.spec.m}"}
 
 
-def _power(G, n: int):
-    """G^n, refused before it is built when |G|^n is over PRODUCT_CAP
-    (ProductTooLarge) or the solver memory cap (OrderTooLarge), or n < 1
-    (ValueError, from strong_power).  Callers skip it for n = 1."""
-    check_solver_memory(check_product_order(G.n ** n))
-    return strong_power(G, n)
-
-
 # -- commands ----------------------------------------------------------------
 
 def _cmd_graph(args) -> dict:
@@ -131,7 +120,7 @@ def _cmd_graph(args) -> dict:
             "connection": sorted(target.connection),
         }
     if args.power != 1:
-        P = _power(target, args.power)
+        P = strong_power(target, args.power)
         payload["power"] = {
             "n": args.power,
             "order": P.n,
@@ -139,7 +128,6 @@ def _cmd_graph(args) -> dict:
         }
         target = P
     if args.dimacs:
-        check_solver_memory(target.n)
         export_dimacs(target, args.dimacs)
         payload["dimacs"] = args.dimacs
     return payload
@@ -148,7 +136,7 @@ def _cmd_graph(args) -> dict:
 def _cmd_alpha(args) -> dict:
     R = _parse_ring(args.ring)
     G = build_paley(R, args.k)
-    H = _power(G, args.power) if args.power != 1 else G
+    H = G if args.power == 1 else strong_power(G, args.power)
     cert = max_independent_set(H, budget_s=args.budget)
     return {
         **_ring_payload(R),

@@ -43,10 +43,6 @@ class EnumerationTooLarge(PaleyfqError):
 
 
 # graphs
-class ProductTooLarge(PaleyfqError):
-    pass
-
-
 class NotCoprime(PaleyfqError):
     pass
 

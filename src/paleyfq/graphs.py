@@ -18,13 +18,29 @@ from .errors import (
     DirectedUnsupported,
     InvariantViolation,
     NotCoprime,
-    ProductTooLarge,
+    OrderTooLarge,
     VertexOutOfRange,
 )
 from .rings import RingCtx, RingSpec, kth_power_set, make_ring
 
-PRODUCT_CAP = 10**5
+# bytes of n x n adjacency bitmasks, estimated as 3 * n^2 / 8: an upper
+# bound for every consumer, as the solver holds at most three copies (the
+# rows, the symmetrized rows of a directed input, the complement)
+ADJACENCY_CAP = 512 << 20
 _BLOCK_ELEMS = 1 << 20  # bound on the elements of each to_generic temporary
+
+
+def check_order(n: int) -> int:
+    """n if three n x n adjacency bitmask copies fit in ADJACENCY_CAP
+    bytes, else OrderTooLarge.  Every builder of adjacency rows calls it
+    before it allocates any."""
+    need = 3 * n * n // 8
+    if need > ADJACENCY_CAP:
+        raise OrderTooLarge(
+            f"{n} vertices need about {need >> 20} MB of solver bitmasks,"
+            f" over the cap of {ADJACENCY_CAP >> 20} MB"
+        )
+    return n
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,7 @@ class CayleyGraph:
         index block x - s is formed digit-wise mod R.radix, for a block of
         rows at a time, and packed into row ints."""
         R = self.ring
-        n = R.order
+        n = check_order(R.order)
         conn = R.digit_array(
             np.fromiter(self.connection, dtype=np.int64, count=len(self.connection)))
         step = max(1, _BLOCK_ELEMS // max(n, conn.size))
@@ -254,14 +270,6 @@ def _zmod_multipliers(m: int, k: int, keeps_conn) -> list[np.ndarray]:
     return gens
 
 
-def check_product_order(n: int) -> int:
-    """n if a product of n vertices fits under PRODUCT_CAP, else
-    ProductTooLarge."""
-    if n > PRODUCT_CAP:
-        raise ProductTooLarge(f"{n} vertices exceeds cap {PRODUCT_CAP}")
-    return n
-
-
 def strong_product(G, H) -> GenericGraph:
     """Strong product: (a,b) -> (c,d) iff each coordinate pair is an edge
     or equal, and the endpoints differ.  Directed inputs are permitted.
@@ -271,9 +279,10 @@ def strong_product(G, H) -> GenericGraph:
     of 2^(x*|H|) over x in N[a].  Its own bit, always set, is xor-ed off.
     The product is symmetric iff both factors are, or either is empty
     (then it has no vertices).  The factors are those of G then H, a
-    product contributing its own, so powers of powers are flat."""
+    product contributing its own, so powers of powers are flat.  The
+    order |G|*|H| is checked before any rows are built."""
+    n = check_order(G.n * H.n)
     g, h = G.to_generic(), H.to_generic()
-    n = check_product_order(g.n * h.n)
     closed_h = [h.rows[b] | (1 << b) for b in range(h.n)]
     rows = []
     for a in range(g.n):
@@ -293,10 +302,10 @@ def strong_product(G, H) -> GenericGraph:
 def strong_power(G, n: int) -> GenericGraph:
     """n-fold strong product of G with itself (for n = 1, G with factors
     (G,), so its vertices are 1-tuples).  The final order |G|^n is checked
-    against PRODUCT_CAP before any product is built."""
+    before any product is built."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    check_product_order(G.n ** n)
+    check_order(G.n ** n)
     g = G.to_generic()
     acc = replace(g, factors=g.factors or (G,))
     for _ in range(n - 1):
@@ -329,45 +338,54 @@ def crt_factor_check(m: int, n: int, k: int) -> bool:
 
 
 def export_dimacs(G, path: str) -> None:
-    """Write an undirected graph in DIMACS format (1-based, edges sorted)."""
+    """Write an undirected graph in DIMACS format (1-based, edges sorted).
+    The edge count comes from popcounts of the upper-triangle rows, and
+    the edges are written while the rows are walked, never collected."""
     g = G.to_generic()
     if not g.symmetric:
         raise DirectedUnsupported("DIMACS export needs an undirected graph")
-    edges = []
-    for i in range(g.n):
-        r = g.rows[i] >> (i + 1) << (i + 1)  # j > i only
-        while r:
-            j = (r & -r).bit_length() - 1
-            edges.append((i + 1, j + 1))
-            r &= r - 1
+    m = sum((r >> (i + 1)).bit_count() for i, r in enumerate(g.rows))
     with open(path, "w") as fh:
-        fh.write(f"p edge {g.n} {len(edges)}\n")
-        for i, j in edges:
-            fh.write(f"e {i} {j}\n")
+        fh.write(f"p edge {g.n} {m}\n")
+        for i, r in enumerate(g.rows):
+            r = r >> (i + 1) << (i + 1)  # j > i only
+            while r:
+                j = (r & -r).bit_length() - 1
+                fh.write(f"e {i + 1} {j + 1}\n")
+                r &= r - 1
 
 
 def import_dimacs(path: str) -> GenericGraph:
-    """Read a DIMACS undirected graph file; a malformed edge line (before
-    the p line, or an endpoint outside 1..n) raises ValueError naming it."""
+    """Read a DIMACS undirected graph file.  A malformed p or e line (too
+    few fields, a non-integer, a vertex count below 0 or over the
+    adjacency cap, an edge before the p line or with an endpoint outside
+    1..n) raises ValueError naming it; other lines are skipped."""
     n = 0
     rows: list[int] | None = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts or parts[0] == "c":
+            if not parts or parts[0] not in ("p", "e"):
                 continue
-            if parts[0] == "p":
-                n = int(parts[2])
-                rows = [0] * n
-            elif parts[0] == "e":
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
-                if rows is None:
-                    raise ValueError(f"{path}:{lineno}: edge before the p line")
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ValueError(f"{path}:{lineno}: edge endpoint outside 1..{n}")
-                if i != j:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
+            try:
+                if len(parts) < 3:
+                    raise ValueError(f"a {parts[0]} line needs at least 3 fields")
+                if parts[0] == "p":
+                    n = int(parts[2])
+                    if n < 0:
+                        raise ValueError(f"vertex count {n} is negative")
+                    rows = [0] * check_order(n)
+                else:
+                    i, j = int(parts[1]) - 1, int(parts[2]) - 1
+                    if rows is None:
+                        raise ValueError("edge before the p line")
+                    if not (0 <= i < n and 0 <= j < n):
+                        raise ValueError(f"edge endpoint outside 1..{n}")
+                    if i != j:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            except (ValueError, OrderTooLarge) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return GenericGraph(n=n, rows=tuple(rows or ()), symmetric=True)
 
 

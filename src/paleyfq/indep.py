@@ -11,7 +11,6 @@ from .graphs import (
     CayleyGraph,
     GenericGraph,
     build_paley,
-    check_product_order,
     complement,
     graph_fingerprint,
     strong_power,
@@ -28,7 +27,6 @@ from .solver import (
     DEFAULT_BUDGET_S,
     SOLVER_VERTEX_CAP,
     IndepSet,
-    check_solver_memory,
     max_independent_set,
     verify_independent,
 )
@@ -37,11 +35,7 @@ from .solver import (
 def alpha_product(R: RingCtx, k: int, n: int, budget_s: float = DEFAULT_BUDGET_S) -> int:
     """Independence number of the n-fold strong power of Paley_k(R)."""
     G = build_paley(R, k)
-    H = G
-    if n != 1:
-        # refuse an over-cap power before building it
-        check_solver_memory(check_product_order(G.n ** n))
-        H = strong_power(G, n)
+    H = G if n == 1 else strong_power(G, n)
     return max_independent_set(H, budget_s=budget_s).size
 
 

@@ -15,6 +15,7 @@ membership predicate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterator
@@ -70,7 +71,9 @@ class ConstructionParams:
 class DifferenceFreeSet:
     """Membership predicate, iterator, and certificate for a constructed
     difference-free subset of P_{q,n}: the polynomials of degree < n whose
-    coefficients at each block of positions form a tuple in `allowed`."""
+    coefficients at each block of positions form a tuple in `allowed`.
+    A set whose size has more decimal digits than the interpreter will
+    print raises VerificationTooLarge, as no certificate could hold it."""
 
     def __init__(self, params, allowed, base_indep=None, source=None):
         q, k, n = params.q, params.k, params.n
@@ -88,6 +91,11 @@ class DifferenceFreeSet:
         self.base_indep = base_indep  # unscaled S or U certificate
         self.source = source  # "incumbent" or "beta_pairs" when the solver ran out of budget
         self.size = len(self.allowed) ** len(self.blocks) * q ** (n - n // k)
+        digits = sys.get_int_max_str_digits()
+        if digits and self.size >= 10**digits:
+            raise VerificationTooLarge(
+                f"set size has more than {digits} decimal digits"
+            )
 
     def contains(self, u: PolyFq) -> bool:
         if u.degree >= self.params.n:

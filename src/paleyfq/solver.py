@@ -26,14 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrderTooLarge, SolverTimeout
+from .errors import SolverTimeout
 from .graphs import GenericGraph, graph_fingerprint, root_stabilizer
 
 DEFAULT_BUDGET_S = 300.0
-# bytes for the solver's n x n adjacency bitmasks, estimated as 3 * n^2 / 8:
-# an upper bound, as a directed input holds three copies (its rows, the
-# symmetrized rows, the complement) and an undirected one two
-SOLVER_MEMORY_CAP = 512 << 20
 # most vertices bounds_report, capacity_bounds and ruzsa_bound_check solve
 SOLVER_VERTEX_CAP = 400
 
@@ -314,18 +310,6 @@ def check_budget(budget_s: float) -> float:
     return budget_s
 
 
-def check_solver_memory(n: int) -> int:
-    """n if the solver's bitmask copies of a graph on n vertices, at most
-    three, fit in SOLVER_MEMORY_CAP bytes, else OrderTooLarge."""
-    need = 3 * n * n // 8
-    if need > SOLVER_MEMORY_CAP:
-        raise OrderTooLarge(
-            f"{n} vertices need about {need >> 20} MB of solver bitmasks,"
-            f" over the cap of {SOLVER_MEMORY_CAP >> 20} MB"
-        )
-    return n
-
-
 def max_independent_set(
     G,
     budget_s: float = DEFAULT_BUDGET_S,
@@ -337,10 +321,9 @@ def max_independent_set(
     checked inside the greedy incumbent, after it and every 2048 search
     nodes; when it expires SolverTimeout carries the best set found so
     far (never empty on a nonempty graph).  budget_s must be positive and
-    finite, else ValueError.  A graph whose bitmask
-    copies (see check_solver_memory) would take more than
-    SOLVER_MEMORY_CAP bytes raises OrderTooLarge before any adjacency is
-    built.  The certificate is deterministic for a given graph.
+    finite, else ValueError.  The solver holds at most three copies of
+    the adjacency bitmasks, which graphs.check_order bounds wherever rows
+    are built.  The certificate is deterministic for a given graph.
 
     The search is rooted at vertex 0 exactly when graphs.root_stabilizer
     returns generators, that is on Cayley graphs and their strong
@@ -362,7 +345,6 @@ def max_independent_set(
     propagation alone).
     """
     deadline = time.monotonic() + check_budget(budget_s)
-    check_solver_memory(G.n)
     g = G.to_generic()
     n = g.n
     gens = root_stabilizer(G)

@@ -275,7 +275,7 @@ def test_exit_3_on_cap_violation(capsys):
         capsys, "alpha", "--ring", "zmod:400", "--k", "2", "--power", "2"
     )
     assert code == 3
-    assert payload["error"] == "ProductTooLarge"
+    assert payload["error"] == "OrderTooLarge"
 
 
 def test_exit_3_on_solver_memory_cap(capsys):
@@ -289,14 +289,23 @@ def test_exit_3_on_solver_memory_cap(capsys):
 
 
 def test_graph_dimacs_refused_over_solver_memory_cap(capsys, tmp_path, monkeypatch):
-    # Paley_3(F_65536) has 715,816,960 edges; the export is refused before
-    # any adjacency row or edge list is built, and no file is written
-    import paleyfq.cli as cli
+    # Paley_3(F_65536) has 715,816,960 edges; CayleyGraph.to_generic
+    # refuses it before any adjacency row or edge is built, and no file is
+    # written
+    import paleyfq.graphs as graphs
+    from paleyfq.errors import OrderTooLarge
 
-    def refuse(*args):
-        raise AssertionError("export_dimacs called on an over-cap order")
+    outcomes = []
+    build = graphs.CayleyGraph.to_generic
 
-    monkeypatch.setattr(cli, "export_dimacs", refuse)
+    def spy(self):
+        try:
+            return build(self)
+        except OrderTooLarge:
+            outcomes.append("refused")
+            raise
+
+    monkeypatch.setattr(graphs.CayleyGraph, "to_generic", spy)
     out = tmp_path / "f.col"
     start = time.monotonic()
     code, payload = run_json(capsys, "graph", "--ring", "fq:65536", "--k", "3",
@@ -304,6 +313,7 @@ def test_graph_dimacs_refused_over_solver_memory_cap(capsys, tmp_path, monkeypat
     assert code == 3
     assert time.monotonic() - start < 5.0
     assert payload["error"] == "OrderTooLarge"
+    assert outcomes == ["refused"]
     assert not out.exists()
     code, payload = run_json(capsys, "graph", "--ring", "fq:65536", "--k", "3")
     assert code == 0
@@ -311,27 +321,72 @@ def test_graph_dimacs_refused_over_solver_memory_cap(capsys, tmp_path, monkeypat
 
 
 def test_exit_3_on_solver_memory_cap_before_building_the_power(capsys, monkeypatch):
-    # 197^2 = 38,809 vertices fits PRODUCT_CAP but not the solver's memory
-    # cap; the product is refused before strong_power builds it
-    import paleyfq.cli as cli
+    # 197^2 = 38,809 vertices is over the adjacency cap; strong_power
+    # refuses the order before strong_product builds any row
+    import paleyfq.graphs as graphs
 
     def refuse(*args):
-        raise AssertionError("strong_power called on an over-cap order")
+        raise AssertionError("strong_product called on an over-cap order")
 
-    monkeypatch.setattr(cli, "strong_power", refuse)
+    monkeypatch.setattr(graphs, "strong_product", refuse)
     code, payload = run_json(capsys, "alpha", "--ring", "fq:197", "--k", "2", "--power", "2")
     assert code == 3
     assert payload["error"] == "OrderTooLarge"
     code, payload = run_json(capsys, "alpha", "--ring", "zmod:400", "--k", "2", "--power", "2")
     assert code == 3
-    assert payload["error"] == "ProductTooLarge"
+    assert payload["error"] == "OrderTooLarge"
+
+
+def test_construct_refuses_an_over_cap_square_before_building(capsys, monkeypatch):
+    # Paley_2(F_311)^2 has 96,721 vertices; the construction is refused
+    # before strong_product builds any row
+    import paleyfq.graphs as graphs
+
+    def refuse(*args):
+        raise AssertionError("strong_product called on an over-cap order")
+
+    monkeypatch.setattr(graphs, "strong_product", refuse)
+    start = time.monotonic()
+    code, payload = run_json(capsys, "construct", "--q", "311", "--k", "2", "--n", "4",
+                             "--variant", "power")
+    assert code == 3
+    assert time.monotonic() - start < 5.0
+    assert payload["error"] == "OrderTooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--q", "7", "--k", "3", "--n", "7200", "--variant", "power"),
+    ("construct", "--q", "13", "--k", "2", "--n", "8000", "--variant", "general"),
+])
+def test_construct_refuses_a_set_size_too_long_to_print(capsys, tmp_path, argv):
+    # the size has more decimal digits than the interpreter prints; the set
+    # is refused with exit 3 and only the error is written
+    out = tmp_path / "A.json"
+    code, payload = run_json(capsys, *argv, "--out", str(out))
+    assert code == 3
+    assert payload["error"] == "VerificationTooLarge"
+    assert "decimal digits" in payload["message"]
+    assert not out.exists()
+
+
+def test_verify_refuses_a_set_size_too_long_to_print(capsys, tmp_path):
+    path = tmp_path / "A.json"
+    assert main(["construct", "--q", "7", "--k", "3", "--n", "6", "--out", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    data["n"] = 7200
+    path.write_text(json.dumps(data))
+    code, payload = run_json(capsys, "verify", "--in", str(path))
+    assert code == 3
+    assert payload["error"] == "VerificationTooLarge"
 
 
 @pytest.mark.parametrize("extra", [(), ("--complement",)])
 def test_graph_power_refused_before_building(capsys, monkeypatch, extra):
-    # graph --power applies the same two caps as alpha --power, before
-    # strong_power builds the product
+    # graph --power is refused by the same adjacency cap as alpha --power,
+    # before strong_product builds any row
     import paleyfq.cli as cli
+    import paleyfq.graphs as graphs
 
     built = []
     build = cli.strong_power
@@ -341,15 +396,15 @@ def test_graph_power_refused_before_building(capsys, monkeypatch, extra):
     assert payload["power"] == {"n": 2, "order": 49, "degree": 8 if not extra else 24}
 
     def refuse(*args):
-        raise AssertionError("strong_power called on an over-cap order")
+        raise AssertionError("strong_product called on an over-cap order")
 
-    monkeypatch.setattr(cli, "strong_power", refuse)
+    monkeypatch.setattr(graphs, "strong_product", refuse)
     code, payload = run_json(capsys, "graph", "--ring", "fq:197", "--k", "2", "--power", "2", *extra)
     assert code == 3
     assert payload["error"] == "OrderTooLarge"
     code, payload = run_json(capsys, "graph", "--ring", "zmod:400", "--k", "2", "--power", "2", *extra)
     assert code == 3
-    assert payload["error"] == "ProductTooLarge"
+    assert payload["error"] == "OrderTooLarge"
 
 
 def test_exit_4_on_timeout_with_incumbent(capsys):

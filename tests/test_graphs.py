@@ -1,12 +1,13 @@
 import json
 import math
+import time
 
 import pytest
 
 from paleyfq.errors import (
     DirectedUnsupported,
     NotCoprime,
-    ProductTooLarge,
+    OrderTooLarge,
     VertexOutOfRange,
 )
 from paleyfq.graphs import (
@@ -196,8 +197,8 @@ def test_strong_product_directed_rule():
 
 def test_product_cap():
     G = build_paley(zring(401), 2)
-    with pytest.raises(ProductTooLarge):
-        strong_product(G, G)  # 401^2 > 10^5, rejected before any rows build
+    with pytest.raises(OrderTooLarge):
+        strong_product(G, G)  # 401^2 is over the adjacency cap, rejected before any rows build
 
 
 def test_strong_power_checks_the_final_order_first(monkeypatch):
@@ -208,8 +209,21 @@ def test_strong_power_checks_the_final_order_first(monkeypatch):
 
     monkeypatch.setattr(graphs, "strong_product", refuse)
     G = build_paley(zring(47), 2)  # 47^2 fits the cap, 47^3 does not
-    with pytest.raises(ProductTooLarge):
+    with pytest.raises(OrderTooLarge):
         strong_power(G, 3)
+
+
+@pytest.mark.parametrize("use", [
+    lambda G: verify_independent(G, [0, 1]),
+    graph_fingerprint,
+], ids=["verify_independent", "graph_fingerprint"])
+def test_adjacency_users_refuse_an_over_cap_graph_at_once(use):
+    # Paley_3(F_65536) needs 1.5 GB of rows; to_generic refuses it first
+    G = build_paley(ring(2, 16), 3)
+    start = time.monotonic()
+    with pytest.raises(OrderTooLarge):
+        use(G)
+    assert time.monotonic() - start < 1.0
 
 
 def test_crt_factor_check_true_cases():
@@ -266,6 +280,12 @@ def test_dimacs_roundtrip(tmp_path):
     ("c a comment\np edge 3 1\ne 0 2\n", 3, "outside 1..3"),
     ("p edge 3 1\ne -1 2\n", 2, "outside 1..3"),
     ("c a comment\ne 1 2\np edge 3 1\n", 2, "before the p line"),
+    ("p edge\n", 1, "at least 3 fields"),
+    ("p edge 3 1\ne 1\n", 2, "at least 3 fields"),
+    ("p edge 3 1\ne a 2\n", 2, "invalid literal"),
+    ("p edge x 0\n", 1, "invalid literal"),
+    ("c a comment\np edge -3 0\n", 2, "negative"),
+    ("p edge 10000000000000 0\n", 1, "over the cap"),
 ])
 def test_dimacs_import_names_the_malformed_line(tmp_path, text, line, what):
     path = tmp_path / "bad.col"

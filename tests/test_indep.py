@@ -30,13 +30,13 @@ def test_alpha_product_c7():
 
 
 def test_alpha_product_refuses_over_cap_power_before_building(monkeypatch):
-    import paleyfq.indep as indep
+    import paleyfq.graphs as graphs
     from paleyfq.errors import OrderTooLarge
 
     def refuse(*args):
-        raise AssertionError("strong_power called on an over-cap order")
+        raise AssertionError("strong_product called on an over-cap order")
 
-    monkeypatch.setattr(indep, "strong_power", refuse)
+    monkeypatch.setattr(graphs, "strong_product", refuse)
     with pytest.raises(OrderTooLarge):
         alpha_product(ring(197), 2, 2)
 
