@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -302,10 +303,21 @@ def strong_product(G, H) -> GenericGraph:
 def strong_power(G, n: int) -> GenericGraph:
     """n-fold strong product of G with itself (for n = 1, G with factors
     (G,), so its vertices are 1-tuples).  The final order |G|^n is checked
-    before any product is built."""
+    before any product is built, as by check_order; when its refusal
+    could not be printed (the order or its size in MB has more decimal
+    digits than int-to-str conversion allows) it names the order |G|^n,
+    which is then never computed in full when it has more than the
+    interpreter's default 4,300 digits."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    check_order(G.n ** n)
+    try:
+        if G.n > 1 and n * math.log10(G.n) > sys.int_info.default_max_str_digits:
+            raise ValueError
+        check_order(G.n ** n)
+    except ValueError:  # check_order's message has too many digits for str()
+        raise OrderTooLarge(
+            f"{G.n}^{n} vertices are over the cap of {ADJACENCY_CAP >> 20} MB"
+            " of solver bitmasks") from None
     g = G.to_generic()
     acc = replace(g, factors=g.factors or (G,))
     for _ in range(n - 1):

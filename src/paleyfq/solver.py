@@ -11,10 +11,12 @@ it can beat the incumbent.  A multistart greedy supplies the incumbent, and
 for vertex-transitive inputs the search is rooted at vertex 0, which is
 exact because automorphisms carry any maximum set through any chosen
 vertex; on Cayley inputs, depth-1 branches are further pruned by orbits
-of the stabilizer of vertex 0.  Everything is deterministic: natural
-index order, lowest-bit tie-breaking, no randomness, single-threaded.  A
-time budget turns exhaustion into a SolverTimeout that carries the
-incumbent certificate and the search counters.
+of the stabilizer of vertex 0, and on their strong products every branch
+is also tested by a slab bound drawn from the product structure.
+Everything is deterministic: natural index order, lowest-bit
+tie-breaking, no randomness, single-threaded.  A time budget turns
+exhaustion into a SolverTimeout that carries the incumbent certificate
+and the search counters.
 """
 
 from __future__ import annotations
@@ -27,11 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverTimeout
-from .graphs import GenericGraph, graph_fingerprint, root_stabilizer
+from .graphs import CayleyGraph, GenericGraph, graph_fingerprint, root_stabilizer
 
 DEFAULT_BUDGET_S = 300.0
 # most vertices bounds_report, capacity_bounds and ruzsa_bound_check solve
 SOLVER_VERTEX_CAP = 400
+# most vertices of a product's last factor H with a slab table: one byte
+# per subset of H, 1 MB at the cap
+SLAB_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,12 @@ class _CliqueSearch:
     """Tomita-style max clique with greedy coloring bound on bitmasks."""
 
     __slots__ = (
-        "adj", "best", "best_size", "deadline", "nodes", "orbit_pruned", "sym",
-        "up_pruned",
+        "adj", "best", "best_size", "deadline", "nodes", "orbit_pruned", "slab",
+        "slab_pruned", "sym", "up_pruned",
     )
 
     def __init__(self, adj: list[int], sym: list[int], deadline: float,
-                 seed: list[int]):
+                 seed: list[int], slab: _Slab | None = None):
         # adj: the graph searched for cliques; sym: its loopless
         # complement, the input graph, so sym[v] is what may share a
         # colour class with v
@@ -85,8 +90,10 @@ class _CliqueSearch:
         self.best = list(seed)
         self.best_size = len(seed)
         self.deadline = deadline
+        self.slab = slab
         self.nodes = 0
         self.orbit_pruned = 0
+        self.slab_pruned = 0
         self.up_pruned = 0
 
     def expand(self, R: list[int], P: int, orbit: list[int] | None = None) -> None:
@@ -102,23 +109,27 @@ class _CliqueSearch:
         fixing r carries each clique through {r, g(v)} to one through
         {r, v} of the same size, so none of them can beat it.
 
-        A branch on v in class c with |R| + c = best + 1 is tested by
+        With a slab bound B (see _Slab), every branch on v is tested
+        first: when |R| + 1 + B(P & adj[v]) <= best, no clique through
+        R + v can beat the incumbent, and v leaves P unexpanded.  A branch
+        on v in class c with |R| + c = best + 1 is then tested by
         _refutes on classes 1..c-1 cut to P & adj[v]; when that refutes
         it, v leaves P (with its orbit at depth 1) unexpanded, as after a
         finished branch.
         Exact: every class above c has already left P and each class is
         independent, so a clique through v that beats the incumbent needs
         c - 1 more vertices, one from each of classes 1..c-1, which the
-        refutation shows impossible.  The pruned subtree holds only
-        cliques of size <= best, which never replace the incumbent, so
-        the colouring, the branch order and the sequence of incumbents
-        (hence every certificate) are the same as without the test, and
-        the orbit argument above still holds for a refuted v."""
+        refutation shows impossible.  A pruned subtree, by either test,
+        holds only cliques of size <= best, which never replace the
+        incumbent, so the colouring, the branch order and the sequence of
+        incumbents (hence every certificate) are the same as without the
+        tests, and the orbit argument above still holds for a pruned v."""
         self.nodes += 1
         if not self.nodes & 2047 and time.monotonic() >= self.deadline:
             raise _Expired()
         adj = self.adj
         sym = self.sym
+        slab = self.slab
         classes = []
         rest = P
         while rest:
@@ -139,7 +150,9 @@ class _CliqueSearch:
                 v = cls.bit_length() - 1
                 bit = 1 << v
                 P2 = P & adj[v]
-                if size + c == self.best_size + 1 and _refutes(adj, classes, c - 1, P2):
+                if slab is not None and not slab.reaches(P2, self.best_size - size):
+                    self.slab_pruned += 1
+                elif size + c == self.best_size + 1 and _refutes(adj, classes, c - 1, P2):
                     self.up_pruned += 1
                 else:
                     R.append(v)
@@ -242,6 +255,104 @@ def _refutes(adj: list[int], classes: list[int], k: int, P: int) -> bool:
     return False
 
 
+class _Slab:
+    """The slab bound on a strong product G' x H of Cayley graphs, H the
+    last factor, searched as cliques of its complement.
+
+    With the product in row-major order, fibre a of a vertex set P (the
+    vertices (a, x)) is the |H| bits (P >> a*|H|) & mask.  For a clique K
+    of the mutual-edge graph of G' (a -> b and b -> a), an independent
+    set of the symmetrized product meets K x H in vertices with distinct,
+    pairwise non-adjacent H coordinates: (a, x) and (b, y) with a <-> b
+    are adjacent whenever x = y or x, y are adjacent either way.  So it
+    holds at most t[S] = alpha(H_sym[S]) of them, S the union of the
+    fibres over K.  The family is the |G'| translates of one maximum
+    mutual clique K0 (a product of per-factor ones, translation being an
+    automorphism), which cover each vertex of G' exactly |K0| times, so
+    alpha(P) <= B(P) = floor(sum over the family of t[S_K] / |K0|).  A
+    clique of the symmetrized G' would not do: with a -> b alone, (a, x)
+    and (b, y) are not adjacent when y -> x alone.
+
+    The table and the family are built on the first test, so a search
+    that never tests pays nothing."""
+
+    __slots__ = ("deadline", "factors", "h_rows", "mask", "shifts", "table", "weight")
+
+    def __init__(self, factors: tuple, h_rows: list[int], deadline: float):
+        # factors: those of G'; h_rows: the symmetrized rows of H
+        self.factors = factors
+        self.h_rows = h_rows
+        self.deadline = deadline
+        self.mask = (1 << len(h_rows)) - 1
+        self.table = None
+
+    def _build(self) -> None:
+        h = len(self.h_rows)
+        # t[S] for S with highest bit v is max(t[S - v], 1 + t[S & nn]),
+        # nn the non-neighbours of v below it
+        t = np.zeros(1 << h, dtype=np.uint8)
+        low = np.arange(1 << max(h - 1, 0), dtype=np.int32)
+        for v, row in enumerate(self.h_rows):
+            lo = low[:1 << v]
+            nn = ~row & ((1 << v) - 1)
+            t[1 << v:2 << v] = np.maximum(t[lo], t[lo & nn] + 1)
+        family = np.zeros((1, 1), dtype=np.int64)
+        for f in self.factors:
+            R = f.ring
+            K = np.array(_mutual_clique(f, self.deadline), dtype=np.int64)
+            T = R.from_digit_array(
+                (R.digit_array(np.arange(f.n))[:, None, :] + R.digit_array(K)) % R.radix)
+            family = (family[:, None, :, None] * f.n + T[None, :, None, :]).reshape(
+                len(family) * f.n, -1)
+        self.shifts = [tuple(row) for row in (family * h).tolist()]
+        self.weight = family.shape[1]
+        self.table = t.tobytes()
+
+    def reaches(self, P: int, need: int) -> bool:
+        """True iff B(P) >= need.  The sum stops once it reaches
+        need * |K0|."""
+        if self.table is None:
+            self._build()
+        t = self.table
+        mask = self.mask
+        limit = need * self.weight
+        total = 0
+        for shifts in self.shifts:
+            u = 0
+            for s in shifts:
+                u |= P >> s
+            total += t[u & mask]
+            if total >= limit:
+                return True
+        return False
+
+
+def _slab_for(g: GenericGraph, sym: list[int], deadline: float) -> _Slab | None:
+    """The slab bound of g, a graph root_stabilizer finds vertex-transitive
+    (so each of its factors is a Cayley graph), with sym its symmetrized
+    rows: None unless g is a product of two or more factors whose last
+    has at most SLAB_CAP vertices."""
+    fs = g.factors
+    if len(fs) < 2 or fs[-1].n > SLAB_CAP:
+        return None
+    h = fs[-1].n
+    return _Slab(fs[:-1], [sym[y] & ((1 << h) - 1) for y in range(h)], deadline)
+
+
+def _mutual_clique(f: CayleyGraph, deadline: float) -> list[int]:
+    """A maximum clique of the mutual-edge graph of the Cayley graph f: a
+    Cayley graph itself, on the connection elements whose negatives are
+    in it.  Its translations are automorphisms, so the search is rooted
+    at 0."""
+    conn = frozenset(s for s in f.connection if f.ring.neg(s) in f.connection)
+    rows = list(CayleyGraph(ring=f.ring, k=f.k, connection=conn).to_generic().rows)
+    full = (1 << f.n) - 1
+    non = [full & ~rows[i] & ~(1 << i) for i in range(f.n)]
+    search = _CliqueSearch(rows, non, deadline, _multistart_greedy(f.n, rows, deadline))
+    search.expand([0], rows[0])
+    return search.best
+
+
 class _Expired(Exception):
     pass
 
@@ -335,14 +446,29 @@ def max_independent_set(
     so the root is fixed and nothing is pruned.  Any other graph is
     searched unrooted.
 
+    On a rooted strong product G' x H of two or more factors whose last,
+    H, has at most SLAB_CAP = 20 vertices, every branch is also tested by
+    the slab bound (Shannon's fractional clique-cover argument, 1956):
+    alpha(P) <= floor(sum over the |G'| translates K of one maximum
+    clique K0 of the mutual-edge graph of G' of alpha(H_sym[union of the
+    fibres of P over K]) / |K0|).  The cliques must be mutual (a -> b and
+    b -> a): on a directed factor a clique of the symmetrized G' does not
+    bound independence in the symmetrized product.  The table of
+    alpha(H_sym[S]) for every subset S of H (2^|H| bytes, 1 MB at the
+    cap, outside the three-bitmask ADJACENCY_CAP estimate) and the
+    translates are built on the first test, within the deadline; a
+    search that ends on the root's colouring bound builds neither.  Over
+    the cap, or on any other graph, the search is as without it.
+
     stats, if given, is filled with nodes (search nodes expanded),
     root_fixed, depth1_orbits (orbits of the root's candidates, 0 without
     orbit pruning), orbit_pruned (depth-1 candidates dropped with an
-    orbit whose branch was done, never expanded) and up_pruned (branches
+    orbit whose branch was done, never expanded), up_pruned (branches
     refuted by unit propagation or by failed-literal detection, never
+    expanded) and slab_pruned (branches dropped by the slab bound, never
     expanded); SolverTimeout carries the same dict as its stats.  The
-    refutations cut alpha(C_11^2) = 27 to 4,016 nodes (50,978 with unit
-    propagation alone).
+    pruning cuts alpha(C_11^2) = 27 to 645 nodes (4,016 without the slab
+    bound, 50,978 with unit propagation alone).
     """
     deadline = time.monotonic() + check_budget(budget_s)
     g = G.to_generic()
@@ -353,7 +479,8 @@ def max_independent_set(
     sym = _symmetrize(g)
     full = (1 << n) - 1
     comp = [(full & ~sym[i]) & ~(1 << i) for i in range(n)]
-    search = _CliqueSearch(comp, sym, deadline, _multistart_greedy(n, comp, deadline))
+    search = _CliqueSearch(comp, sym, deadline, _multistart_greedy(n, comp, deadline),
+                           _slab_for(g, sym, deadline) if root_fixed else None)
     orbit = None
     completed = True
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
@@ -373,6 +500,7 @@ def max_independent_set(
         depth1_orbits=len(set(orbit) - {0}) if gens and orbit else 0,
         orbit_pruned=search.orbit_pruned,
         up_pruned=search.up_pruned,
+        slab_pruned=search.slab_pruned,
     )
     if stats is not None:
         stats.update(counters)

@@ -337,6 +337,26 @@ def test_exit_3_on_solver_memory_cap_before_building_the_power(capsys, monkeypat
     assert payload["error"] == "OrderTooLarge"
 
 
+def test_exit_3_on_a_power_whose_order_is_too_long_to_print(capsys):
+    # 7^100000 has 84,510 decimal digits and 7^(10^12) could not even be
+    # computed: both are refused as over the cap, by name, at once
+    for power in (100_000, 10**12):
+        start = time.monotonic()
+        code, payload = run_json(capsys, "alpha", "--ring", "fq:7", "--k", "3",
+                                 "--power", str(power))
+        assert code == 3
+        assert time.monotonic() - start < 5.0
+        assert payload["error"] == "OrderTooLarge"
+        assert payload["message"] == (
+            f"7^{power} vertices are over the cap of 512 MB of solver bitmasks")
+    # an order whose refusal str() can print keeps check_order's message
+    code, payload = run_json(capsys, "alpha", "--ring", "fq:7", "--k", "3", "--power", "100")
+    assert code == 3
+    assert payload["message"] == (
+        f"{7**100} vertices need about {3 * 7**200 // 8 >> 20} MB of solver bitmasks,"
+        " over the cap of 512 MB")
+
+
 def test_construct_refuses_an_over_cap_square_before_building(capsys, monkeypatch):
     # Paley_2(F_311)^2 has 96,721 vertices; the construction is refused
     # before strong_product builds any row

@@ -81,3 +81,18 @@ def test_readme_cap_names_resolve():
 
     assert names
     assert sorted(n for n in names if not found(n)) == []
+
+
+def test_readme_names_every_solver_stats_key():
+    # a counter max_independent_set writes into stats must be documented
+    # in the README, backticked, like the caps above
+    from paleyfq.graphs import build_paley, strong_power
+    from paleyfq.rings import RingSpec, make_ring
+    from paleyfq.solver import max_independent_set
+
+    stats = {}
+    max_independent_set(strong_power(build_paley(make_ring(RingSpec.field(5)), 2), 2),
+                        stats=stats)
+    readme = (ROOT / "README.md").read_text()
+    assert stats
+    assert sorted(k for k in stats if f"`{k}`" not in readme) == []

@@ -8,6 +8,11 @@ generator root_stabilizer returns must fix 0 and be an automorphism.
 Random connection sets make the u*S = S checks matter, mixed products
 the per-factor strides, and products of equal rings with unequal
 connection sets the factor-swap condition.
+
+The same graphs check the slab bound on strong products: the search
+with it gives the certificate of the search without it, and on seeded
+random vertex sets the bound is never below the brute-force
+independence number.
 """
 
 import random
@@ -28,7 +33,7 @@ import paleyfq.solver as solver
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set, verify_independent
 
-from util import networkx_alpha
+from util import exhaustive_mis_size, networkx_alpha
 
 
 def F(p, s=1):
@@ -108,6 +113,10 @@ CASES = {
 }
 
 
+def no_slab(g, sym, deadline):
+    return None
+
+
 def adjacency(G) -> np.ndarray:
     g = G.to_generic()
     bits = np.array([[r >> j & 1 for j in range(g.n)] for r in g.rows], dtype=bool)
@@ -146,6 +155,92 @@ def test_unit_propagation_keeps_certificate_and_cuts_nodes(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_slab_bound_keeps_certificate_and_cuts_nodes(name, monkeypatch):
+    # the same search with solver._slab_for giving no bound: the same
+    # certificate, and never fewer nodes
+    G = CASES[name]()
+    stats = {}
+    cert = max_independent_set(G, stats=stats)
+    monkeypatch.setattr(solver, "_slab_for", no_slab)
+    plain = {}
+    assert max_independent_set(G, stats=plain) == cert
+    assert plain["slab_pruned"] == 0
+    assert stats["nodes"] <= plain["nodes"]
+    assert stats["orbit_pruned"] == plain["orbit_pruned"]
+
+
+def test_slab_bound_on_directed_squares():
+    # both factors directed, so the family must come from mutual cliques
+    G = strong_power(paley(F(7), 2), 2)
+    assert not G.symmetric
+    cert = max_independent_set(G)
+    assert verify_independent(G, cert.vertices)
+    assert cert.size == networkx_alpha(G) == 7
+    # networkx takes about 20 s on Z/15^2, so the oracle here is the
+    # unrooted search of a factor-free copy: no root, orbits or slab
+    G = strong_power(paley(Z(15), 2), 2)
+    assert not G.symmetric
+    stats = {}
+    cert = max_independent_set(G, stats=stats)
+    assert stats["slab_pruned"] > 0
+    assert verify_independent(G, cert.vertices)
+    g = G.to_generic()
+    assert cert.size == max_independent_set(GenericGraph(g.n, g.rows)).size == 15
+
+
+def test_slab_bound_is_off_over_the_cap(monkeypatch):
+    # |H| = 21 is over solver.SLAB_CAP, so no table is built
+    G = strong_power(paley(Z(21), 2), 2)
+    made = []
+    real = solver._slab_for
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(solver, "_slab_for", spy)
+    stats = {}
+    cert = max_independent_set(G, stats=stats)
+    assert made == [None]
+    assert stats["slab_pruned"] == 0
+    assert verify_independent(G, cert.vertices)
+    assert cert.size == 21
+
+
+@pytest.mark.parametrize("name", ["C5-squared", "Z15-k2-squared", "F7-k2-squared",
+                                  "F4-k3-cubed"])
+def test_slab_bound_is_an_upper_bound(name):
+    # B(P) >= alpha(P) on seeded random vertex sets P, some spread over
+    # the graph and some inside a few fibres {a} x H, where the bound can
+    # be tight
+    G = {
+        "C5-squared": lambda: strong_power(paley(F(5), 2), 2),
+        "Z15-k2-squared": lambda: strong_power(paley(Z(15), 2), 2),
+        "F7-k2-squared": lambda: strong_power(paley(F(7), 2), 2),
+        "F4-k3-cubed": CASES["F4-k3-cubed"],
+    }[name]()
+    g = G.to_generic()
+    sym = solver._symmetrize(g)
+    slab = solver._slab_for(g, sym, float("inf"))
+    h = g.factors[-1].n
+    rng = random.Random(20261019)
+    tight = 0
+    for trial in range(100):
+        if trial % 2:
+            pool = range(g.n)
+        else:
+            fibres = rng.sample(range(g.n // h), rng.randint(1, 3))
+            pool = [a * h + x for a in fibres for x in range(h)]
+        verts = rng.sample(pool, rng.randint(1, min(14, len(pool))))
+        rows = [sum(1 << j for j, w in enumerate(verts) if sym[u] >> w & 1) for u in verts]
+        alpha = exhaustive_mis_size(rows, len(verts))
+        P = sum(1 << v for v in verts)
+        assert slab.reaches(P, alpha)
+        tight += not slab.reaches(P, alpha + 1)
+    assert tight > 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_root_stabilizer_generators_are_automorphisms_fixing_0(name):
     G = CASES[name]()
     gens = root_stabilizer(G)
@@ -176,7 +271,9 @@ def test_generator_sets_use_each_symmetry():
 @pytest.mark.parametrize("name", ["F101-k2", "F43-k3", "C5-cubed",
                                   "comp-F13-k3-squared", "F5xF13", "Z65-k2"])
 def test_orbit_pruning_cuts_nodes(name, monkeypatch):
-    # C_5^3 stays out of CASES: its unpruned and networkx solves take 40 s
+    # C_5^3 stays out of CASES: its unpruned and networkx solves take 40 s.
+    # The slab bound is off: on F_5 x F_13 it prunes every depth-1 branch
+    monkeypatch.setattr(solver, "_slab_for", no_slab)
     G = strong_power(paley(F(5), 2), 3) if name == "C5-cubed" else CASES[name]()
     pruned, plain = {}, {}
     max_independent_set(G, stats=pruned)

@@ -155,6 +155,16 @@ def test_alpha_c11_squared_failed_literal_node_guard():
     assert stats["up_pruned"] > 0
 
 
+def test_alpha_c11_squared_slab_node_guard():
+    # deterministic perf guard: without the slab bound this search
+    # expands 4016 nodes
+    stats = {}
+    cert = max_independent_set(strong_power(build_paley(ring(11), 5), 2), stats=stats)
+    assert cert.size == 27
+    assert stats["nodes"] <= 1_000
+    assert stats["slab_pruned"] > 0
+
+
 def test_verify_independent():
     G = build_paley(ring(7), 3)
     assert verify_independent(G, [0, 2, 4])

@@ -190,6 +190,8 @@ def test_unrooted_search_matches_search_without_the_test(monkeypatch):
 
 
 def test_failed_literals_prune_beyond_unit_propagation(monkeypatch):
+    # pinned without the slab bound, which prunes below both counts
+    monkeypatch.setattr(solver, "_slab_for", lambda g, sym, deadline: None)
     G = strong_power(build_paley(make_ring(RingSpec.field(11)), 5), 2)
     stats = {}
     cert = max_independent_set(G, stats=stats)
@@ -219,6 +221,7 @@ print(json.dumps({"cert": cert.to_json(), "stats": stats}, sort_keys=True))
     G = strong_power(build_paley(make_ring(RingSpec.field(11)), 5), 2)
     stats = {}
     cert = max_independent_set(G, stats=stats)
+    assert stats["slab_pruned"] > 0
     want = {"cert": cert.to_json(), "stats": stats}
     assert json.loads(proc.stdout) == json.loads(json.dumps(want))
 
@@ -231,6 +234,6 @@ def test_timeout_carries_the_stats_dict(budget):
         max_independent_set(G, budget_s=budget, stats=stats)
     assert exc.value.stats == stats
     assert set(stats) == {"nodes", "root_fixed", "depth1_orbits",
-                          "orbit_pruned", "up_pruned"}
+                          "orbit_pruned", "up_pruned", "slab_pruned"}
     assert exc.value.nodes == stats["nodes"]
     assert stats["root_fixed"] is True
