@@ -310,14 +310,13 @@ def strong_power(G, n: int) -> GenericGraph:
     interpreter's default 4,300 digits."""
     if n < 1:
         raise ValueError("power must be >= 1")
+    over = f"{G.n}^{n} vertices are over the cap of {ADJACENCY_CAP >> 20} MB of solver bitmasks"
+    if G.n > 1 and n * math.log10(G.n) > sys.int_info.default_max_str_digits:
+        raise OrderTooLarge(over)
     try:
-        if G.n > 1 and n * math.log10(G.n) > sys.int_info.default_max_str_digits:
-            raise ValueError
         check_order(G.n ** n)
     except ValueError:  # check_order's message has too many digits for str()
-        raise OrderTooLarge(
-            f"{G.n}^{n} vertices are over the cap of {ADJACENCY_CAP >> 20} MB"
-            " of solver bitmasks") from None
+        raise OrderTooLarge(over) from None
     g = G.to_generic()
     acc = replace(g, factors=g.factors or (G,))
     for _ in range(n - 1):

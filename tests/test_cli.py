@@ -339,8 +339,9 @@ def test_exit_3_on_solver_memory_cap_before_building_the_power(capsys, monkeypat
 
 def test_exit_3_on_a_power_whose_order_is_too_long_to_print(capsys):
     # 7^100000 has 84,510 decimal digits and 7^(10^12) could not even be
-    # computed: both are refused as over the cap, by name, at once
-    for power in (100_000, 10**12):
+    # computed; 7^2600 has 2,198, but its size in MB has more than the
+    # 4,300 str() prints: all are refused as over the cap, by name, at once
+    for power in (2_600, 100_000, 10**12):
         start = time.monotonic()
         code, payload = run_json(capsys, "alpha", "--ring", "fq:7", "--k", "3",
                                  "--power", str(power))
