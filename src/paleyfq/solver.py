@@ -273,10 +273,14 @@ class _Slab:
     clique of the symmetrized G' would not do: with a -> b alone, (a, x)
     and (b, y) are not adjacent when y -> x alone.
 
-    The table and the family are built on the first test, so a search
-    that never tests pays nothing."""
+    Translate K shifts P right by s0 + d for d in one of a few difference
+    patterns (which digits of the translation wrap round), with s0 its
+    least shift; so a test ORs P >> d once per pattern, and each
+    translate then costs one shift.  The table and the family are built
+    on the first test, so a search that never tests pays nothing."""
 
-    __slots__ = ("deadline", "factors", "h_rows", "mask", "shifts", "table", "weight")
+    __slots__ = ("deadline", "factors", "family", "h_rows", "mask", "patterns", "table",
+                 "weight")
 
     def __init__(self, factors: tuple, h_rows: list[int], deadline: float):
         # factors: those of G'; h_rows: the symmetrized rows of H
@@ -304,7 +308,13 @@ class _Slab:
                 (R.digit_array(np.arange(f.n))[:, None, :] + R.digit_array(K)) % R.radix)
             family = (family[:, None, :, None] * f.n + T[None, :, None, :]).reshape(
                 len(family) * f.n, -1)
-        self.shifts = [tuple(row) for row in (family * h).tolist()]
+        patterns: dict[tuple, int] = {}
+        self.family = []  # (pattern index, s0) per translate
+        for row in (family * h).tolist():
+            s0 = min(row)
+            pattern = tuple(sorted(s - s0 for s in row))
+            self.family.append((patterns.setdefault(pattern, len(patterns)), s0))
+        self.patterns = list(patterns)
         self.weight = family.shape[1]
         self.table = t.tobytes()
 
@@ -316,12 +326,15 @@ class _Slab:
         t = self.table
         mask = self.mask
         limit = need * self.weight
-        total = 0
-        for shifts in self.shifts:
+        spread = []
+        for pattern in self.patterns:
             u = 0
-            for s in shifts:
-                u |= P >> s
-            total += t[u & mask]
+            for d in pattern:
+                u |= P >> d
+            spread.append(u)
+        total = 0
+        for i, s0 in self.family:
+            total += t[spread[i] >> s0 & mask]
             if total >= limit:
                 return True
         return False
