@@ -300,22 +300,23 @@ class _Slab:
             lo = low[:1 << v]
             nn = ~row & ((1 << v) - 1)
             t[1 << v:2 << v] = np.maximum(t[lo], t[lo & nn] + 1)
-        family = np.zeros((1, 1), dtype=np.int64)
+        # members[g]: the G' indices of K0 + g, g in row-major order
+        members = np.zeros((1, 1), dtype=np.int64)
         for f in self.factors:
             R = f.ring
             K = np.array(_mutual_clique(f, self.deadline), dtype=np.int64)
             T = R.from_digit_array(
                 (R.digit_array(np.arange(f.n))[:, None, :] + R.digit_array(K)) % R.radix)
-            family = (family[:, None, :, None] * f.n + T[None, :, None, :]).reshape(
-                len(family) * f.n, -1)
+            members = (members[:, None, :, None] * f.n + T[None, :, None, :]).reshape(
+                len(members) * f.n, -1)
         patterns: dict[tuple, int] = {}
         self.family = []  # (pattern index, s0) per translate
-        for row in (family * h).tolist():
+        for row in (members * h).tolist():
             s0 = min(row)
             pattern = tuple(sorted(s - s0 for s in row))
             self.family.append((patterns.setdefault(pattern, len(patterns)), s0))
         self.patterns = list(patterns)
-        self.weight = family.shape[1]
+        self.weight = members.shape[1]
         self.table = t.tobytes()
 
     def reaches(self, P: int, need: int) -> bool:
