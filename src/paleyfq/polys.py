@@ -62,26 +62,23 @@ class PolyFq:
         R = self.ring
         if self.is_zero() or other.is_zero():
             return PolyFq(R, ())
-        add, mul = R.add, R.mul
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = add(out[i + j], mul(a, b))
-        return PolyFq(R, out)
+        return PolyFq(R, R.convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> "PolyFq":
+        """Right-to-left square-and-multiply from base itself, squaring
+        only while set bits remain above the current one."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = PolyFq(self.ring, (1,))
-        base = self
-        while e:
+        if not e:
+            return PolyFq(self.ring, (1,))
+        base, result = self, None
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __neg__(self) -> "PolyFq":
         R = self.ring
@@ -229,13 +226,19 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
     return None
 
 
+def enumeration_size(R: RingCtx, n: int) -> int:
+    """q^n, the number of polynomials of degree < n; EnumerationTooLarge
+    over ENUM_CAP."""
+    size = R.order**n
+    if size > ENUM_CAP:
+        raise EnumerationTooLarge(f"q^n = {size} exceeds cap {ENUM_CAP}")
+    return size
+
+
 def enumerate_polynomials(R: RingCtx, n: int) -> Iterator[PolyFq]:
     """All q^n polynomials of degree < n, ordered by the base-q integer
     encoding of the coefficient vector (c_0 least significant)."""
-    q = R.order
-    if q**n > ENUM_CAP:
-        raise EnumerationTooLarge(f"q^n = {q**n} exceeds cap {ENUM_CAP}")
-    for code in range(q**n):
+    for code in range(enumeration_size(R, n)):
         yield decode_poly(R, code)
 
 
@@ -258,7 +261,10 @@ def decode_poly(R: RingCtx, code: int) -> PolyFq:
 
 
 def format_poly(u: PolyFq, n: int | None = None) -> str:
-    """Comma-separated coefficient indices c_0,...,c_{n-1}."""
+    """Comma-separated coefficient indices c_0,...,c_{n-1}; ValueError if
+    n is too narrow to hold every coefficient of u."""
+    if n is not None and n < len(u.coeffs):
+        raise ValueError(f"width {n} is narrower than {len(u.coeffs)} coefficients")
     width = n if n is not None else max(len(u.coeffs), 1)
     return ",".join(str(u.coeff(i)) for i in range(width))
 

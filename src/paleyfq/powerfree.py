@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterator
 
+import numpy as np
+
 from .errors import (
     AllPowers,
     BadDegree,
@@ -31,7 +33,15 @@ from .errors import (
 )
 from .graphs import build_paley, strong_power
 from .indep import beta_pair_set
-from .polys import PolyFq, compose, enumerate_polynomials, poly
+from .polys import (
+    PolyFq,
+    compose,
+    decode_poly,
+    encode_poly,
+    enumerate_polynomials,
+    enumeration_size,
+    poly,
+)
 from .rings import RingCtx, RingSpec, is_kth_power, make_ring
 from .solver import DEFAULT_BUDGET_S, max_independent_set
 
@@ -279,22 +289,35 @@ def greedy_difference_free(R: RingCtx, n: int, k: int) -> list[PolyFq]:
     polynomial iff no difference with a chosen one, in either order, is a
     nonzero k-th power.  The guaranteed size q^(n-1-floor((n-1)/k)) needs
     -1 to be a k-th power (both orders then coincide); the scan itself
-    runs regardless and its output is always difference-free."""
+    runs regardless and its output is always difference-free.
+
+    The scan walks the codes range(q^n) by banned translates.  A candidate
+    is rejected iff cand - c or c - cand is in `powers` for an earlier
+    chosen c, that is iff cand is in c + powers or c - powers.  So each
+    chosen c bans the codes of c + w and c - w for every w in `powers`, a
+    code is chosen iff it is not banned when the walk reaches it, and only
+    chosen codes are decoded.  A base-q digit of a code is the base-p
+    index of one coefficient, so polynomial addition is digit-wise mod p
+    on the s*n base-p digits of the codes: |chosen|*|powers|*2 additions
+    on digit arrays, not pairwise PolyFq differences."""
+    size = enumeration_size(R, n)
     depth = (n - 1) // k + 1
-    powers = set()
-    for b in enumerate_polynomials(R, depth):
-        w = b**k
-        if w.degree < n:
-            powers.add(w)
-    powers.discard(poly(R, ()))
-    chosen: list[PolyFq] = []
-    for cand in enumerate_polynomials(R, n):
-        if all(
-            (cand - c) not in powers and (c - cand) not in powers
-            for c in chosen
-        ):
-            chosen.append(cand)
-    return chosen
+    codes = (encode_poly(b**k) for b in enumerate_polynomials(R, depth))
+    powers = {w for w in codes if 0 < w < size}  # nonzero, degree < n
+    p = R.spec.p
+    places = p ** np.arange(R.spec.s * n, dtype=np.int64)
+    W = np.array(list(powers), dtype=np.int64)[:, None] // places % p
+    banned = bytearray(size)
+    marks = np.frombuffer(banned, dtype=np.uint8)
+    chosen = []
+    code = banned.find(0)
+    while code >= 0:
+        chosen.append(code)
+        d = code // places % p
+        marks[(d + W) % p @ places] = 1
+        marks[(d - W) % p @ places] = 1
+        code = banned.find(0, code + 1)
+    return [decode_poly(R, c) for c in chosen]
 
 
 def greedy_lower_bound(q: int, n: int, k: int) -> int:

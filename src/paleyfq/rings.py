@@ -159,7 +159,8 @@ class RingCtx:
 
     make_ring picks the arithmetic once: _ResidueRing (Z/m and F_p, plain
     integers mod the order) or _ExtensionField (F_{p^s} with s > 1,
-    exp/log and Zech tables).  Every field keeps the exp/log tables of its
+    exp/log and Zech tables).  Each also has its own polynomial product
+    kernel, convolve(a, b).  Every field keeps the exp/log tables of its
     least-index generator.
 
     The additive group is the grid (Z/radix)^len(shape): shape is (p,)*s
@@ -311,6 +312,18 @@ class _ResidueRing(RingCtx):
             x, e = self.inv(x), -e
         return pow(x, e, self.order)
 
+    def convolve(self, a, b) -> list[int]:
+        """Coefficients of the product of the polynomials a and b (index
+        sequences, low degree first): integer multiply-accumulate, then
+        one reduction per output coefficient."""
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        m = self.order
+        return [c % m for c in out]
+
 
 class _ExtensionField(RingCtx):
     """F_{p^s} with s > 1: multiplication through exp/log, addition through
@@ -364,6 +377,28 @@ class _ExtensionField(RingCtx):
                 raise ZeroDivisionError("0 has no inverse")
             return 0 if e else 1
         return self.exp[self.log[x] * e % self._qm1]
+
+    def convolve(self, a, b) -> list[int]:
+        """Coefficients of the product of the polynomials a and b (index
+        sequences, low degree first).  Each output coefficient is kept as
+        an unreduced log, -1 while it is zero; a product term g^t is added
+        by Zech's logarithm, and the logs go back through exp at the end."""
+        log, zech, qm1 = self.log, self._zech, self._qm1
+        logs_b = [(j, log[y]) for j, y in enumerate(b) if y]
+        acc = [-1] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                lx = log[x]
+                for j, ly in logs_b:
+                    k, t = i + j, lx + ly
+                    s = acc[k]
+                    if s < 0:
+                        acc[k] = t
+                    else:
+                        z = zech[(t - s) % qm1]
+                        acc[k] = -1 if z < 0 else s + z
+        exp = self.exp
+        return [0 if s < 0 else exp[s % qm1] for s in acc]
 
 
 def make_ring(spec: RingSpec) -> RingCtx:

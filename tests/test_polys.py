@@ -15,7 +15,7 @@ from paleyfq.polys import (
     poly,
 )
 from paleyfq.rings import RingSpec, factor_prime_power, factorize, make_ring
-from util import ref_kth_root
+from util import ref_kth_root, ref_poly_mul, ref_poly_pow
 
 R2 = make_ring(RingSpec.field(2))
 R3 = make_ring(RingSpec.field(3))
@@ -147,6 +147,24 @@ def test_text_encoding():
         parse_poly(R7, "9")
 
 
+def test_format_poly_rejects_a_narrow_width():
+    u = poly(R7, (1, 0, 3))
+    assert format_poly(u, 3) == "1,0,3"
+    assert format_poly(poly(R7, ()), 2) == "0,0"
+    with pytest.raises(ValueError):
+        format_poly(u, 2)
+
+
+def test_pow_edge_cases():
+    one, zero = poly(R7, (1,)), poly(R7, ())
+    u = poly(R7, (1, 0, 3))
+    assert u**0 == one and zero**0 == one
+    assert u**1 == u and zero**1 == zero
+    assert zero**5 == zero
+    with pytest.raises(ValueError):
+        u**-1
+
+
 ROOT_FIELDS = [q for q in range(2, 50) if len(factorize(q)) == 1]
 
 
@@ -168,3 +186,16 @@ def test_kth_root_matches_top_down_reference(q):
                        w + rand_poly(rng.randrange(max(w.degree, 1)))]
         for u in inputs:
             assert kth_root(u, k) == ref_kth_root(u, k), (q, k, u)
+
+
+@pytest.mark.parametrize("q", ROOT_FIELDS)
+def test_mul_and_pow_match_schoolbook_reference(q):
+    R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    rng = random.Random(1000 + q)
+    us = [poly(R, ())] + [decode_poly(R, rng.randrange(q ** rng.randrange(1, 7)))
+                          for _ in range(20)]
+    for a, b in zip(us, us[1:] + us[:1]):
+        assert a * b == ref_poly_mul(a, b), (q, a, b)
+    for a in us:
+        for e in range(10):
+            assert a**e == ref_poly_pow(a, e), (q, a, e)

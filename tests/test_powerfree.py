@@ -4,6 +4,7 @@ from paleyfq.errors import (
     AllPowers,
     BadDegree,
     BadN,
+    EnumerationTooLarge,
     NotApplicable,
     NotMonomial,
     VerificationTooLarge,
@@ -22,10 +23,10 @@ from paleyfq.powerfree import (
     VERIFY_CAP,
     verify_no_F_difference,
 )
-from paleyfq.rings import RingSpec, factorize, make_ring
+from paleyfq.rings import RingSpec, factor_prime_power, factorize, make_ring
 from paleyfq.solver import max_independent_set
 
-from util import exhaustive_mis_size
+from util import exhaustive_mis_size, ref_greedy_difference_free
 
 R2 = make_ring(RingSpec.field(2))
 R3 = make_ring(RingSpec.field(3))
@@ -207,6 +208,28 @@ def test_greedy_f2():
     assert len(g5) >= greedy_lower_bound(2, 5, 2) == 4
     g3 = greedy_difference_free(R2, 3, 2)
     assert len(g3) >= greedy_lower_bound(2, 3, 2) == 2
+
+
+# F_3 and F_7: the squares are not closed under negation; (2,9,2) and
+# (3,5,2) are the benchmark's inputs
+GREEDY_GRID = [(2, 6, 2), (2, 8, 3), (2, 9, 2), (2, 10, 4), (3, 3, 2),
+               (3, 4, 3), (3, 5, 2), (4, 4, 2), (4, 5, 3), (5, 3, 2),
+               (5, 4, 3), (7, 3, 2), (7, 3, 3), (8, 3, 2), (9, 3, 2)]
+
+
+@pytest.mark.parametrize("q,n,k", GREEDY_GRID)
+def test_greedy_matches_pairwise_first_fit(q, n, k):
+    R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    assert greedy_difference_free(R, n, k) == ref_greedy_difference_free(R, n, k)
+
+
+def test_greedy_refuses_over_the_enumeration_cap_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("enumerated before the cap check")
+
+    monkeypatch.setattr("paleyfq.powerfree.enumerate_polynomials", no_work)
+    with pytest.raises(EnumerationTooLarge):
+        greedy_difference_free(R2, 30, 2)
 
 
 def test_greedy_output_is_difference_free():

@@ -13,7 +13,7 @@ import numpy as np
 
 import paleyfq
 from paleyfq.graphs import GenericGraph
-from paleyfq.polys import PolyFq, _field_kth_roots
+from paleyfq.polys import PolyFq, _field_kth_roots, decode_poly
 from paleyfq.rings import _pmod, _pmul, factorize
 
 
@@ -229,10 +229,52 @@ def ref_spectrum(G) -> list[float]:
     return sorted(float(v) for v in vals.real)
 
 
+def ref_poly_mul(u, v):
+    """u * v by the schoolbook loop, one R.add and R.mul call per pair of
+    nonzero coefficients."""
+    R = u.ring
+    if u.is_zero() or v.is_zero():
+        return PolyFq(R, ())
+    out = [0] * (len(u.coeffs) + len(v.coeffs) - 1)
+    for i, a in enumerate(u.coeffs):
+        if a:
+            for j, b in enumerate(v.coeffs):
+                if b:
+                    out[i + j] = R.add(out[i + j], R.mul(a, b))
+    return PolyFq(R, out)
+
+
+def ref_poly_pow(u, e: int):
+    """u^e by e repeated ref_poly_mul calls, starting from 1."""
+    out = PolyFq(u.ring, (1,))
+    for _ in range(e):
+        out = ref_poly_mul(out, u)
+    return out
+
+
+def ref_greedy_difference_free(R, n: int, k: int) -> list:
+    """First fit over P_{q,n} in code order by pairwise differences: a
+    candidate is kept iff neither cand - c nor c - cand is a nonzero k-th
+    power for every c kept before it (powers by ref_poly_pow)."""
+    depth = (n - 1) // k + 1
+    powers = set()
+    for code in range(R.order**depth):
+        w = ref_poly_pow(decode_poly(R, code), k)
+        if not w.is_zero() and w.degree < n:
+            powers.add(w)
+    chosen = []
+    for code in range(R.order**n):
+        cand = decode_poly(R, code)
+        if all((cand - c) not in powers and (c - cand) not in powers
+               for c in chosen):
+            chosen.append(cand)
+    return chosen
+
+
 def ref_kth_root(u, k: int):
     """k-th root by top-down coefficient matching that recomputes the full
     power b^k0 once per coefficient (same p-part handling, lead-root
-    choice and final check as the library)."""
+    choice and final check as the library, with powers by ref_poly_pow)."""
     R = u.ring
     if u.is_zero():
         return PolyFq(R, ())
@@ -265,11 +307,11 @@ def ref_kth_root(u, k: int):
     b[D] = lead_roots[0]
     inv_pivot = R.inv(R.mul(k0 % p, R.pow_elem(b[D], k0 - 1)))
     for i in range(D - 1, -1, -1):
-        cur = PolyFq(R, b) ** k0
+        cur = ref_poly_pow(PolyFq(R, b), k0)
         target = w.coeff((k0 - 1) * D + i)
         b[i] = R.mul(R.sub(target, cur.coeff((k0 - 1) * D + i)), inv_pivot)
     cand = PolyFq(R, b)
-    return cand if cand**k0 == w else None
+    return cand if ref_poly_pow(cand, k0) == w else None
 
 
 def ref_strong_product_rows(g: GenericGraph, h: GenericGraph) -> list[int]:
