@@ -69,9 +69,6 @@ class GenericGraph:
     def to_generic(self) -> "GenericGraph":
         return self
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 

@@ -65,20 +65,11 @@ class PolyFq:
         return PolyFq(R, R.convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> "PolyFq":
-        """Right-to-left square-and-multiply from base itself, squaring
-        only while set bits remain above the current one."""
         if e < 0:
             raise ValueError("negative polynomial power")
         if not e:
             return PolyFq(self.ring, (1,))
-        base, result = self, None
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return PolyFq(self.ring, _pow_coeffs(self.ring, self.coeffs, e))
 
     def __neg__(self) -> "PolyFq":
         R = self.ring
@@ -141,6 +132,42 @@ def _field_kth_roots(R: RingCtx, c: int, k: int) -> list[int]:
     return sorted(roots)
 
 
+def _pow_coeffs(R: RingCtx, a, e: int) -> list[int]:
+    """Coefficients of a^e (e >= 1) for the coefficient sequence a, by
+    right-to-left square-and-multiply through R.convolve, squaring only
+    while set bits remain above the current one."""
+    base, result = a, None
+    while True:
+        if e & 1:
+            result = base if result is None else R.convolve(result, base)
+        e >>= 1
+        if not e:
+            return list(result)
+        base = R.convolve(base, base)
+
+
+def _root_lead(R: RingCtx, k0: int, lead: int):
+    """Set-up of a k0-th root whose leading coefficient raises to lead:
+    (B_0, B_0^m for m < k0, slopes m * B_0^(m-1) for m <= k0, inverse
+    pivot) with B_0 the least-index field root of lead, or None when lead
+    has none.  Cached on R per (k0, lead), at most q - 1 entries per k0."""
+    key = (k0, lead)
+    if key in R._root_leads:
+        return R._root_leads[key]
+    roots = _field_kth_roots(R, lead, k0)
+    entry = None
+    if roots:
+        b0 = roots[0]
+        pows = [1]
+        for _ in range(k0):
+            pows.append(R.mul(pows[-1], b0))
+        p = R.spec.p
+        slope = (0,) + tuple(R.mul(m % p, pows[m - 1]) for m in range(1, k0 + 1))
+        entry = (b0, tuple(pows[:k0]), slope, R.inv(slope[k0]))
+    R._root_leads[key] = entry
+    return entry
+
+
 def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
     """A polynomial b with b^k = u, or None if u is not a k-th power.
 
@@ -151,20 +178,26 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
     matching coefficients top-down, where each step has the unit pivot
     k0 * lead^(k0-1).  Among the gcd(k, q-1) field roots of the leading
     coefficient the one with least canonical index is chosen, which makes
-    the result deterministic.
+    the result deterministic.  A constant is answered by that field root
+    alone, so its cost grows with log k, not k.
 
     Top-down matching runs in one pass over the reversed root
     B_j = b[D-j] (D = deg b): with c[m][j] = [x^j] B^m, the coefficient
     W_j = w[k0*D - j] equals c[k0][j], in which B_j appears only in the
     term k0 * B_0^(k0-1) * B_j.  So B_j = (W_j - partial) / pivot, where
     partial is c[k0][j] with B_j = 0, and each partial follows from
-    c[m][j] = sum_{i<=j} B_i c[m-1][j-i] over the finished columns.
-    That is O(k0 * D^2) ring operations; the final b^k0 = w check stays.
+    c[m][j] = sum_{i<=j} B_i c[m-1][j-i] over the finished columns.  The
+    columns start at m = 2, as c[1] is B itself, so this is
+    O((k0 - 1) * D^2) ring operations.  The lead set-up (B_0, its powers,
+    the slopes and the inverse pivot) is cached per ring by _root_lead.
+    The final check b^k0 = w keeps full strength at O(log k0) coefficient
+    list products through R.convolve.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     R = u.ring
-    if u.is_zero():
+    wc = u.coeffs
+    if not wc:
         return PolyFq(R, ())
     p, s = R.spec.p, R.spec.s
 
@@ -174,55 +207,50 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
         k0 //= p
         e += 1
 
-    w = u
     if e:
         pe = p**e
-        if any(c and (i % pe) for i, c in enumerate(u.coeffs)):
+        if any(c and (i % pe) for i, c in enumerate(wc)):
             return None
         # inverse Frobenius applied e times: c -> c^(p^((-e) mod s))
         inv_frob = p ** ((-e) % s)
-        wc = [0] * (len(u.coeffs) // pe + 1)
-        for i, c in enumerate(u.coeffs):
-            if c:
-                wc[i // pe] = R.pow_elem(c, inv_frob)
-        w = PolyFq(R, wc)
+        wc = [R.pow_elem(c, inv_frob) for c in wc[::pe]]
 
     if k0 == 1:
-        return w
+        return PolyFq(R, wc)
 
-    dw = w.degree
+    dw = len(wc) - 1
     if dw % k0:
         return None
     D = dw // k0
-    lead_roots = _field_kth_roots(R, w.coeffs[-1], k0)
-    if not lead_roots:
-        return None
-    add, mul = R.add, R.mul
-    W = w.coeffs[::-1]
-    B = [lead_roots[0]]
-    lead_pows = [1]  # B_0^m
-    for _ in range(k0):
-        lead_pows.append(mul(lead_pows[-1], B[0]))
-    # c[m] holds the finished columns of B^m for m < k0; slope[m] is the
-    # coefficient m * B_0^(m-1) of B_j in c[m][j]
-    c = [[lead_pows[m]] for m in range(k0)]
-    slope = [0] + [mul(m % p, lead_pows[m - 1]) for m in range(1, k0 + 1)]
-    inv_pivot = R.inv(slope[k0])
-    for j in range(1, D + 1):
-        partial = [0] * (k0 + 1)
-        for m in range(1, k0 + 1):
-            prev = c[m - 1]
-            acc = mul(B[0], partial[m - 1])
-            for i in range(1, j):
-                acc = add(acc, mul(B[i], prev[j - i]))
-            partial[m] = acc
-        Bj = mul(R.sub(W[j], partial[k0]), inv_pivot)
-        B.append(Bj)
-        for m in range(k0):
-            c[m].append(add(partial[m], mul(slope[m], Bj)))
-    cand = PolyFq(R, B[::-1])
-    if cand**k0 == w:
-        return cand
+    if not D:
+        B = _field_kth_roots(R, wc[0], k0)[:1]
+    else:
+        lead = _root_lead(R, k0, wc[-1])
+        if lead is None:
+            return None
+        b0, pows, slope, inv_pivot = lead
+        add, mul = R.add, R.mul
+        W = wc[::-1]
+        B = [b0]
+        # cols[m] holds the finished columns of B^m for 1 <= m < k0
+        cols = [None, B] + [[pows[m]] for m in range(2, k0)]
+        for j in range(1, D + 1):
+            parts = [0, 0]
+            acc = 0  # partial of column m - 1, 0 for column 1
+            for m in range(2, k0 + 1):
+                prev = cols[m - 1]
+                if acc:
+                    acc = mul(b0, acc)
+                for i in range(1, j):
+                    acc = add(acc, mul(B[i], prev[j - i]))
+                parts.append(acc)
+            Bj = mul(R.sub(W[j], acc), inv_pivot)
+            for m in range(2, k0):
+                cols[m].append(add(parts[m], mul(slope[m], Bj)))
+            B.append(Bj)
+        B.reverse()
+    if B and _pow_coeffs(R, B, k0) == list(wc):
+        return PolyFq(R, B)
     return None
 
 
@@ -258,15 +286,6 @@ def decode_poly(R: RingCtx, code: int) -> PolyFq:
         c.append(code % q)
         code //= q
     return PolyFq(R, c)
-
-
-def format_poly(u: PolyFq, n: int | None = None) -> str:
-    """Comma-separated coefficient indices c_0,...,c_{n-1}; ValueError if
-    n is too narrow to hold every coefficient of u."""
-    if n is not None and n < len(u.coeffs):
-        raise ValueError(f"width {n} is narrower than {len(u.coeffs)} coefficients")
-    width = n if n is not None else max(len(u.coeffs), 1)
-    return ",".join(str(u.coeff(i)) for i in range(width))
 
 
 def parse_poly(R: RingCtx, text: str) -> PolyFq:

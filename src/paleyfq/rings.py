@@ -168,12 +168,13 @@ class RingCtx:
     its digits, lowest place first, and addition is digit-wise mod radix."""
 
     __slots__ = ("spec", "order", "radix", "shape", "modulus", "exp", "log",
-                 "_power_sets")
+                 "_power_sets", "_root_leads")
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self.order = spec.order
         self._power_sets: dict[int, frozenset[int]] = {}
+        self._root_leads: dict[tuple[int, int], tuple | None] = {}
         self.modulus = self.exp = self.log = None
         if spec.kind == "fq":
             self.radix, self.shape = spec.p, (spec.p,) * spec.s

@@ -37,6 +37,8 @@ SOLVER_VERTEX_CAP = 400
 # most vertices of a product's last factor H with a slab table: one byte
 # per subset of H, 1 MB at the cap
 SLAB_CAP = 20
+# bytes of unpacked bits per block of columns in _symmetrize
+_TRANSPOSE_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -60,15 +62,24 @@ class IndepSet:
 
 
 def _symmetrize(g: GenericGraph) -> list[int]:
+    """Rows of the symmetrized graph, row i OR column i.  A directed input
+    is transposed in blocks of columns: the rows as an n x ceil(n/8) byte
+    matrix, each block unpacked to at most _TRANSPOSE_BLOCK bytes of bits,
+    transposed and packed back into column ints.  The byte matrix is
+    freed on return, before the complement is built, so the solver still
+    holds at most three adjacency copies at once."""
     if g.symmetric:
         return list(g.rows)
-    rows = list(g.rows)
-    for i in range(g.n):
-        r = g.rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            rows[j] |= 1 << i
-            r &= r - 1
+    n, rows = g.n, list(g.rows)
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                           dtype=np.uint8).reshape(n, nbytes)
+    width = max(1, _TRANSPOSE_BLOCK // (8 * max(n, 1)))  # bytes of columns per block
+    for lo in range(0, nbytes, width):
+        bits = np.unpackbits(packed[:, lo:lo + width], axis=1, bitorder="little")
+        cols = np.packbits(bits.T, axis=1, bitorder="little")
+        for j, col in enumerate(cols[:n - 8 * lo], 8 * lo):
+            rows[j] |= int.from_bytes(col, "little")
     return rows
 
 

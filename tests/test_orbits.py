@@ -33,7 +33,7 @@ import paleyfq.solver as solver
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set, verify_independent
 
-from util import exhaustive_mis_size, networkx_alpha
+from util import exhaustive_mis_size, networkx_alpha, ref_symmetrize
 
 
 def F(p, s=1):
@@ -186,6 +186,20 @@ def test_slab_bound_on_directed_squares():
     assert verify_independent(G, cert.vertices)
     g = G.to_generic()
     assert cert.size == max_independent_set(GenericGraph(g.n, g.rows)).size == 15
+
+
+@pytest.mark.parametrize("block", [8, solver._TRANSPOSE_BLOCK])
+def test_symmetrize_matches_the_edge_loop(block, monkeypatch):
+    # the block transpose against the per-edge loop on every directed
+    # graph of the suite (F_19^2 and F_23^2 among them) and on Z/15^2, in
+    # one block of columns and in blocks of one byte of columns
+    monkeypatch.setattr(solver, "_TRANSPOSE_BLOCK", block)
+    graphs = [CASES[name]() for name in sorted(CASES)]
+    graphs.append(strong_power(paley(Z(15), 2), 2))
+    directed = [G.to_generic() for G in graphs if not G.symmetric]
+    assert len(directed) == 9
+    for g in directed:
+        assert solver._symmetrize(g) == ref_symmetrize(g)
 
 
 def test_slab_bound_is_off_over_the_cap(monkeypatch):

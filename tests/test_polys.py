@@ -5,11 +5,11 @@ import pytest
 from paleyfq.errors import ContextMismatch, EnumerationTooLarge
 from paleyfq.polys import (
     PolyFq,
+    _field_kth_roots,
     compose,
     decode_poly,
     encode_poly,
     enumerate_polynomials,
-    format_poly,
     kth_root,
     parse_poly,
     poly,
@@ -140,19 +140,9 @@ def test_encode_decode_roundtrip():
 def test_text_encoding():
     u = parse_poly(R7, "1,0,3")
     assert u.coeffs == (1, 0, 3)
-    assert format_poly(u) == "1,0,3"
-    assert format_poly(u, 5) == "1,0,3,0,0"
     assert parse_poly(R7, "0,0").is_zero()
     with pytest.raises(ValueError):
         parse_poly(R7, "9")
-
-
-def test_format_poly_rejects_a_narrow_width():
-    u = poly(R7, (1, 0, 3))
-    assert format_poly(u, 3) == "1,0,3"
-    assert format_poly(poly(R7, ()), 2) == "0,0"
-    with pytest.raises(ValueError):
-        format_poly(u, 2)
 
 
 def test_pow_edge_cases():
@@ -199,3 +189,45 @@ def test_mul_and_pow_match_schoolbook_reference(q):
     for a in us:
         for e in range(10):
             assert a**e == ref_poly_pow(a, e), (q, a, e)
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_kth_root_of_a_constant_with_a_huge_k(q):
+    # a constant is answered by its least field root, in O(log k) work
+    R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    p = R.spec.p
+    big = 10**9 + 7
+    for k in (big, 2 * big, p * big):
+        for c in range(1, q):
+            u = poly(R, (c,))
+            r = kth_root(u, k)
+            if k % p:
+                least = _field_kth_roots(R, c, k)[:1]
+                assert (r is None) == (not least), (q, k, c)
+                assert r is None or r.coeffs == tuple(least)
+            if r is not None:
+                assert r**k == u, (q, k, c)
+        assert kth_root(poly(R, (1, 1)), k) is None  # degree 1 < k
+
+
+@pytest.mark.parametrize("q,ks", [(4, (2, 3, 4, 5, 6, 8, 12)), (9, (2, 4, 6))])
+def test_kth_root_lead_cache_ignores_call_order(q, ks):
+    # k values that share k0 (1 for 2, 4, 8 and 3 for 3, 6, 12 over F_4;
+    # 2 for 2, 6 over F_9) share the cached lead set-up, and k0 = 5 over
+    # F_4 and 4 over F_9 sit beside them under the same leads: one batch
+    # run forwards on a fresh ring and backwards on a second fresh ring of
+    # the same spec gives the same roots, and the roots of the reference
+    spec = RingSpec.field(*factor_prime_power(q))
+    R1, R2 = make_ring(spec), make_ring(spec)
+    rng = random.Random(q)
+    batch = []
+    for _ in range(150):
+        k = rng.choice(ks)
+        b = decode_poly(R1, rng.randrange(q**4))
+        u = b**k
+        batch += [(u, k), (u + poly(R1, (rng.randrange(1, q),)), k)]
+    forwards = [kth_root(u, k) for u, k in batch]
+    backwards = [kth_root(PolyFq(R2, u.coeffs), k) for u, k in reversed(batch)][::-1]
+    assert R1._root_leads and R1._root_leads.keys() == R2._root_leads.keys()
+    for (u, k), a, b in zip(batch, forwards, backwards):
+        assert a == b == ref_kth_root(u, k), (q, k, u)

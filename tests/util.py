@@ -49,6 +49,24 @@ def networkx_alpha(G) -> int:
     return nx.max_weight_clique(H, weight=None)[1]
 
 
+def has_edge(g: GenericGraph, i: int, j: int) -> bool:
+    """True iff row i of g has bit j set, the edge i -> j."""
+    return bool(g.rows[i] >> j & 1)
+
+
+def ref_symmetrize(g: GenericGraph) -> list[int]:
+    """Rows of the symmetrized graph by the per-edge loop: each edge
+    i -> j also sets bit i of row j."""
+    rows = list(g.rows)
+    for i in range(g.n):
+        r = g.rows[i]
+        while r:
+            j = (r & -r).bit_length() - 1
+            rows[j] |= 1 << i
+            r &= r - 1
+    return rows
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> GenericGraph:
     rows = [0] * n
     for i in range(n):
