@@ -117,19 +117,22 @@ def compose(F: PolyFq, u: PolyFq) -> PolyFq:
     return acc
 
 
-def _field_kth_roots(R: RingCtx, c: int, k: int) -> list[int]:
-    """All y in F_q with y^k = c, ascending by index (c nonzero, gcd(k,p)=1)."""
+def _least_field_kth_root(R: RingCtx, c: int, k: int) -> Optional[int]:
+    """The least-index y in F_q with y^k = c, or None if there is none
+    (c nonzero, gcd(k, p) = 1).  The gcd(k, q-1) roots are g^(t0 + j*step),
+    j < gcd(k, q-1), whose exponents stay below q - 1, so they are one
+    strided slice of the exp table."""
     q = R.order
     if q == 2:
-        return [1]
+        return 1
     qm1 = q - 1
     d = math.gcd(k, qm1)
     a = R.log[c]
     if a % d:
-        return []
-    t0 = (a // d) * pow(k // d, -1, qm1 // d) % (qm1 // d)
-    roots = [R.exp[(t0 + j * (qm1 // d)) % qm1] for j in range(d)]
-    return sorted(roots)
+        return None
+    step = qm1 // d
+    t0 = (a // d) * pow(k // d, -1, step) % step
+    return min(R.exp[t0:qm1:step])
 
 
 def _pow_coeffs(R: RingCtx, a, e: int) -> list[int]:
@@ -154,10 +157,9 @@ def _root_lead(R: RingCtx, k0: int, lead: int):
     key = (k0, lead)
     if key in R._root_leads:
         return R._root_leads[key]
-    roots = _field_kth_roots(R, lead, k0)
+    b0 = _least_field_kth_root(R, lead, k0)
     entry = None
-    if roots:
-        b0 = roots[0]
+    if b0 is not None:
         pows = [1]
         for _ in range(k0):
             pows.append(R.mul(pows[-1], b0))
@@ -223,7 +225,8 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
         return None
     D = dw // k0
     if not D:
-        B = _field_kth_roots(R, wc[0], k0)[:1]
+        b0 = _least_field_kth_root(R, wc[0], k0)
+        B = [] if b0 is None else [b0]
     else:
         lead = _root_lead(R, k0, wc[-1])
         if lead is None:

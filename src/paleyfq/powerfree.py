@@ -7,9 +7,10 @@ b_k * S, S a maximum independent set of Paley_k(F_q) containing 0 and b_k
 the leading coefficient of F.  The monomial one, for F = b_k T^k, uses the
 pairs (i, n-k-i) and allows a scaled independent set of the two-fold strong
 product, which is what makes the larger exponent possible.  An independent
-brute-force verifier enumerates all relevant F(u) shifts and tests
-membership, so it shares nothing with the construction logic beyond the
-membership predicate.
+verifier enumerates all relevant shifts d = F(u) and tests, block by
+block, whether d's projection is a difference of two allowed tuples, so
+it shares nothing with the construction logic beyond the block
+description of membership.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
 from .graphs import build_paley, strong_power
 from .indep import beta_pair_set
 from .polys import (
+    ENUM_CAP,
     PolyFq,
     compose,
     decode_poly,
@@ -45,8 +47,7 @@ from .polys import (
 from .rings import RingCtx, RingSpec, is_kth_power, make_ring
 from .solver import DEFAULT_BUDGET_S, max_independent_set
 
-VERIFY_CAP = 10**6  # patterns * q^depth membership scans per verify call
-MATERIALIZE_CAP = 10**7
+VERIFY_CAP = 10**6  # |allowed| * q^depth: differences and shifts per verify call
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,10 @@ class DifferenceFreeSet:
 
     def __iter__(self) -> Iterator[PolyFq]:
         """Members in coefficient-lexicographic order (c_0 most significant
-        among the constrained choices); materialization is capped."""
-        if self.size > MATERIALIZE_CAP:
+        among the constrained choices); sets over ENUM_CAP are refused."""
+        if self.size > ENUM_CAP:
             raise VerificationTooLarge(
-                f"set of size {self.size} exceeds cap {MATERIALIZE_CAP}"
+                f"set of size {self.size} exceeds cap {ENUM_CAP}"
             )
         p = self.params
         con_idx = [i for b in self.blocks for i in b]
@@ -250,37 +251,36 @@ def _reroot(R: RingCtx, vertices) -> frozenset[int]:
 
 
 def verify_no_F_difference(A: DifferenceFreeSet) -> bool:
-    """Independent oracle: enumerate every u with deg F(u) < n, compute
-    d = F(u), and scan all members a for membership of a + d. True iff
-    the only hits have d = 0.
+    """Independent oracle: enumerate every u with deg F(u) < n and test
+    whether some member a has a + d in A, d = F(u) nonzero.  True iff no
+    such pair exists.
 
-    a + d only needs checking at the constrained blocks; free positions
-    never block membership, so each distinct projection of the members
-    onto the blocks is scanned once.  Those projections are exactly the
-    tuples of allowed values, one per block, so they are formed without
-    listing the members, and the cap bounds the scan itself:
-    |allowed|^blocks * q^depth.
+    A member is any polynomial of degree < n whose projection onto each
+    block is an allowed tuple, the blocks are disjoint and the other
+    coefficients are free.  So a and a + d are both members iff, on every
+    block b, a's tuple t and t + d_b are both allowed: the blocks are
+    independent, the free coefficients of a can be anything, and a + d
+    keeps degree < n because deg d = k * deg u < n.  Such an a exists iff
+    every projection d_b lies in diffs = {t' - t : t, t' allowed}, which
+    is formed once.  The cap bounds |allowed| * q^depth, which covers the
+    |allowed|^2 <= |allowed| * q^width differences and the q^depth shifts.
     """
     p = A.params
     R, q, k, n = p.ring, p.q, p.k, p.n
     depth = (n - 1) // k + 1
-    add, allowed, blocks = R.add, A.allowed, A.blocks
-    scans = len(allowed) ** len(blocks) * q**depth
+    allowed, blocks = A.allowed, A.blocks
+    scans = len(allowed) * q**depth
     if scans > VERIFY_CAP:
         raise VerificationTooLarge(
-            f"|allowed|^blocks * q^depth = {scans} exceeds cap {VERIFY_CAP}"
+            f"|allowed| * q^depth = {scans} exceeds cap {VERIFY_CAP}"
         )
-    patterns = list(iproduct(sorted(allowed), repeat=len(blocks)))
+    diffs = {tuple(map(R.sub, b, a)) for a in allowed for b in allowed}
     for u in enumerate_polynomials(R, depth):
         d = compose(p.F, u)
-        if d.is_zero():
-            continue
-        shift = [tuple(d.coeff(i) for i in b) for b in blocks]
-        for a in patterns:
-            if all(
-                tuple(map(add, ab, db)) in allowed for ab, db in zip(a, shift)
-            ):
-                return False
+        if not d.is_zero() and all(
+            tuple(d.coeff(i) for i in b) in diffs for b in blocks
+        ):
+            return False
     return True
 
 
@@ -304,8 +304,8 @@ def greedy_difference_free(R: RingCtx, n: int, k: int) -> list[PolyFq]:
     depth = (n - 1) // k + 1
     codes = (encode_poly(b**k) for b in enumerate_polynomials(R, depth))
     powers = {w for w in codes if 0 < w < size}  # nonzero, degree < n
-    p = R.spec.p
-    places = p ** np.arange(R.spec.s * n, dtype=np.int64)
+    p = R.radix
+    places = p ** np.arange(len(R.shape) * n, dtype=np.int64)
     W = np.array(list(powers), dtype=np.int64)[:, None] // places % p
     banned = bytearray(size)
     marks = np.frombuffer(banned, dtype=np.uint8)

@@ -25,14 +25,12 @@ from .errors import (
     InvariantViolation,
     NotEdgeTransitive,
     NotSquarefree,
-    OrderTooLarge,
     SolverTimeout,
 )
 from .graphs import CayleyGraph, build_paley
 from .rings import RingSpec, factorize, is_prime, kth_power_set, make_ring
 from .solver import DEFAULT_BUDGET_S, SOLVER_VERTEX_CAP, max_independent_set
 
-SPECTRUM_CAP = 1 << 16
 REL_TOL = 1e-6
 
 
@@ -70,8 +68,6 @@ def cayley_spectrum(G: CayleyGraph) -> list[float]:
         raise DirectedUnsupported("spectrum needs an undirected graph")
     R = G.ring
     n = R.order
-    if n > SPECTRUM_CAP:
-        raise OrderTooLarge(f"order {n} exceeds spectrum cap {SPECTRUM_CAP}")
     deg = len(G.connection)
     if not deg:
         return [0.0] * n

@@ -166,6 +166,19 @@ def test_construct_power_keeps_a_larger_incumbent(capsys):
     assert payload["verified"] is True
 
 
+def test_construct_verifies_general_13_2_8(capsys):
+    # S = {0, 2, 7} on 4 blocks of F_13: 3^4 patterns times 13^4 shifts
+    # is over VERIFY_CAP, the block-by-block scan of 3 * 13^4 is not
+    code, payload = run_json(
+        capsys, "construct", "--q", "13", "--k", "2", "--n", "8",
+        "--variant", "general", "--verify",
+    )
+    assert code == 0
+    assert payload["coeff_set"] == [0, 2, 7]
+    assert payload["size"] == 3**4 * 13**4
+    assert payload["verified"] is True
+
+
 def _drop_pair_set(cert):
     del cert["pair_set"]
 

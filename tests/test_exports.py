@@ -67,10 +67,11 @@ def test_perfbench_fires_names_bind_a_boundary(name):
 
 def test_readme_cap_names_resolve():
     # a cap removed from the code but still named in the README fails
-    # here; `solver.SOLVER_VERTEX_CAP` names its module, a bare name may
-    # live in any paleyfq module
-    names = set(re.findall(r"`((?:\w+\.)*[A-Z][A-Z0-9_]*_CAP)`",
-                           (ROOT / "README.md").read_text()))
+    # here, and so does a cap in the code that the README never names;
+    # `solver.SOLVER_VERTEX_CAP` names its module, a bare name may live in
+    # any paleyfq module
+    cap = r"[A-Z][A-Z0-9_]*_CAP"
+    names = set(re.findall(rf"`((?:\w+\.)*{cap})`", (ROOT / "README.md").read_text()))
     modules = [importlib.import_module(f"paleyfq.{m.name}")
                for m in pkgutil.iter_modules(paleyfq.__path__)]
 
@@ -81,6 +82,9 @@ def test_readme_cap_names_resolve():
 
     assert names
     assert sorted(n for n in names if not found(n)) == []
+    defined = {name for m in modules for name in vars(m) if re.fullmatch(cap, name)}
+    named = {n.rsplit(".", 1)[-1] for n in names}
+    assert sorted(defined - named) == []
 
 
 def test_readme_names_every_solver_stats_key():

@@ -1,3 +1,7 @@
+import random
+from functools import partial
+from itertools import product as iproduct
+
 import pytest
 
 from paleyfq.errors import (
@@ -9,7 +13,7 @@ from paleyfq.errors import (
     NotMonomial,
     VerificationTooLarge,
 )
-from paleyfq.polys import decode_poly, poly
+from paleyfq.polys import compose, decode_poly, enumerate_polynomials, poly
 from paleyfq.powerfree import (
     ConstructionParams,
     DifferenceFreeSet,
@@ -140,6 +144,35 @@ def _planted(pair):
     return lambda: DifferenceFreeSet(good.params, good.allowed | {pair})
 
 
+# (q, k, n, variant) of the seeded random sets: two to four blocks, F of
+# degree k with random lower coefficients, at most 4 allowed tuples
+RANDOM_SHAPES = [(2, 2, 6, "general"), (3, 2, 4, "general"), (3, 2, 6, "general"),
+                 (4, 2, 4, "general"), (5, 2, 4, "general"), (2, 3, 9, "general"),
+                 (2, 2, 8, "power"), (3, 2, 8, "power"), (2, 3, 12, "power")]
+RANDOM_SETS = [(shape, seed) for shape in RANDOM_SHAPES for seed in range(3)]
+
+
+def _random_set(shape, seed):
+    q, k, n, variant = shape
+    rng = random.Random(f"{q}-{k}-{n}-{variant}-{seed}")
+    R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    F = poly(R, [rng.randrange(q) for _ in range(k)] + [rng.randrange(1, q)])
+    width = 1 if variant == "general" else 2
+    tuples = list(iproduct(range(q), repeat=width))
+    allowed = rng.sample(tuples, rng.randint(1, min(4, len(tuples))))
+    return DifferenceFreeSet(params(R, k, n, variant, F=F), allowed)
+
+
+def _pairwise_clean(A):
+    # no two members differ by a nonzero shift F(w), w of degree < n: every
+    # member u is tested against u + d for every such shift d
+    p = A.params
+    shifts = {compose(p.F, w) for w in enumerate_polynomials(p.ring, p.n)}
+    shifts = {d for d in shifts if not d.is_zero() and d.degree < p.n}
+    members = set(A)
+    return not any(u + d in members for u in members for d in shifts)
+
+
 @pytest.mark.parametrize("build, clean", [
     (lambda: construct_power(params(R3, 2, 4, "power")), True),
     (lambda: construct_general(params(R3, 2, 4, "general")), True),
@@ -147,26 +180,31 @@ def _planted(pair):
     (_planted((1, 0)), False),
     # (2, 2) clashes only with (1, 2) and itself, not with the first pair
     (_planted((2, 2)), False),
-], ids=["3-2-4-power", "3-2-4-general", "5-2-4-power-3T2", "planted-bad",
-        "planted-bad-late"])
+] + [(partial(_random_set, shape, seed), None) for shape, seed in RANDOM_SETS],
+    ids=["3-2-4-power", "3-2-4-general", "5-2-4-power-3T2", "planted-bad",
+         "planted-bad-late"]
+    + [f"random-{q}-{k}-{n}-{v}-{seed}" for (q, k, n, v), seed in RANDOM_SETS])
 def test_verifier_matches_pairwise_bruteforce(build, clean):
-    # oracle vs oracle: all member pairs, difference tested against every
-    # shift F(w) of degree < n
-    from paleyfq.polys import compose, enumerate_polynomials
-
+    # oracle vs oracle; clean is None where only the brute force knows
     A = build()
-    p = A.params
-    shifts = {compose(p.F, w) for w in enumerate_polynomials(p.ring, p.n)}
-    shifts = {d for d in shifts if not d.is_zero() and d.degree < p.n}
-    members = list(A)
-    pairwise = not any(u - v in shifts for u in members for v in members)
-    assert verify_no_F_difference(A) == pairwise == clean
+    verdict = verify_no_F_difference(A)
+    assert verdict == _pairwise_clean(A)
+    assert clean is None or verdict == clean
+
+
+def test_random_verifier_sets_have_both_verdicts():
+    # the random inputs above test the verifier both ways, on two or more
+    # blocks each
+    assert all(len(_random_set(*case).blocks) >= 2 for case in RANDOM_SETS)
+    verdicts = [verify_no_F_difference(_random_set(*case)) for case in RANDOM_SETS]
+    assert True in verdicts and False in verdicts
 
 
 def test_verifier_cap():
+    # |allowed| * q^depth = 4 * 11^6 > 10^6
     R = make_ring(RingSpec.field(11))
     A = DifferenceFreeSet(
-        params(R, 2, 8, "general"), frozenset((c,) for c in range(4))
+        params(R, 2, 12, "general"), frozenset((c,) for c in range(4))
     )
     with pytest.raises(VerificationTooLarge):
         verify_no_F_difference(A)
@@ -174,7 +212,7 @@ def test_verifier_cap():
 
 def test_verifier_cap_counts_the_scan_not_the_members():
     # 16 beta pairs on F_16: |A| * q^depth = 16^5 * 16^2 > 10^8, but the
-    # scan is 16 patterns times 16^2 shifts
+    # scan is 16 allowed pairs times 16^2 shifts
     R16 = make_ring(RingSpec.field(2, 4))
     A = construct_power(params(R16, 3, 6, "power"), budget_s=1e-9)
     assert A.source == "beta_pairs" and A.size == 16**5
@@ -182,8 +220,10 @@ def test_verifier_cap_counts_the_scan_not_the_members():
 
 
 def test_verifier_cap_admits_every_set_the_member_bound_admitted():
-    # the earlier cap bounded |A| * q^depth by 10^8; every set it admitted
-    # scans |allowed|^blocks * q^depth = |A| * q^depth / q^free <= 10^6.
+    # the first cap bounded |A| * q^depth by 10^8; every set it admitted
+    # has |allowed| * q^depth <= 10^6.  (The second bounded the pattern
+    # count |allowed|^blocks * q^depth by 10^6, which is never below
+    # |allowed| * q^depth, so what it admitted is admitted too.)
     # |allowed| is at most q (general) or q^2 (power).  The ranges hold
     # every (q, k, n) with q^(free + depth) <= 10^8: that needs q <= 10^4,
     # free >= k - 1 and free >= n/2
@@ -198,9 +238,9 @@ def test_verifier_cap_admits_every_set_the_member_bound_admitted():
                         break
                     a = 1
                     while a <= q**width and a**blocks * q ** (free + depth) <= 10**8:
-                        largest = max(largest, a**blocks * q**depth)
+                        largest = max(largest, a * q**depth)
                         a += 1
-    assert largest <= VERIFY_CAP
+    assert largest == 214_369 <= VERIFY_CAP  # 463 * 463: q = 463, n = k = 2
 
 
 def test_greedy_f2():

@@ -10,10 +10,9 @@ from paleyfq.errors import (
     NotSquarefree,
 )
 from paleyfq.graphs import CayleyGraph, build_paley
-from paleyfq.rings import RingSpec, make_ring
+from paleyfq.rings import ORDER_CAP, RingSpec, make_ring
 from paleyfq.solver import max_independent_set
 from paleyfq.theta import (
-    SPECTRUM_CAP,
     cayley_spectrum,
     lovasz_theta,
     lovasz_theta_complement,
@@ -208,7 +207,7 @@ import paleyfq.bounds
 import paleyfq.indep
 from paleyfq.errors import InvariantViolation
 from paleyfq.graphs import CayleyGraph
-from paleyfq.rings import RingSpec, make_ring
+from paleyfq.rings import ORDER_CAP, RingSpec, make_ring
 from paleyfq.theta import cayley_spectrum
 G = CayleyGraph(ring=make_ring(RingSpec.field(7)), k=6,
                 connection=frozenset({1}))
@@ -229,25 +228,31 @@ for check in (lambda: cayley_spectrum(G),
     assert proc.stdout.split() == ["False", "raised"] * 3
 
 
-def test_theta_at_spectrum_cap_fits_in_2gb():
-    # theta at the largest admitted order, with address space capped so a
-    # dense n x |S| temporary fails fast instead of swapping
+def test_theta_at_order_cap_fits_in_2gb():
+    # theta at the largest ring make_ring admits, with address space capped
+    # so a dense n x |S| temporary fails fast instead of swapping;
+    # --complement computes the spectra of the graph and of its complement
     code = f"""
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from paleyfq.cli import main
-ring = "fq:{SPECTRUM_CAP}"
-codes = [main(["theta", "--ring", ring, "--k", "3"]),
-         main(["theta", "--ring", ring, "--k", "3", "--complement"])]
-sys.exit(max(codes))
+sys.exit(main(["theta", "--ring", "fq:{ORDER_CAP}", "--k", "3", "--complement"]))
 """
     proc = run_child(code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    plain, comp = (json.loads(line)["theta"] for line in proc.stdout.splitlines())
-    q = SPECTRUM_CAP
-    assert abs(plain["value"] * comp["value"] - q) < 1e-9 * q
-    # the complement is (q-1-d)-regular, d = (q-1)/3, and theta never
-    # exceeds the ratio bound of its spectrum
-    assert comp["lambda_max"] == q - 1 - (q - 1) // 3
+    comp = json.loads(proc.stdout)["theta"]
+    q, d = ORDER_CAP, (ORDER_CAP - 1) // 3
+    # the complement is (q-1-d)-regular, and theta never exceeds the ratio
+    # bound of its spectrum
+    assert comp["lambda_max"] == q - 1 - d
     lo, hi = comp["lambda_min"], comp["lambda_max"]
     assert comp["value"] <= q * -lo / (hi - lo) * (1 + 1e-9)
+    # q = 4^10 and 2 = -1 mod 3 (the semi-primitive case): the nontrivial
+    # eigenvalues of Paley_3(F_q) are low = (-1 - 2r)/3 and high = (r - 1)/3,
+    # r = sqrt(q), so theta = q * -low / (d - low), the complement's theta
+    # is q / theta, and its least eigenvalue is -1 - high
+    r = math.isqrt(q)
+    assert r * r == q and r % 3 == 1
+    low, high = (-1 - 2 * r) // 3, (r - 1) // 3
+    assert lo == -1 - high
+    assert abs(comp["value"] - (d - low) / -low) < 1e-6

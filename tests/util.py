@@ -13,7 +13,7 @@ import numpy as np
 
 import paleyfq
 from paleyfq.graphs import GenericGraph
-from paleyfq.polys import PolyFq, _field_kth_roots, decode_poly
+from paleyfq.polys import PolyFq, _least_field_kth_root, decode_poly
 from paleyfq.rings import _pmod, _pmul, factorize
 
 
@@ -318,11 +318,11 @@ def ref_kth_root(u, k: int):
     if dw % k0:
         return None
     D = dw // k0
-    lead_roots = _field_kth_roots(R, w.coeffs[-1], k0)
-    if not lead_roots:
+    lead_root = _least_field_kth_root(R, w.coeffs[-1], k0)
+    if lead_root is None:
         return None
     b = [0] * (D + 1)
-    b[D] = lead_roots[0]
+    b[D] = lead_root
     inv_pivot = R.inv(R.mul(k0 % p, R.pow_elem(b[D], k0 - 1)))
     for i in range(D - 1, -1, -1):
         cur = ref_poly_pow(PolyFq(R, b), k0)
