@@ -13,13 +13,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import powerfree
-from .errors import (
-    EnumerationTooLarge,
-    OrderTooLarge,
-    PaleyfqError,
-    SolverTimeout,
-    VerificationTooLarge,
-)
+from .errors import CapExceeded, PaleyfqError, SolverTimeout
 from .graphs import build_paley, export_dimacs, strong_power
 from .polys import parse_poly
 from .rings import RingCtx, RingSpec, factor_prime_power, make_ring
@@ -31,12 +25,6 @@ from .solver import (
 from .theta import lovasz_theta, lovasz_theta_complement, theta_zmod
 
 SCHEMA = 1
-
-_CAP_ERRORS = (
-    OrderTooLarge,
-    EnumerationTooLarge,
-    VerificationTooLarge,
-)
 
 
 def _round_floats(obj):
@@ -281,7 +269,7 @@ def main(argv=None) -> int:
         # solver, which would otherwise be the only check
         check_budget(getattr(args, "budget", DEFAULT_BUDGET_S))
         payload = args.func(args)
-    except _CAP_ERRORS as exc:
+    except CapExceeded as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
         return 3
     except SolverTimeout as exc:

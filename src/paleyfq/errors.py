@@ -12,6 +12,10 @@ class InvariantViolation(PaleyfqError):
     ``python -O``."""
 
 
+class CapExceeded(PaleyfqError):
+    """A desk-scale cap refused the input (CLI exit 3)."""
+
+
 # ring construction
 class NotPrime(PaleyfqError):
     pass
@@ -21,7 +25,7 @@ class BadModulus(PaleyfqError):
     pass
 
 
-class OrderTooLarge(PaleyfqError):
+class OrderTooLarge(CapExceeded):
     pass
 
 
@@ -38,7 +42,7 @@ class ContextMismatch(PaleyfqError):
     pass
 
 
-class EnumerationTooLarge(PaleyfqError):
+class EnumerationTooLarge(CapExceeded):
     pass
 
 
@@ -95,7 +99,7 @@ class NotMonomial(PaleyfqError):
     pass
 
 
-class VerificationTooLarge(PaleyfqError):
+class VerificationTooLarge(CapExceeded):
     pass
 
 

@@ -12,7 +12,7 @@ import math
 from typing import Iterator, Optional
 
 from .errors import ContextMismatch, EnumerationTooLarge, NotAField
-from .rings import RingCtx
+from .rings import RingCtx, fold_digits, split_digits
 
 ENUM_CAP = 10**7
 
@@ -107,14 +107,18 @@ def poly(ring: RingCtx, coeffs) -> PolyFq:
 
 
 def compose(F: PolyFq, u: PolyFq) -> PolyFq:
-    """F(u) by Horner's rule."""
+    """F(u) by Horner's rule on coefficient lists through R.convolve."""
     if F.ring.spec != u.ring.spec:
         raise ContextMismatch("polynomials over different fields")
-    R = F.ring
-    acc = PolyFq(R, ())
+    R, uc = F.ring, u.coeffs
+    acc = []
     for c in reversed(F.coeffs):
-        acc = acc * u + PolyFq(R, (c,))
-    return acc
+        acc = R.convolve(acc, uc) if acc and uc else []
+        if acc:
+            acc[0] = R.add(acc[0], c)
+        else:
+            acc = [c]
+    return PolyFq(R, acc)
 
 
 def _least_field_kth_root(R: RingCtx, c: int, k: int) -> Optional[int]:
@@ -275,20 +279,11 @@ def enumerate_polynomials(R: RingCtx, n: int) -> Iterator[PolyFq]:
 
 def encode_poly(u: PolyFq) -> int:
     """Base-q integer encoding of the coefficient vector."""
-    q = u.ring.order
-    x = 0
-    for c in reversed(u.coeffs):
-        x = x * q + c
-    return x
+    return fold_digits(u.coeffs, u.ring.order)
 
 
 def decode_poly(R: RingCtx, code: int) -> PolyFq:
-    q = R.order
-    c = []
-    while code:
-        c.append(code % q)
-        code //= q
-    return PolyFq(R, c)
+    return PolyFq(R, split_digits(code, R.order))
 
 
 def parse_poly(R: RingCtx, text: str) -> PolyFq:

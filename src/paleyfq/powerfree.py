@@ -47,7 +47,7 @@ from .polys import (
 from .rings import RingCtx, RingSpec, is_kth_power, make_ring
 from .solver import DEFAULT_BUDGET_S, max_independent_set
 
-VERIFY_CAP = 10**6  # |allowed| * q^depth: differences and shifts per verify call
+VERIFY_CAP = 10**6  # q^depth * max(|allowed|, k*n) per verify call
 
 
 @dataclass(frozen=True)
@@ -262,17 +262,19 @@ def verify_no_F_difference(A: DifferenceFreeSet) -> bool:
     independent, the free coefficients of a can be anything, and a + d
     keeps degree < n because deg d = k * deg u < n.  Such an a exists iff
     every projection d_b lies in diffs = {t' - t : t, t' allowed}, which
-    is formed once.  The cap bounds |allowed| * q^depth, which covers the
-    |allowed|^2 <= |allowed| * q^width differences and the q^depth shifts.
+    is formed once.  The cap bounds q^depth * max(|allowed|, k*n): it
+    covers the |allowed|^2 <= |allowed| * q^width differences, and each of
+    the q^depth shifts costs a Horner pass of k products, each giving at
+    most n coefficients.
     """
     p = A.params
     R, q, k, n = p.ring, p.q, p.k, p.n
     depth = (n - 1) // k + 1
     allowed, blocks = A.allowed, A.blocks
-    scans = len(allowed) * q**depth
-    if scans > VERIFY_CAP:
+    work = q**depth * max(len(allowed), k * n)
+    if work > VERIFY_CAP:
         raise VerificationTooLarge(
-            f"|allowed| * q^depth = {scans} exceeds cap {VERIFY_CAP}"
+            f"q^depth * max(|allowed|, k*n) = {work} exceeds cap {VERIFY_CAP}"
         )
     diffs = {tuple(map(R.sub, b, a)) for a in allowed for b in allowed}
     for u in enumerate_polynomials(R, depth):

@@ -28,16 +28,7 @@ _BLOCK = 1 << 16  # rows per temporary digit block
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -87,40 +78,48 @@ class RingSpec:
         return self.p**self.s if self.kind == "fq" else self.m
 
 
-# ---------------------------------------------------------------------------
-# small helpers for polynomials over F_p (internal representation of F_{p^s})
-# coefficient tuples, low degree first, trailing zeros trimmed
+def split_digits(x: int, radix: int, width: int = 0) -> list[int]:
+    """Base-radix digits of x >= 0, lowest place first: as many as x
+    needs (none for 0), padded with zeros to width."""
+    out = []
+    while x or len(out) < width:
+        x, r = divmod(x, radix)
+        out.append(r)
+    return out
 
-def _ptrim(c: list[int]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
+
+def fold_digits(d, radix: int) -> int:
+    """The number whose base-radix digits, lowest place first, are d."""
+    x = 0
+    for c in reversed(d):
+        x = x * radix + c
+    return x
 
 
-def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
+def convolve_mod(a, b, m: int) -> list[int]:
+    """Coefficients of the product of the polynomials a and b (integer
+    sequences, low degree first) mod m: integer multiply-accumulate, then
+    one reduction per output coefficient."""
     out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return [c % m for c in out]
 
 
-def _pmod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a modulo monic m."""
+def _pmod(a, m: tuple[int, ...], p: int) -> list[int]:
+    """Remainder of the F_p polynomial a modulo monic m (coefficients low
+    degree first), as at most deg(m) coefficients."""
     a = list(a)
     dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
+    while len(a) > dm:
+        lead = a.pop()
         if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
+            shift = len(a) - dm
+            for i, mi in enumerate(m[:-1]):
                 a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _ptrim(a)
+    return a
 
 
 def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
@@ -128,27 +127,16 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
     deg = len(m) - 1
     for d in range(1, deg // 2 + 1):
         for code in range(p**d):
-            low = _decode_poly(code, p)
-            div = tuple(list(low) + [0] * (d - len(low)) + [1])
-            if not _pmod(m, div, p):
+            if not any(_pmod(m, split_digits(code, p, d) + [1], p)):
                 return False
     return True
-
-
-def _decode_poly(code: int, p: int) -> tuple[int, ...]:
-    c = []
-    while code:
-        c.append(code % p)
-        code //= p
-    return tuple(c)
 
 
 def _find_modulus(p: int, s: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree s over F_p, ordered by the
     base-p encoding of the non-leading coefficients."""
     for code in range(p**s):
-        low = _decode_poly(code, p)
-        m = tuple(list(low) + [0] * (s - len(low)) + [1])
+        m = tuple(split_digits(code, p, s) + [1])
         if _is_irreducible(m, p):
             return m
     raise InvariantViolation("an irreducible of every degree exists")
@@ -188,17 +176,10 @@ class RingCtx:
     def digits(self, x: int) -> tuple[int, ...]:
         """Digits of x, lowest place first: for F_{p^s} the coefficient
         vector of the residue representative, for Z/m the 1-tuple (x,)."""
-        out = []
-        for _ in self.shape:
-            x, r = divmod(x, self.radix)
-            out.append(r)
-        return tuple(out)
+        return tuple(split_digits(x, self.radix, len(self.shape)))
 
     def from_digits(self, d) -> int:
-        x = 0
-        for c in reversed(d):
-            x = x * self.radix + c
-        return x
+        return fold_digits(d, self.radix)
 
     def digit_array(self, xs: np.ndarray) -> np.ndarray:
         """Digits of the indices xs as a (len(xs), len(shape)) int64
@@ -212,8 +193,8 @@ class RingCtx:
 
     def _raw_mul(self, x: int, y: int) -> int:
         p = self.spec.p
-        rem = _pmod(_pmul(self.digits(x), self.digits(y), p), self.modulus, p)
-        return self.from_digits(rem)
+        prod = convolve_mod(self.digits(x), self.digits(y), p)
+        return self.from_digits(_pmod(prod, self.modulus, p))
 
     def _raw_pow(self, x: int, e: int) -> int:
         r = 1
@@ -315,15 +296,8 @@ class _ResidueRing(RingCtx):
 
     def convolve(self, a, b) -> list[int]:
         """Coefficients of the product of the polynomials a and b (index
-        sequences, low degree first): integer multiply-accumulate, then
-        one reduction per output coefficient."""
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        m = self.order
-        return [c % m for c in out]
+        sequences, low degree first), by convolve_mod."""
+        return convolve_mod(a, b, self.order)
 
 
 class _ExtensionField(RingCtx):

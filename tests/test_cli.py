@@ -179,6 +179,19 @@ def test_construct_verifies_general_13_2_8(capsys):
     assert payload["verified"] is True
 
 
+def test_construct_verify_refuses_a_long_horner_pass_at_once(capsys):
+    # 13^3 shifts of six allowed tuples, but each shift is a Horner pass
+    # of 1,200 products: 13^3 * k*n = 2,197 * 4,320,000 is over VERIFY_CAP
+    start = time.monotonic()
+    code, payload = run_json(
+        capsys, "construct", "--q", "13", "--k", "1200", "--n", "3600",
+        "--variant", "general", "--verify",
+    )
+    assert code == 3
+    assert time.monotonic() - start < 5.0
+    assert payload["error"] == "VerificationTooLarge"
+
+
 def _drop_pair_set(cert):
     del cert["pair_set"]
 

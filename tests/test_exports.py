@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -100,3 +101,13 @@ def test_readme_names_every_solver_stats_key():
     readme = (ROOT / "README.md").read_text()
     assert stats
     assert sorted(k for k in stats if f"`{k}`" not in readme) == []
+
+
+def test_test_oracles_import_no_private_paleyfq_name():
+    # the reference oracles in tests/util.py check the library, so they
+    # must not share its internals: a `_`-prefixed import fails here
+    tree = ast.parse((ROOT / "tests" / "util.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("paleyfq")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

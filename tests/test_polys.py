@@ -14,7 +14,7 @@ from paleyfq.polys import (
     poly,
 )
 from paleyfq.rings import RingSpec, factor_prime_power, factorize, make_ring
-from util import ref_kth_root, ref_poly_mul, ref_poly_pow
+from util import ref_compose, ref_kth_root, ref_poly_mul, ref_poly_pow
 
 R2 = make_ring(RingSpec.field(2))
 R3 = make_ring(RingSpec.field(3))
@@ -64,6 +64,20 @@ def test_compose():
     const = poly(R7, (4,))
     assert compose(const, b) == const
     assert compose(F, poly(R7, (2,))).coeffs == (1,)  # 2^3 = 1 mod 7
+    # zero, constant and seeded random F and u, every pair of them, against
+    # Horner's rule on the schoolbook product
+    for q in (2, 7, 13, 4, 8, 9, 25):
+        R = make_ring(RingSpec.field(*factor_prime_power(q)))
+        rng = random.Random(2000 + q)
+
+        def rand_polys(max_len):
+            return [poly(R, ()), poly(R, (rng.randrange(1, q),))] + [
+                poly(R, [rng.randrange(q) for _ in range(rng.randrange(2, max_len))])
+                for _ in range(20)]
+
+        for F in rand_polys(9):
+            for u in rand_polys(6):
+                assert compose(F, u) == ref_compose(F, u), (q, F, u)
 
 
 def test_kth_root_roundtrip_examples():

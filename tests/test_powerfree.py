@@ -201,7 +201,7 @@ def test_random_verifier_sets_have_both_verdicts():
 
 
 def test_verifier_cap():
-    # |allowed| * q^depth = 4 * 11^6 > 10^6
+    # q^depth * max(|allowed|, k*n) = 11^6 * 24 > 10^6
     R = make_ring(RingSpec.field(11))
     A = DifferenceFreeSet(
         params(R, 2, 12, "general"), frozenset((c,) for c in range(4))
@@ -221,12 +221,13 @@ def test_verifier_cap_counts_the_scan_not_the_members():
 
 def test_verifier_cap_admits_every_set_the_member_bound_admitted():
     # the first cap bounded |A| * q^depth by 10^8; every set it admitted
-    # has |allowed| * q^depth <= 10^6.  (The second bounded the pattern
-    # count |allowed|^blocks * q^depth by 10^6, which is never below
-    # |allowed| * q^depth, so what it admitted is admitted too.)
-    # |allowed| is at most q (general) or q^2 (power).  The ranges hold
-    # every (q, k, n) with q^(free + depth) <= 10^8: that needs q <= 10^4,
-    # free >= k - 1 and free >= n/2
+    # has q^depth * max(|allowed|, k*n) <= 10^6.  (The later caps bounded
+    # |allowed|^blocks * q^depth and |allowed| * q^depth by 10^6; the
+    # current count also charges the Horner pass of each shift, so it
+    # refuses some of what they admitted.)  |allowed| is at most q
+    # (general) or q^2 (power).  The ranges hold every (q, k, n) with
+    # q^(free + depth) <= 10^8: that needs q <= 10^4, free >= k - 1 and
+    # free >= n/2
     largest = 0
     for q in (q for q in range(2, 10**4 + 1) if len(factorize(q)) == 1):
         for k in range(2, 28):
@@ -238,9 +239,9 @@ def test_verifier_cap_admits_every_set_the_member_bound_admitted():
                         break
                     a = 1
                     while a <= q**width and a**blocks * q ** (free + depth) <= 10**8:
-                        largest = max(largest, a * q**depth)
+                        largest = max(largest, q**depth * max(a, k * n))
                         a += 1
-    assert largest == 214_369 <= VERIFY_CAP  # 463 * 463: q = 463, n = k = 2
+    assert largest == 425_984 <= VERIFY_CAP  # 2^13 * 2 * 26: q = 2, k = 2, n = 26
 
 
 def test_greedy_f2():

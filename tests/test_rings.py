@@ -10,10 +10,20 @@ from paleyfq.rings import (
     crt_split,
     generator,
     is_kth_power,
+    is_prime,
     kth_power_set,
     make_ring,
     non_kth_power,
 )
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    for n in [*range(-2, 5001), 1_048_573, 1_048_575]:
+        assert is_prime(n) == trial(n), n
+    assert is_prime(1_048_573) and not is_prime(1_048_575)  # 2^20 - 3, 2^20 - 1
 
 
 def test_make_ring_prime_field():

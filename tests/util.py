@@ -13,8 +13,8 @@ import numpy as np
 
 import paleyfq
 from paleyfq.graphs import GenericGraph
-from paleyfq.polys import PolyFq, _least_field_kth_root, decode_poly
-from paleyfq.rings import _pmod, _pmul, factorize
+from paleyfq.polys import PolyFq, decode_poly
+from paleyfq.rings import factorize
 
 
 def exhaustive_mis_size(rows: list[int], n: int) -> int:
@@ -107,20 +107,25 @@ def ref_digits(R, x: int) -> tuple[int, ...]:
 def ref_field_tables(R) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     """(exp, log, digits) of the field R computed element by element:
     digits by repeated division, the least generator by square-and-multiply
-    over residue polynomials, and exp by multiplying by that generator one
-    step at a time."""
+    over residue polynomials (schoolbook product, then reduction modulo
+    R.modulus from the top degree down), and exp by multiplying by that
+    generator one step at a time."""
     p, s, q = R.spec.p, R.spec.s, R.order
-
-    def from_digits(d):
-        x = 0
-        for c in reversed(d):
-            x = x * p + c
-        return x
-
     table = [_ref_digits(x, p, s) for x in range(q)]
 
     def mul(x, y):
-        return from_digits(_pmod(_pmul(table[x], table[y], p), R.modulus, p))
+        prod = [0] * (2 * s - 1)
+        for i, a in enumerate(table[x]):
+            for j, b in enumerate(table[y]):
+                prod[i + j] += a * b
+        for t in range(2 * s - 2, s - 1, -1):
+            lead = prod[t] % p
+            for i, c in enumerate(R.modulus):
+                prod[t - s + i] -= lead * c
+        x = 0
+        for c in reversed(prod[:s]):
+            x = x * p + c % p
+        return x
 
     def power(x, e):
         r = 1
@@ -270,6 +275,17 @@ def ref_poly_pow(u, e: int):
     return out
 
 
+def ref_compose(F, u):
+    """F(u) by Horner's rule on ref_poly_mul, adding each coefficient of F
+    to the constant term by R.add."""
+    R = F.ring
+    acc = PolyFq(R, ())
+    for c in reversed(F.coeffs):
+        prod = ref_poly_mul(acc, u).coeffs or (0,)
+        acc = PolyFq(R, (R.add(prod[0], c),) + prod[1:])
+    return acc
+
+
 def ref_greedy_difference_free(R, n: int, k: int) -> list:
     """First fit over P_{q,n} in code order by pairwise differences: a
     candidate is kept iff neither cand - c nor c - cand is a nonzero k-th
@@ -292,7 +308,9 @@ def ref_greedy_difference_free(R, n: int, k: int) -> list:
 def ref_kth_root(u, k: int):
     """k-th root by top-down coefficient matching that recomputes the full
     power b^k0 once per coefficient (same p-part handling, lead-root
-    choice and final check as the library, with powers by ref_poly_pow)."""
+    choice and final check as the library, with powers by ref_poly_pow).
+    The lead root is the least y with y^k0 = lead, found by trying every
+    nonzero y, so the field must be small."""
     R = u.ring
     if u.is_zero():
         return PolyFq(R, ())
@@ -318,7 +336,10 @@ def ref_kth_root(u, k: int):
     if dw % k0:
         return None
     D = dw // k0
-    lead_root = _least_field_kth_root(R, w.coeffs[-1], k0)
+    assert R.order < 50, "the lead root is found by trying every element"
+    lead_root = next((y for y in range(1, R.order)
+                      if ref_poly_pow(PolyFq(R, (y,)), k0).coeffs == w.coeffs[-1:]),
+                     None)
     if lead_root is None:
         return None
     b = [0] * (D + 1)
