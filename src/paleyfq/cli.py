@@ -16,7 +16,7 @@ from . import powerfree
 from .errors import CapExceeded, PaleyfqError, SolverTimeout
 from .graphs import build_paley, export_dimacs, strong_power
 from .polys import parse_poly
-from .rings import RingCtx, RingSpec, factor_prime_power, make_ring
+from .rings import RingCtx, RingSpec, check_ring_order, factor_prime_power, make_ring
 from .solver import (
     DEFAULT_BUDGET_S,
     check_budget,
@@ -28,13 +28,15 @@ SCHEMA = 1
 
 
 def _round_floats(obj):
-    """12 significant digits everywhere, for reproducible output."""
+    """12 significant digits everywhere, for reproducible output.  Ints in
+    a list, the bulk of vertex and connection lists, pass through with one
+    type test and no call."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [v if type(v) is int else _round_floats(v) for v in obj]
     return obj
 
 
@@ -64,7 +66,7 @@ def _parse_ring(text: str) -> RingCtx:
         raise ValueError(f"ring must look like fq:<q> or zmod:<m>, got {text!r}")
     number = int(value)
     if kind == "fq":
-        p, s = factor_prime_power(number)
+        p, s = factor_prime_power(check_ring_order(number))
         return make_ring(RingSpec.field(p, s))
     if kind == "zmod":
         return make_ring(RingSpec.zmod(number))
@@ -151,7 +153,7 @@ def _cmd_theta(args) -> dict:
 
 
 def _cmd_construct(args) -> dict:
-    p, s = factor_prime_power(args.q)
+    p, s = factor_prime_power(check_ring_order(args.q))
     R = make_ring(RingSpec.field(p, s))
     F = parse_poly(R, args.F) if args.F else powerfree.monomial(R, args.k)
     params = powerfree.ConstructionParams(

@@ -129,27 +129,31 @@ class CayleyGraph:
     symmetric: bool = field(init=False)
 
     def __post_init__(self):
-        R, conn = self.ring, self.connection
-        object.__setattr__(self, "symmetric", all(R.neg(s) in conn for s in conn))
+        conn = self._members()
+        inside = np.zeros(self.ring.order, dtype=bool)
+        inside[conn] = True
+        object.__setattr__(self, "symmetric", bool(inside[self.ring.neg_array(conn)].all()))
 
     @property
     def n(self) -> int:
         return self.ring.order
 
+    def _members(self) -> np.ndarray:
+        return np.fromiter(self.connection, dtype=np.int64, count=len(self.connection))
+
     def to_generic(self) -> GenericGraph:
         """Row x has bit x - s set for each s in the connection set.  The
-        index block x - s is formed digit-wise mod R.radix, for a block of
-        rows at a time, and packed into row ints."""
+        index block x - s is formed by R.add_array from a column of rows x
+        and the row of negated connection elements, for a block of rows at
+        a time, and packed into row ints."""
         R = self.ring
         n = check_order(R.order)
-        conn = R.digit_array(
-            np.fromiter(self.connection, dtype=np.int64, count=len(self.connection)))
-        step = max(1, _BLOCK_ELEMS // max(n, conn.size))
+        neg = R.neg_array(self._members())[None, :]
+        step = max(1, _BLOCK_ELEMS // max(n, neg.size))
         rows = []
         for lo in range(0, n, step):
-            xs = np.arange(lo, min(lo + step, n))
-            idx = R.from_digit_array((R.digit_array(xs)[:, None, :] - conn) % R.radix)
-            block = np.zeros((len(xs), n), dtype=bool)
+            idx = R.add_array(np.arange(lo, min(lo + step, n))[:, None], neg)
+            block = np.zeros((len(idx), n), dtype=bool)
             np.put_along_axis(block, idx, True, axis=1)
             packed = np.packbits(block, axis=1, bitorder="little")
             rows.extend(int.from_bytes(r, "little") for r in packed)
@@ -157,9 +161,10 @@ class CayleyGraph:
 
     def complement_cayley(self) -> "CayleyGraph":
         """Cayley graph on the complementary connection set."""
-        conn = frozenset(
-            x for x in self.ring.elements() if x and x not in self.connection
-        )
+        outside = np.ones(self.n, dtype=bool)
+        outside[0] = False
+        outside[self._members()] = False
+        conn = frozenset(np.flatnonzero(outside).tolist())
         return CayleyGraph(ring=self.ring, k=self.k, connection=conn)
 
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 
 ORDER_CAP = 1 << 20
-_BLOCK = 1 << 16  # rows per temporary digit block
+_ADD_TABLE = 1 << 16  # entries of the largest chunk addition table
 
 
 def is_prime(n: int) -> bool:
@@ -122,24 +122,51 @@ def _pmod(a, m: tuple[int, ...], p: int) -> list[int]:
     return a
 
 
-def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree 1..deg(m)//2."""
-    deg = len(m) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            if not any(_pmod(m, split_digits(code, p, d) + [1], p)):
-                return False
-    return True
-
-
 def _find_modulus(p: int, s: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree s over F_p, ordered by the
-    base-p encoding of the non-leading coefficients."""
-    for code in range(p**s):
-        m = tuple(split_digits(code, p, s) + [1])
-        if _is_irreducible(m, p):
-            return m
-    raise InvariantViolation("an irreducible of every degree exists")
+    base-p encoding of the non-leading coefficients: the first candidate
+    that no monic irreducible of degree <= s/2 divides."""
+    divisors = _irreducibles(p, s // 2)
+    m = next((m for m in _monics(p, s)
+              if all(any(_pmod(m, f, p)) for f in divisors)), None)
+    if m is None:
+        raise InvariantViolation("an irreducible of every degree exists")
+    return m
+
+
+def _irreducibles(p: int, top: int) -> list[tuple[int, ...]]:
+    """Monic irreducibles over F_p of degree 1..top, by degree: a sieve
+    that strikes out each product f*g of an irreducible f of degree i <=
+    d/2 and a monic g of degree d - i."""
+    out: list[tuple[int, ...]] = []
+    for d in range(1, top + 1):
+        reducible = {tuple(convolve_mod(f, g, p))
+                     for f in out if 2 * (len(f) - 1) <= d
+                     for g in _monics(p, d - len(f) + 1)}
+        out += [m for m in _monics(p, d) if m not in reducible]
+    return out
+
+
+def _monics(p: int, d: int):
+    """Monic polynomials of degree d over F_p, by the base-p encoding of
+    their non-leading coefficients."""
+    return (tuple(split_digits(code, p, d) + [1]) for code in range(p**d))
+
+
+def _chunk_tables(p: int, q: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(P, add, neg) for the additive group of F_q in chunks of w digits:
+    add[u*P + v] and neg[u] are the indices of u + v and -u, digit-wise
+    mod p, for u, v < P = p^w.  w is the largest with P^2 <= min(_ADD_TABLE,
+    q), and at least 1, so add has q entries at most.  Built one digit at
+    a time: the new top digit's table times P plus the table below it."""
+    d = np.arange(p)
+    add1, neg1 = (d[:, None] + d) % p, -d % p
+    P, add, neg = p, add1, neg1
+    while (P * p) ** 2 <= min(_ADD_TABLE, q):
+        add = (add1[:, None, :, None] * P + add[None, :, None, :]).reshape(P * p, -1)
+        neg = (neg1[:, None] * P + neg).ravel()
+        P *= p
+    return P, add.ravel(), neg
 
 
 class RingCtx:
@@ -153,7 +180,9 @@ class RingCtx:
 
     The additive group is the grid (Z/radix)^len(shape): shape is (p,)*s
     for F_{p^s} and (m,) for Z/m.  An index is the base-radix number of
-    its digits, lowest place first, and addition is digit-wise mod radix."""
+    its digits, lowest place first, and addition is digit-wise mod radix.
+    add_array(a, b) and neg_array(a) add and negate numpy index arrays
+    without leaving index space."""
 
     __slots__ = ("spec", "order", "radix", "shape", "modulus", "exp", "log",
                  "_power_sets", "_root_leads")
@@ -181,47 +210,26 @@ class RingCtx:
     def from_digits(self, d) -> int:
         return fold_digits(d, self.radix)
 
-    def digit_array(self, xs: np.ndarray) -> np.ndarray:
-        """Digits of the indices xs as a (len(xs), len(shape)) int64
-        array, lowest place first."""
-        places = self.radix ** np.arange(len(self.shape), dtype=np.int64)
-        return np.asarray(xs, dtype=np.int64)[:, None] // places % self.radix
-
-    def from_digit_array(self, d: np.ndarray) -> np.ndarray:
-        """Indices of the digit vectors along the last axis of d."""
-        return d @ self.radix ** np.arange(len(self.shape), dtype=np.int64)
-
-    def _raw_mul(self, x: int, y: int) -> int:
-        p = self.spec.p
-        prod = convolve_mod(self.digits(x), self.digits(y), p)
-        return self.from_digits(_pmod(prod, self.modulus, p))
-
-    def _raw_pow(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, x)
-            x = self._raw_mul(x, x)
-            e >>= 1
-        return r
-
-    def _scale(self, xs: np.ndarray, h: int) -> np.ndarray:
-        """Indices of x*h for the indices xs.  Multiplication by h is the
-        F_p-linear map whose matrix has row i = digits(T^i * h)."""
-        p, s = self.spec.p, self.spec.s
-        M = np.array([self.digits(self._raw_mul(p**i, h)) for i in range(s)],
-                     dtype=np.int64)
-        out = np.empty(len(xs), dtype=np.int64)
-        for lo in range(0, len(xs), _BLOCK):
-            d = self.digit_array(xs[lo:lo + _BLOCK])
-            out[lo:lo + _BLOCK] = self.from_digit_array(d @ M % p)
-        return out
+    def _span(self, hs: list[int]) -> np.ndarray:
+        """Indices of the F_p-combinations sum_i d_i*hs[i], at the base-p
+        index of the digit vector d.  One element gives its p multiples;
+        more are split in halves whose spans are joined by add_array."""
+        if len(hs) == 1:
+            p = self.spec.p
+            places = p ** np.arange(self.spec.s, dtype=np.int64)
+            return np.arange(p)[:, None] * np.array(self.digits(hs[0])) % p @ places
+        c = len(hs) // 2
+        return self.add_array(self._span(hs[c:])[:, None],
+                              self._span(hs[:c])[None, :]).ravel()
 
     def _build_tables(self):
         """Locate the least-index multiplicative generator g and tabulate
-        exp/log with respect to it.  exp is filled by doubling:
-        exp[2^j : 2^(j+1)] = exp[0 : 2^j] * g^(2^j)."""
-        q = self.order
+        exp/log with respect to it.  Multiplication by g is F_p-linear, so
+        its index permutation perm is the span of the images T^i*g of the
+        basis.  exp is filled by doubling: with perm_t the permutation of
+        multiplication by g^t, exp[t:2t] = perm_t[exp[:t]] and perm_2t =
+        perm_t[perm_t]."""
+        q, p = self.order, self.spec.p
         if q == 2:
             g = 1
         else:
@@ -232,14 +240,19 @@ class RingCtx:
                      None)
             if g is None:
                 raise InvariantViolation(f"F_{q}^* has no generator")
-        exp = np.empty(q - 1, dtype=np.int64)
+        # int32 halves the bytes each gather touches; q <= ORDER_CAP fits
+        perm = self._span([self._raw_mul(p**i, g) for i in range(self.spec.s)]
+                          ).astype(np.int32)
+        exp = np.empty(q - 1, dtype=np.int32)
         exp[0] = 1
-        filled, h = 1, g  # h = g^filled
+        filled = 1  # perm multiplies by g^filled
         while filled < q - 1:
             take = min(filled, q - 1 - filled)
-            exp[filled:filled + take] = self._scale(exp[:take], h)
+            exp[filled:filled + take] = perm[exp[:take]]
             filled += take
-            h = self._raw_mul(h, h)
+            if filled < q - 1:
+                perm = perm[perm]
+        del perm
         if self._raw_mul(int(exp[-1]), g) != 1:
             raise InvariantViolation("generator order must be q-1")
         log = np.full(q, -1, dtype=np.int64)
@@ -284,6 +297,14 @@ class _ResidueRing(RingCtx):
     def mul(self, x: int, y: int) -> int:
         return x * y % self.order
 
+    def add_array(self, a, b) -> np.ndarray:
+        """a + b for broadcastable index arrays."""
+        return (np.asarray(a) + b) % self.order
+
+    def neg_array(self, a) -> np.ndarray:
+        """-a for an index array."""
+        return -np.asarray(a) % self.order
+
     def inv(self, x: int) -> int:
         if x == 0 and self.is_field:
             raise ZeroDivisionError("0 has no inverse")
@@ -293,6 +314,8 @@ class _ResidueRing(RingCtx):
         if e < 0:  # through inv, for its error types
             x, e = self.inv(x), -e
         return pow(x, e, self.order)
+
+    _raw_mul, _raw_pow = mul, pow_elem  # for the F_p table build
 
     def convolve(self, a, b) -> list[int]:
         """Coefficients of the product of the polynomials a and b (index
@@ -305,7 +328,59 @@ class _ExtensionField(RingCtx):
     Zech's logarithm zech[t] = log(1 + g^t) (-1 where 1 + g^t = 0), so
     x + y = g^(log x + zech[log y - log x]) for nonzero x, y."""
 
-    __slots__ = ("_zech", "_qm1", "_log_neg1")
+    __slots__ = ("_zech", "_qm1", "_log_neg1", "_chunk", "_add_table", "_neg_table")
+
+    def __init__(self, spec: RingSpec):
+        self._chunk, self._add_table, self._neg_table = _chunk_tables(spec.p, spec.order)
+        super().__init__(spec)
+
+    # -- residue polynomial arithmetic, for building the tables ------------
+
+    def _poly_mul(self, a, b) -> list[int]:
+        p = self.spec.p
+        return _pmod(convolve_mod(a, b, p), self.modulus, p)
+
+    def _raw_mul(self, x: int, y: int) -> int:
+        return self.from_digits(self._poly_mul(self.digits(x), self.digits(y)))
+
+    def _raw_pow(self, x: int, e: int) -> int:
+        r, b = [1], self.digits(x)
+        while e:
+            if e & 1:
+                r = self._poly_mul(r, b)
+            e >>= 1
+            if e:
+                b = self._poly_mul(b, b)
+        return self.from_digits(r)
+
+    def add_array(self, a, b) -> np.ndarray:
+        """a + b for broadcastable index arrays."""
+        return self._by_chunks(self._add_table, a, b)
+
+    def neg_array(self, a) -> np.ndarray:
+        """-a for an index array."""
+        return self._by_chunks(self._neg_table, a)
+
+    def _by_chunks(self, table: np.ndarray, *xs) -> np.ndarray:
+        """Indices whose w-digit chunk at each place P^c is table[key],
+        where key reads the chunks of xs at that place as one base-P
+        number; the top chunk may have fewer digits."""
+        P = self._chunk
+        xs = [np.asarray(x) for x in xs]
+        out, place = None, 1
+        while place < self.order:
+            key = 0
+            for i, x in enumerate(xs):
+                xs[i], r = np.divmod(x, P)
+                key = key * P + r
+            t = table[key]
+            if out is None:
+                out = t
+            else:
+                t *= place
+                out += t
+            place *= P
+        return out
 
     def _store_tables(self, exp: np.ndarray, log: np.ndarray) -> None:
         p = self.spec.p
@@ -376,27 +451,37 @@ class _ExtensionField(RingCtx):
         return [0 if s < 0 else exp[s % qm1] for s in acc]
 
 
+def check_ring_order(n: int, name: str = "q") -> int:
+    """n if a ring of n elements is within ORDER_CAP, else OrderTooLarge.
+    Run it before factoring n: trial division of a huge n never ends."""
+    if n > ORDER_CAP:
+        raise OrderTooLarge(f"{name}={n} exceeds cap {ORDER_CAP}")
+    return n
+
+
 def make_ring(spec: RingSpec) -> RingCtx:
-    """Validate a RingSpec and build its arithmetic context."""
+    """Validate a RingSpec and build its arithmetic context.  The order is
+    checked against ORDER_CAP before p is tested for primality."""
     if spec.kind == "fq":
-        if not is_prime(spec.p):
-            raise NotPrime(f"p={spec.p} is not prime")
         if spec.s < 1:
             raise BadModulus(f"s={spec.s} must be >= 1")
-        if spec.order > ORDER_CAP:
-            raise OrderTooLarge(f"q={spec.order} exceeds cap {ORDER_CAP}")
+        if abs(spec.p) > 1 and spec.s > ORDER_CAP.bit_length():
+            raise OrderTooLarge(f"q={spec.p}^{spec.s} exceeds cap {ORDER_CAP}")
+        check_ring_order(spec.order)
+        if not is_prime(spec.p):
+            raise NotPrime(f"p={spec.p} is not prime")
         return (_ExtensionField if spec.s > 1 else _ResidueRing)(spec)
     if spec.kind == "zmod":
         if spec.m < 2:
             raise BadModulus(f"m={spec.m} must be >= 2")
-        if spec.m > ORDER_CAP:
-            raise OrderTooLarge(f"m={spec.m} exceeds cap {ORDER_CAP}")
+        check_ring_order(spec.m, "m")
         return _ResidueRing(spec)
     raise BadModulus(f"unknown ring kind {spec.kind!r}")
 
 
 def kth_power_set(R: RingCtx, k: int) -> frozenset[int]:
-    """The set {z^k : z in R}, cached per (R, k)."""
+    """The set {z^k : z in R}, cached per (R, k).  On a field the nonzero
+    k-th powers are the subgroup g^(d*j), d = gcd(k, q-1), of F_q^*."""
     if k < 2:
         raise ValueError("k must be >= 2")
     cached = R._power_sets.get(k)
@@ -405,7 +490,7 @@ def kth_power_set(R: RingCtx, k: int) -> frozenset[int]:
     if R.is_field:
         q = R.order
         d = math.gcd(k, q - 1)
-        out = frozenset({0} | {R.exp[(k * i) % (q - 1)] for i in range(q - 1)})
+        out = frozenset((0, *R.exp[::d]))
         if len(out) != 1 + (q - 1) // d:
             raise InvariantViolation(f"F_{q} must have {(q - 1) // d} nonzero {k}-th powers")
     else:

@@ -316,8 +316,7 @@ class _Slab:
         for f in self.factors:
             R = f.ring
             K = np.array(_mutual_clique(f, self.deadline), dtype=np.int64)
-            T = R.from_digit_array(
-                (R.digit_array(np.arange(f.n))[:, None, :] + R.digit_array(K)) % R.radix)
+            T = R.add_array(np.arange(f.n)[:, None], K)
             members = (members[:, None, :, None] * f.n + T[None, :, None, :]).reshape(
                 len(members) * f.n, -1)
         patterns: dict[tuple, int] = {}

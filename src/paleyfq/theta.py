@@ -81,7 +81,7 @@ def cayley_spectrum(G: CayleyGraph) -> list[float]:
         raise InvariantViolation("adjacency trace must vanish")
     if abs(lam[-1] - deg) >= 1e-9:
         raise InvariantViolation("largest eigenvalue must equal the degree")
-    return [float(x) for x in lam]
+    return lam.tolist()
 
 
 def _ratio_theta(G: CayleyGraph) -> ThetaReport:

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from paleyfq.cli import main
+from util import run_child
 
 
 def run(capsys, *argv):
@@ -312,6 +313,38 @@ def test_exit_3_on_solver_memory_cap(capsys):
     assert code == 3
     assert time.monotonic() - start < 5.0
     assert payload["error"] == "OrderTooLarge"
+
+
+def test_huge_order_refused_before_factoring():
+    # 2^61 - 1 is prime, and trial division up to its square root does not
+    # finish, so every path compares the order with the cap before it
+    # factors q or tests p for primality (make_ring also refuses 3^(10^9)
+    # before it forms that power); a regression times the child out
+    code = """
+import sys, time
+from paleyfq.cli import main
+from paleyfq.errors import OrderTooLarge
+from paleyfq.rings import RingSpec, make_ring
+q = "2305843009213693951"
+for argv in (["alpha", "--ring", "fq:" + q, "--k", "2"],
+             ["construct", "--q", q, "--k", "2", "--n", "4"],
+             ["bounds", "--q", q, "--k", "3", "--n", "6"]):
+    start = time.monotonic()
+    code = main(argv)
+    print(code, time.monotonic() - start < 1.0)
+for spec in (RingSpec.field(int(q)), RingSpec.field(3, 10**9)):
+    start = time.monotonic()
+    try:
+        make_ring(spec)
+    except OrderTooLarge:
+        print("OrderTooLarge", time.monotonic() - start < 1.0)
+"""
+    proc = run_child(code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1:6:2] == ["3 True"] * 3
+    assert [json.loads(line)["error"] for line in lines[0:6:2]] == ["OrderTooLarge"] * 3
+    assert lines[6:] == ["OrderTooLarge True"] * 2
 
 
 def test_graph_dimacs_refused_over_solver_memory_cap(capsys, tmp_path, monkeypatch):

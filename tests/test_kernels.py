@@ -23,6 +23,11 @@ from util import (
 )
 
 FIELDS = (2, 3, 4, 8, 9, 25, 32, 49, 81, 125, 256, 729, 1024, 13, 97)
+# odd s, and a chunk width w that does not divide s: F_2^7 (w = 3),
+# F_2^11 (w = 5), F_3^7 (w = 3), F_5^5 (w = 2)
+UNEVEN_FIELDS = (128, 2048, 2187, 3125)
+# p^2 > 2^16, so a chunk is one digit and the addition table has q entries
+ONE_DIGIT_CHUNKS = (257 * 257,)
 MODULI = (2, 8, 15, 21, 65, 100, 221)
 KS = range(2, 7)
 FULL_ROWS_UP_TO = 256  # larger rings compare a fixed sample of rows
@@ -47,7 +52,7 @@ def graphs_of(R):
         yield G.complement_cayley()
 
 
-@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("q", FIELDS + UNEVEN_FIELDS)
 def test_field_tables_match_oracle(q):
     R = field(q)
     exp, log, digits = ref_field_tables(R)
@@ -62,17 +67,51 @@ def test_additive_layout_matches_oracle(make, order):
     n = R.order
     assert math.prod(R.shape) == n
     assert set(R.shape) == {R.radix}
-    xs = np.arange(n)
-    d = R.digit_array(xs)
-    assert d.tolist() == [list(ref_digits(R, x)) for x in range(n)]
-    assert [R.digits(x) for x in range(n)] == [tuple(r) for r in d.tolist()]
-    assert R.from_digit_array(d).tolist() == xs.tolist()
-    assert [R.from_digits(R.digits(x)) for x in range(n)] == xs.tolist()
-    # addition is digit-wise mod radix
+    xs = list(range(n))
+    digits = [ref_digits(R, x) for x in xs]
+    assert [R.digits(x) for x in xs] == digits
+    assert [R.from_digits(d) for d in digits] == xs
+    assert [R.from_digits(R.digits(x)) for x in xs] == xs
+    # addition and negation are digit-wise mod radix
     rng = np.random.default_rng(n)
     x, y = rng.integers(0, n, 500), rng.integers(0, n, 500)
-    got = R.from_digit_array((R.digit_array(x) + R.digit_array(y)) % R.radix)
-    assert (got == ref_add(R, x, y)).all()
+    assert (R.add_array(x, y) == ref_add(R, x, y)).all()
+    assert (R.neg_array(x) == ref_neg(R, x)).all()
+
+
+@pytest.mark.parametrize("make,order", RINGS + [
+    pytest.param(field, q, id=f"fq:{q}") for q in UNEVEN_FIELDS + ONE_DIGIT_CHUNKS])
+def test_index_kernel_broadcasts_column_by_row(make, order):
+    R = make(order)
+    n = R.order
+    if n <= FULL_ROWS_UP_TO:  # every pair, so F_2 and Z/2 in full
+        col, row = np.arange(n)[:, None], np.arange(n)[None, :]
+    else:
+        rng = np.random.default_rng(n)
+        col = np.concatenate(([0, 1, n - 1], rng.integers(0, n, SAMPLE_ROWS)))[:, None]
+        row = np.concatenate(([0, n - 1], rng.integers(0, n, 3 * SAMPLE_ROWS)))[None, :]
+    got = R.add_array(col, row)
+    assert got.shape == (col.size, row.size)
+    assert (got == ref_add(R, col, row)).all()
+    assert (R.add_array(row, col) == got).all()
+    neg = R.neg_array(row)
+    assert neg.shape == row.shape
+    assert (neg == ref_neg(R, row)).all()
+    assert (R.add_array(row, neg) == 0).all()
+    assert int(R.add_array(n - 1, 1)) == int(ref_add(R, n - 1, 1))
+
+
+@pytest.mark.parametrize("q", UNEVEN_FIELDS)
+def test_uneven_fields_split_unevenly(q):
+    # s is odd, so the generator's span joins halves of s // 2 and
+    # s - s // 2 digits, and the chunk width w does not divide s, so the
+    # top chunk of the addition kernel has fewer digits than the others
+    R = field(q)
+    p, s = R.spec.p, R.spec.s
+    P = R._chunk
+    w = round(math.log(P, p))
+    assert s % 2 == 1 and s % w
+    assert P == p**w and P * P <= min(1 << 16, q) < P * P * p * p
 
 
 @pytest.mark.parametrize("make,order", RINGS)

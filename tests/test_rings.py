@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -8,6 +10,7 @@ from paleyfq.rings import (
     crt_combine,
     crt_map,
     crt_split,
+    factorize,
     generator,
     is_kth_power,
     is_prime,
@@ -62,6 +65,22 @@ def test_make_ring_errors():
         make_ring(RingSpec.zmod(1))
     with pytest.raises(OrderTooLarge):
         make_ring(RingSpec.field(2, 21))
+
+
+# sha256 over json [q, modulus, exp, log] of every field of order <= 1024:
+# pins the least modulus, the least generator and the tables built from
+# them against any change to the table build
+TABLES_UP_TO_1024 = "ee3683f3182f441d191e3b2147931f3e124fbf8e59a14fc5ba482dec20172862"
+
+
+def test_field_tables_pinned_up_to_1024():
+    h = hashlib.sha256()
+    for q in range(2, 1025):
+        fac = factorize(q)
+        if len(fac) == 1:
+            R = make_ring(RingSpec.field(*fac[0]))
+            h.update(json.dumps([q, R.modulus, R.exp, R.log]).encode())
+    assert h.hexdigest() == TABLES_UP_TO_1024
 
 
 def test_field_arithmetic_f9_exhaustive():

@@ -400,11 +400,12 @@ def ref_multistart_greedy(n: int, closed: list[int], deadline: float) -> list[in
     return best
 
 
-def run_child(code: str, *flags: str) -> subprocess.CompletedProcess:
-    """Run Python code in a fresh interpreter that imports this paleyfq."""
+def run_child(code: str, *flags: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter that imports this paleyfq;
+    subprocess.TimeoutExpired after timeout seconds."""
     src = os.path.dirname(os.path.dirname(paleyfq.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
     return subprocess.run([sys.executable, *flags, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
