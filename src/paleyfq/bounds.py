@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import DirectedUnsupported, InvariantViolation, NotUnimodal, SolverTimeout
 from .graphs import build_paley
 from .indep import alpha_product
-from .rings import RingCtx, RingSpec, check_ring_order, factor_prime_power, make_ring
+from .rings import RingCtx, field_spec, make_ring
 from .solver import DEFAULT_BUDGET_S, SOLVER_VERTEX_CAP
 from .theta import lovasz_theta
 
@@ -164,7 +164,7 @@ def bounds_report(
     gcd(k, q-1) > 1).  Beside it, r_k2_upper is floor(theta(G)^2) for
     G = Paley_k(F_q) when G is undirected (see _theta_square_floor).
     """
-    spec = RingSpec.field(*factor_prime_power(check_ring_order(q)))
+    spec = field_spec(q)
     if k < 2 or n < 1:
         raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     green = green_exponent(q, k)

@@ -16,7 +16,7 @@ from . import powerfree
 from .errors import CapExceeded, PaleyfqError, SolverTimeout
 from .graphs import build_paley, export_dimacs, strong_power
 from .polys import parse_poly
-from .rings import RingCtx, RingSpec, check_ring_order, factor_prime_power, make_ring
+from .rings import RingCtx, RingSpec, field_spec, make_ring
 from .solver import (
     DEFAULT_BUDGET_S,
     check_budget,
@@ -66,8 +66,7 @@ def _parse_ring(text: str) -> RingCtx:
         raise ValueError(f"ring must look like fq:<q> or zmod:<m>, got {text!r}")
     number = int(value)
     if kind == "fq":
-        p, s = factor_prime_power(check_ring_order(number))
-        return make_ring(RingSpec.field(p, s))
+        return make_ring(field_spec(number))
     if kind == "zmod":
         return make_ring(RingSpec.zmod(number))
     raise ValueError(f"unknown ring kind {kind!r}")
@@ -153,8 +152,7 @@ def _cmd_theta(args) -> dict:
 
 
 def _cmd_construct(args) -> dict:
-    p, s = factor_prime_power(check_ring_order(args.q))
-    R = make_ring(RingSpec.field(p, s))
+    R = make_ring(field_spec(args.q))
     F = parse_poly(R, args.F) if args.F else powerfree.monomial(R, args.k)
     params = powerfree.ConstructionParams(
         ring=R, k=args.k, n=args.n, F=F, variant=args.variant

@@ -29,6 +29,8 @@ from .rings import RingCtx, RingSpec, kth_power_set, make_ring
 # rows, the symmetrized rows of a directed input, the complement)
 ADJACENCY_CAP = 512 << 20
 _BLOCK_ELEMS = 1 << 20  # bound on the elements of each to_generic temporary
+# bytes of unpacked bits per block of columns in symmetrized_rows
+_TRANSPOSE_BLOCK = 1 << 22
 
 
 def check_order(n: int) -> int:
@@ -64,7 +66,7 @@ class GenericGraph:
             if r >> i & 1:
                 raise ValueError("self-loops are not allowed")
         if self.symmetric is None:
-            object.__setattr__(self, "symmetric", _rows_symmetric(self.n, self.rows))
+            object.__setattr__(self, "symmetric", symmetrized_rows(self.rows) == list(self.rows))
 
     def to_generic(self) -> "GenericGraph":
         return self
@@ -104,42 +106,58 @@ class GenericGraph:
         return v
 
 
-def _rows_symmetric(n: int, rows) -> bool:
-    for i in range(n):
-        r = rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            if not rows[j] >> i & 1:
-                return False
-            r &= r - 1
-    return True
+def symmetrized_rows(rows) -> list[int]:
+    """Rows of the symmetrized graph, row i OR column i.  The rows, as an
+    n x ceil(n/8) byte matrix, are transposed in blocks of columns of at
+    most _TRANSPOSE_BLOCK bytes of unpacked bits each, packed back into
+    column ints.  The byte matrix is freed on return, so a caller that then
+    builds the complement still holds at most three adjacency copies."""
+    n, rows = len(rows), list(rows)
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                           dtype=np.uint8).reshape(n, nbytes)
+    width = max(1, _TRANSPOSE_BLOCK // (8 * max(n, 1)))  # bytes of columns per block
+    for lo in range(0, nbytes, width):
+        bits = np.unpackbits(packed[:, lo:lo + width], axis=1, bitorder="little")
+        cols = np.packbits(bits.T, axis=1, bitorder="little")
+        for j, col in enumerate(cols[:n - 8 * lo], 8 * lo):
+            rows[j] |= int.from_bytes(col, "little")
+    return rows
+
+
+def complement_rows(rows) -> list[int]:
+    """Rows of the loopless complement: j in row i iff i != j and j was not."""
+    full = (1 << len(rows)) - 1
+    return [full & ~r & ~(1 << i) for i, r in enumerate(rows)]
 
 
 @dataclass(frozen=True)
 class CayleyGraph:
     """Cayley graph on the ring R: x -> y is an edge iff x - y lies in the
     connection set (nonzero elements).  build_paley makes Paley_k(R), whose
-    set is the nonzero k-th powers; its complement keeps k.  symmetric is
-    derived: True iff the connection set is closed under negation.
+    set is the nonzero k-th powers; its complement keeps k.  members and
+    inside (the connection set's index array and indicator) are kept;
+    symmetric is True iff the connection set is closed under negation.
     """
 
     ring: RingCtx
     k: int
     connection: frozenset[int]
     symmetric: bool = field(init=False)
+    members: np.ndarray = field(init=False, compare=False, repr=False)
+    inside: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        conn = self._members()
+        members = np.fromiter(self.connection, dtype=np.int64, count=len(self.connection))
         inside = np.zeros(self.ring.order, dtype=bool)
-        inside[conn] = True
-        object.__setattr__(self, "symmetric", bool(inside[self.ring.neg_array(conn)].all()))
+        inside[members] = True
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "inside", inside)
+        object.__setattr__(self, "symmetric", bool(inside[self.ring.neg_array(members)].all()))
 
     @property
     def n(self) -> int:
         return self.ring.order
-
-    def _members(self) -> np.ndarray:
-        return np.fromiter(self.connection, dtype=np.int64, count=len(self.connection))
 
     def to_generic(self) -> GenericGraph:
         """Row x has bit x - s set for each s in the connection set.  The
@@ -148,7 +166,7 @@ class CayleyGraph:
         a time, and packed into row ints."""
         R = self.ring
         n = check_order(R.order)
-        neg = R.neg_array(self._members())[None, :]
+        neg = R.neg_array(self.members)[None, :]
         step = max(1, _BLOCK_ELEMS // max(n, neg.size))
         rows = []
         for lo in range(0, n, step):
@@ -161,9 +179,8 @@ class CayleyGraph:
 
     def complement_cayley(self) -> "CayleyGraph":
         """Cayley graph on the complementary connection set."""
-        outside = np.ones(self.n, dtype=bool)
+        outside = ~self.inside
         outside[0] = False
-        outside[self._members()] = False
         conn = frozenset(np.flatnonzero(outside).tolist())
         return CayleyGraph(ring=self.ring, k=self.k, connection=conn)
 
@@ -188,9 +205,7 @@ def build_paley(R: RingCtx, k: int) -> CayleyGraph:
 def complement(G) -> GenericGraph:
     """Complement graph: (x, y) is an edge iff x != y and (x, y) was not."""
     g = G.to_generic()
-    full = (1 << g.n) - 1
-    rows = tuple((full & ~g.rows[i]) & ~(1 << i) for i in range(g.n))
-    return GenericGraph(n=g.n, rows=rows, symmetric=g.symmetric)
+    return GenericGraph(n=g.n, rows=tuple(complement_rows(g.rows)), symmetric=g.symmetric)
 
 
 def root_stabilizer(G) -> list[np.ndarray] | None:
@@ -223,15 +238,12 @@ def root_stabilizer(G) -> list[np.ndarray] | None:
 def _factor_stabilizer(G: CayleyGraph) -> list[np.ndarray]:
     R = G.ring
     n = R.order
-    conn = np.fromiter(G.connection, dtype=np.int64, count=len(G.connection))
-    in_conn = np.zeros(n, dtype=bool)
-    in_conn[conn] = True
 
     def keeps_conn(perm):
-        return bool(in_conn[perm[conn]].all())
+        return bool(G.inside[perm[G.members]].all())
 
     if not R.is_field:
-        return _zmod_multipliers(R.spec.m, G.k, keeps_conn)
+        return _zmod_multipliers(n, kth_power_set(R, G.k), keeps_conn)
     exp, log = np.array(R.exp), np.array(R.log)
 
     def log_map(f):  # x -> exp[f(log x)] on units, 0 -> 0
@@ -246,15 +258,15 @@ def _factor_stabilizer(G: CayleyGraph) -> list[np.ndarray]:
     return [perm for perm in cands if keeps_conn(perm)]
 
 
-def _zmod_multipliers(m: int, k: int, keeps_conn) -> list[np.ndarray]:
-    """Multiplications by unit k-th powers of Z/m that keep the connection
-    set, chosen greedily: a power is taken only when it lies outside the
-    group generated so far."""
+def _zmod_multipliers(m: int, powers: frozenset[int], keeps_conn) -> list[np.ndarray]:
+    """Multiplications by unit k-th powers u of Z/m (the units in powers:
+    z^k is a unit iff z is) that keep the connection set, chosen greedily:
+    u is taken only when it lies outside the group generated so far."""
     xs = np.arange(m)
     reached = np.zeros(m, dtype=bool)
     reached[1] = True
     gens = []
-    for u in sorted({pow(z, k, m) for z in range(1, m) if math.gcd(z, m) == 1}):
+    for u in sorted(u for u in powers if math.gcd(u, m) == 1):
         if reached[u]:
             continue
         perm = xs * u % m

@@ -17,8 +17,8 @@ from .graphs import (
 )
 from .rings import (
     RingCtx,
-    RingSpec,
     factor_prime_power,
+    field_spec,
     generator,
     make_ring,
     non_kth_power,
@@ -43,7 +43,7 @@ def diagonal_indep_set(q: int, k: int, graph: GenericGraph | None = None) -> Ind
     """Geometric tuples (x, bx, b^2 x, ..., b^(k-1) x) with b a generator
     of F_q^*; an independent set of size q in the k-th strong power of the
     complement of Paley_k(F_q)."""
-    R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    R = make_ring(field_spec(q))
     if graph is None:
         graph = complement_power_graph(q, k)
     beta = generator(R)
@@ -70,7 +70,7 @@ def _certify(graph: GenericGraph, tuples: tuple) -> IndepSet:
 def complement_power_graph(q: int, k: int) -> GenericGraph:
     """The k-th strong power of the complement of Paley_k(F_q), built as a
     Cayley graph on the complementary connection set."""
-    R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    R = make_ring(field_spec(q))
     comp = build_paley(R, k).complement_cayley()
     return strong_power(comp, k)
 
@@ -78,7 +78,7 @@ def complement_power_graph(q: int, k: int) -> GenericGraph:
 def beta_pair_set(q: int, k: int, graph: GenericGraph | None = None) -> IndepSet:
     """Pairs (x, bx) with b the least non-k-th-power: an independent set of
     size q in Paley_k(F_q) x Paley_k(F_q)."""
-    R = make_ring(RingSpec.field(*factor_prime_power(q)))
+    R = make_ring(field_spec(q))
     beta = non_kth_power(R, k)  # raises AllPowers when gcd(k, q-1) = 1
     if graph is None:
         graph = strong_power(build_paley(R, k), 2)

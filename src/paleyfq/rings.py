@@ -452,11 +452,16 @@ class _ExtensionField(RingCtx):
 
 
 def check_ring_order(n: int, name: str = "q") -> int:
-    """n if a ring of n elements is within ORDER_CAP, else OrderTooLarge.
-    Run it before factoring n: trial division of a huge n never ends."""
+    """n if a ring of n elements is within ORDER_CAP, else OrderTooLarge."""
     if n > ORDER_CAP:
         raise OrderTooLarge(f"{name}={n} exceeds cap {ORDER_CAP}")
     return n
+
+
+def field_spec(q: int) -> RingSpec:
+    """The RingSpec of F_q.  q is compared with ORDER_CAP before it is
+    factored, as trial division of a huge q never ends."""
+    return RingSpec.field(*factor_prime_power(check_ring_order(q)))
 
 
 def make_ring(spec: RingSpec) -> RingCtx:

@@ -29,7 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverTimeout
-from .graphs import CayleyGraph, GenericGraph, graph_fingerprint, root_stabilizer
+from .graphs import (
+    CayleyGraph,
+    GenericGraph,
+    complement_rows,
+    graph_fingerprint,
+    root_stabilizer,
+    symmetrized_rows,
+)
 
 DEFAULT_BUDGET_S = 300.0
 # most vertices bounds_report, capacity_bounds and ruzsa_bound_check solve
@@ -37,8 +44,6 @@ SOLVER_VERTEX_CAP = 400
 # most vertices of a product's last factor H with a slab table: one byte
 # per subset of H, 1 MB at the cap
 SLAB_CAP = 20
-# bytes of unpacked bits per block of columns in _symmetrize
-_TRANSPOSE_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -62,25 +67,8 @@ class IndepSet:
 
 
 def _symmetrize(g: GenericGraph) -> list[int]:
-    """Rows of the symmetrized graph, row i OR column i.  A directed input
-    is transposed in blocks of columns: the rows as an n x ceil(n/8) byte
-    matrix, each block unpacked to at most _TRANSPOSE_BLOCK bytes of bits,
-    transposed and packed back into column ints.  The byte matrix is
-    freed on return, before the complement is built, so the solver still
-    holds at most three adjacency copies at once."""
-    if g.symmetric:
-        return list(g.rows)
-    n, rows = g.n, list(g.rows)
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
-                           dtype=np.uint8).reshape(n, nbytes)
-    width = max(1, _TRANSPOSE_BLOCK // (8 * max(n, 1)))  # bytes of columns per block
-    for lo in range(0, nbytes, width):
-        bits = np.unpackbits(packed[:, lo:lo + width], axis=1, bitorder="little")
-        cols = np.packbits(bits.T, axis=1, bitorder="little")
-        for j, col in enumerate(cols[:n - 8 * lo], 8 * lo):
-            rows[j] |= int.from_bytes(col, "little")
-    return rows
+    """Rows of the symmetrized graph (graphs.symmetrized_rows)."""
+    return list(g.rows) if g.symmetric else symmetrized_rows(g.rows)
 
 
 class _CliqueSearch:
@@ -368,11 +356,10 @@ def _mutual_clique(f: CayleyGraph, deadline: float) -> list[int]:
     Cayley graph itself, on the connection elements whose negatives are
     in it.  Its translations are automorphisms, so the search is rooted
     at 0."""
-    conn = frozenset(s for s in f.connection if f.ring.neg(s) in f.connection)
+    conn = frozenset(f.members[f.inside[f.ring.neg_array(f.members)]].tolist())
     rows = list(CayleyGraph(ring=f.ring, k=f.k, connection=conn).to_generic().rows)
-    full = (1 << f.n) - 1
-    non = [full & ~rows[i] & ~(1 << i) for i in range(f.n)]
-    search = _CliqueSearch(rows, non, deadline, _multistart_greedy(f.n, rows, deadline))
+    search = _CliqueSearch(rows, complement_rows(rows), deadline,
+                           _multistart_greedy(f.n, rows, deadline))
     search.expand([0], rows[0])
     return search.best
 
@@ -501,8 +488,7 @@ def max_independent_set(
     root_fixed = gens is not None
     fingerprint = graph_fingerprint(g)
     sym = _symmetrize(g)
-    full = (1 << n) - 1
-    comp = [(full & ~sym[i]) & ~(1 << i) for i in range(n)]
+    comp = complement_rows(sym)
     search = _CliqueSearch(comp, sym, deadline, _multistart_greedy(n, comp, deadline),
                            _slab_for(g, sym, deadline) if root_fixed else None)
     orbit = None
@@ -515,7 +501,7 @@ def max_independent_set(
             orbit = _root_orbits(gens, n, comp[0])
             search.expand([0], comp[0], orbit)
         elif n:
-            search.expand([], full)
+            search.expand([], (1 << n) - 1)
     except _Expired:
         completed = False
     counters = dict(

@@ -71,9 +71,7 @@ def cayley_spectrum(G: CayleyGraph) -> list[float]:
     deg = len(G.connection)
     if not deg:
         return [0.0] * n
-    indicator = np.zeros(n)
-    indicator[np.fromiter(G.connection, dtype=np.int64, count=deg)] = 1.0
-    vals = np.fft.fftn(indicator.reshape(R.shape)).ravel()
+    vals = np.fft.fftn(G.inside.astype(float).reshape(R.shape)).ravel()
     if np.abs(vals.imag).max() >= 1e-9:
         raise InvariantViolation("connection set is not closed under negation")
     lam = np.sort(vals.real)

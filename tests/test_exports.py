@@ -111,3 +111,23 @@ def test_test_oracles_import_no_private_paleyfq_name():
                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("paleyfq")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "paleyfq").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # a name left imported after the code that used it moved away fails
+    # here; a name counts as used where it is read, or listed in __all__
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    assert sorted(imported - used) == []

@@ -18,7 +18,7 @@ from paleyfq.rings import RingSpec, generator, make_ring, non_kth_power
 from paleyfq.solver import max_independent_set, verify_independent
 from paleyfq.theta import lovasz_theta
 
-from util import networkx_alpha
+from util import networkx_alpha, run_child
 
 
 def ring(p, s=1):
@@ -27,6 +27,27 @@ def ring(p, s=1):
 
 def test_alpha_product_c7():
     assert alpha_product(ring(7), 3, 2) == 10
+
+
+def test_huge_field_order_refused_before_factoring():
+    # 2^61 - 1 is prime, and trial division up to its square root does not
+    # finish, so each construction compares q with the cap before it
+    # factors q; a regression times the child out
+    code = """
+import time
+from paleyfq.errors import OrderTooLarge
+from paleyfq.indep import beta_pair_set, complement_power_graph, diagonal_indep_set
+for fn in (diagonal_indep_set, complement_power_graph, beta_pair_set):
+    start = time.monotonic()
+    try:
+        fn(2305843009213693951, 2)
+    except OrderTooLarge:
+        print(fn.__name__, time.monotonic() - start < 1.0)
+"""
+    proc = run_child(code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["diagonal_indep_set", "True", "complement_power_graph",
+                                   "True", "beta_pair_set", "True"]
 
 
 def test_alpha_product_refuses_over_cap_power_before_building(monkeypatch):

@@ -13,8 +13,13 @@ The same graphs check the slab bound on strong products: the search
 with it gives the certificate of the search without it, and on seeded
 random vertex sets the bound is never below the brute-force
 independence number.
+
+Each solve of the suite is also pinned, by a SHA-256 over the stabilizer
+generators, the solver counters, the certificate and the symmetric flag.
 """
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -23,17 +28,23 @@ import pytest
 from paleyfq.graphs import (
     CayleyGraph,
     GenericGraph,
-    _rows_symmetric,
     build_paley,
     root_stabilizer,
     strong_power,
     strong_product,
 )
+import paleyfq.graphs as graph_layer
 import paleyfq.solver as solver
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set, verify_independent
 
-from util import exhaustive_mis_size, networkx_alpha, ref_symmetrize
+from util import (
+    exhaustive_mis_size,
+    networkx_alpha,
+    random_directed_graph,
+    random_graph,
+    ref_symmetrize,
+)
 
 
 def F(p, s=1):
@@ -113,6 +124,54 @@ CASES = {
 }
 
 
+# sha256 of pin(G, stats, cert) for the first solve of each case
+PINS = {
+    "F101-k2": "da94b8d41bd9f0452754c5ae5522c729555a472de1f9cd920f27c11e40ffd3af",
+    "F13-k2": "a80948bcac087af55c54b7d17a7cef796041dc1c433b391600870af880345c54",
+    "F19-k2-squared": "55791c860e4d8e384911a791e8f818be4df61904018265ccd7e03bde01eed2bc",
+    "F23-k2-squared": "fc52ec0e191c264cd4b4a4c362eae010fb2af767e8759f4a7bc9f5923818fecf",
+    "F25-k3": "16578e13d82db5151e4357ed3cc87a6333c8dc17ae41472ae033b6966e0d31d0",
+    "F29-k4-directed": "ad20216b41373ef70a76d903b24d6a1afe46afd140cc1b6b3ab145cbe923938e",
+    "F31-k3": "ef07636f023b6aab8d130222e2b52d1d92eadfb752199bf3a4ebf3ad71ae80ed",
+    "F37-k2": "bd7a81a2defe9dc0d3b97dee5723738de403bf811fd83c4319303996df34baf3",
+    "F4-k3-cubed": "baf632a4bd9c7aa6eb6ba12bce0aaa23d1ae0838ff0be3046655f1432c91dd9d",
+    "F41-k4": "8535146a6fef4aa953248d3a827579b967aa1344c45728362a8c65f9cccb28df",
+    "F43-k3": "c3b17579a2fa539528a39750643d29535c52bb157e2ab633ab80ea55abb0b613",
+    "F49-k2": "679113966500ebaa615c084325b96c7df7b759c154597b0e974ca14b1c883e79",
+    "F5xF13": "edacee9cd977811d1be7c507aaa6b9ef72562f770483e0104442ddb256ab8ac3",
+    "F61-k2": "83fbc1b8ae4619b8d26d1116e19dbf8e11f432e3a9505da09c8eeb7479aa82c8",
+    "F64-k3": "1a9746ac3ec3d17e85af24fa165941f2d93d1fcaabfe42380271278f26ff9486",
+    "F7-k3-squared": "bcd94d4520596e373cca298329f2780546c5e7087ab5b28651a3d6883a2aff6a",
+    "F7-k3-x-comp": "647621a34e34ca4b6396237a58de3f781c1797ec01074bb93a25c7dd51b448c9",
+    "F8-k7-squared": "bfddd097b56ee6165889ad2cc0f2a28bcc38e8ca3b2d87b90bd503895744dd46",
+    "F81-k4": "da4cd5e4c5a99162c42f4c8401e4772221fe96e985fde7a02685b20599c369fc",
+    "F9-k2-squared": "624e1fb9749bc4f2f060c6b85d4ffc1b5a239fab66414f75553282d0f127b92c",
+    "F9-k4-squared": "dd17207b4d9c89dbe714f6f4e093896db62aef5c291a848bd838c3e94e1a0abf",
+    "Z15-k2": "02accad7005681bd6eb0c2f187148e8fa69eecd45b8e05f610d6a14cc609290e",
+    "Z15xF5": "90c4fa6e8bd7c365d4a62b369288f1c21406f5e3fbec63e26ae9722ce3198b1c",
+    "Z21-k2": "ab93b3894e6bb225084371961771e749dfff0ecd69f7f9215fdc9ac19eca7298",
+    "Z21-k3": "a1641637482ec9370c6ad00a5b2bfc222fcee14547c6458307556baa8ec5c58b",
+    "Z21xF4": "46dcad8ade98b1493e9c16d6a973f8c16a09d2e0f6ac59ccf2edd155ed748834",
+    "Z65-k2": "d682edeac878b3d92bb5d94f5240897326cd3b530898b75d50a778296a9854f6",
+    "comp-F13-k3-squared": "f94f77559c80eef284580d34f0cd80b2de3997c9d6fe9b93bd65fb8425a0cecd",
+    "comp-F4-k3-cubed": "42b008195bd09edf187784e242db7218eef193ba195db6b7d67750a568a8a599",
+    "comp-F7-k3-squared": "9537c9db0ab8c6e44bece63d027014e4f772c3f36c85105a4f48f38a0658dd83",
+    "comp-F9-k4-squared": "591a31d39e2f19443c1eff9e1f1be62a87335e00d16d17d2adcee377baa5652c",
+    "rnd-F25": "12f3136018e10be840db2aeb931011c7e13c0a8b1479f513a6a8739bc545ad3c",
+    "rnd-F27-directed": "0a85a6b5db5e5a773a427705bbdc95049f34ab9a1e0096958175a5a184ac86af",
+    "rnd-F8-directed-squared": "154f1db5027dcc2684b739746e35aa131315069185c3927193491fa1e17ab6ab",
+    "rnd-F9-squared": "3590d64fc2b1e95c26e790b58c7ec2eb80d0bf18a46fb55ed9d8cdbc90798288",
+    "rnd-Z12-squared": "011abea654dbdf0df9f127e18fffbe50a99991c49f18f100b03681498d256ea4",
+    "rnd-Z16": "39123b54739958511c953b7173840daf1ea413145b4ce04c9068f927d9023a7c",
+}
+
+
+def pin(G, stats: dict, cert) -> str:
+    blob = json.dumps([[perm.tolist() for perm in root_stabilizer(G)], stats,
+                       cert.to_json(), G.symmetric], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def no_slab(g, sym, deadline):
     return None
 
@@ -128,6 +187,7 @@ def test_orbit_pruning_matches_unpruned_and_networkx(name, monkeypatch):
     G = CASES[name]()
     stats = {}
     cert = max_independent_set(G, stats=stats)
+    assert pin(G, stats, cert) == PINS[name]
     assert stats["root_fixed"]
     assert verify_independent(G, cert.vertices)
     g = G.to_generic()
@@ -188,18 +248,38 @@ def test_slab_bound_on_directed_squares():
     assert cert.size == max_independent_set(GenericGraph(g.n, g.rows)).size == 15
 
 
-@pytest.mark.parametrize("block", [8, solver._TRANSPOSE_BLOCK])
+@pytest.mark.parametrize("block", [8, graph_layer._TRANSPOSE_BLOCK])
 def test_symmetrize_matches_the_edge_loop(block, monkeypatch):
     # the block transpose against the per-edge loop on every directed
     # graph of the suite (F_19^2 and F_23^2 among them) and on Z/15^2, in
     # one block of columns and in blocks of one byte of columns
-    monkeypatch.setattr(solver, "_TRANSPOSE_BLOCK", block)
+    monkeypatch.setattr(graph_layer, "_TRANSPOSE_BLOCK", block)
     graphs = [CASES[name]() for name in sorted(CASES)]
     graphs.append(strong_power(paley(Z(15), 2), 2))
     directed = [G.to_generic() for G in graphs if not G.symmetric]
     assert len(directed) == 9
     for g in directed:
         assert solver._symmetrize(g) == ref_symmetrize(g)
+
+
+@pytest.mark.parametrize("block", [8, graph_layer._TRANSPOSE_BLOCK])
+def test_derived_symmetric_flag_on_random_graphs(block, monkeypatch):
+    # GenericGraph works symmetric out from the block transpose when it is
+    # not given; the per-edge loop is the oracle, on orders around a byte
+    monkeypatch.setattr(graph_layer, "_TRANSPOSE_BLOCK", block)
+    rng = random.Random(20261019)
+    directed = []
+    for n in (0, 1, 7, 8, 9, 17):
+        for make in (random_graph, random_directed_graph):
+            for p in (0.2, 0.5):
+                g = make(rng, n, p)
+                assert g.symmetric == (ref_symmetrize(g) == list(g.rows))
+                assert solver._symmetrize(g) == ref_symmetrize(g)
+                if make is random_graph:
+                    assert g.symmetric
+                else:
+                    directed.append(g.symmetric)
+    assert directed.count(False) >= 8
 
 
 def test_slab_bound_is_off_over_the_cap(monkeypatch):
@@ -261,7 +341,7 @@ def test_root_stabilizer_generators_are_automorphisms_fixing_0(name):
     A = adjacency(G)
     # the derived symmetric flag, on the graph and its generic form
     g = G.to_generic()
-    assert G.symmetric == g.symmetric == _rows_symmetric(g.n, g.rows)
+    assert G.symmetric == g.symmetric == (ref_symmetrize(g) == list(g.rows))
     n = A.shape[0]
     for perm in gens:
         assert perm[0] == 0
