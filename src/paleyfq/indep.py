@@ -17,7 +17,6 @@ from .graphs import (
 )
 from .rings import (
     RingCtx,
-    factor_prime_power,
     field_spec,
     generator,
     make_ring,
@@ -97,9 +96,10 @@ def cohen_bound(q: int, k: int) -> float:
     """Asymptotic clique-number lower bound for undirected Paley_k(F_q),
     clamped below at 1 (a clique always has at least one vertex).
 
-    Uses d = gcd(k, q-1) and natural logarithms.
+    Uses d = gcd(k, q-1) and natural logarithms.  q over rings.ORDER_CAP
+    is refused (OrderTooLarge) before it is factored.
     """
-    p, _ = factor_prime_power(q)
+    p = field_spec(q).p
     d = math.gcd(k, q - 1)
     if d < 2:
         raise ValueError("requires gcd(k, q-1) >= 2")

@@ -66,18 +66,10 @@ class IndepSet:
         }
 
 
-def _symmetrize(g: GenericGraph) -> list[int]:
-    """Rows of the symmetrized graph (graphs.symmetrized_rows)."""
-    return list(g.rows) if g.symmetric else symmetrized_rows(g.rows)
-
-
 class _CliqueSearch:
     """Tomita-style max clique with greedy coloring bound on bitmasks."""
 
-    __slots__ = (
-        "adj", "best", "best_size", "deadline", "nodes", "orbit_pruned", "slab",
-        "slab_pruned", "sym", "up_pruned",
-    )
+    __slots__ = ("adj", "best", "deadline", "slab", "stats", "sym")
 
     def __init__(self, adj: list[int], sym: list[int], deadline: float,
                  seed: list[int], slab: _Slab | None = None):
@@ -87,13 +79,9 @@ class _CliqueSearch:
         self.adj = adj
         self.sym = sym
         self.best = list(seed)
-        self.best_size = len(seed)
         self.deadline = deadline
         self.slab = slab
-        self.nodes = 0
-        self.orbit_pruned = 0
-        self.slab_pruned = 0
-        self.up_pruned = 0
+        self.stats = dict(nodes=0, orbit_pruned=0, up_pruned=0, slab_pruned=0)
 
     def expand(self, R: list[int], P: int, orbit: list[int] | None = None) -> None:
         """Colour P greedily into independent classes (bitmasks, lowest
@@ -123,9 +111,10 @@ class _CliqueSearch:
         incumbent, so the colouring, the branch order and the sequence of
         incumbents (hence every certificate) are the same as without the
         tests, and the orbit argument above still holds for a pruned v."""
-        self.nodes += 1
-        if not self.nodes & 2047 and time.monotonic() >= self.deadline:
+        if time.monotonic() >= self.deadline:
             raise _Expired()
+        stats = self.stats
+        stats["nodes"] += 1
         adj = self.adj
         sym = self.sym
         slab = self.slab
@@ -144,28 +133,25 @@ class _CliqueSearch:
         for c in range(len(classes), 0, -1):
             cls = classes[c - 1] & P
             while cls:
-                if size + c <= self.best_size:
+                best = len(self.best)
+                if size + c <= best:
                     return
                 v = cls.bit_length() - 1
                 bit = 1 << v
                 P2 = P & adj[v]
-                if slab is not None and not slab.reaches(P2, self.best_size - size):
-                    self.slab_pruned += 1
-                elif size + c == self.best_size + 1 and _refutes(adj, classes, c - 1, P2):
-                    self.up_pruned += 1
-                else:
-                    R.append(v)
-                    if P2:
-                        self.expand(R, P2)
-                    elif size >= self.best_size:
-                        self.best = R.copy()
-                        self.best_size = size + 1
-                    R.pop()
+                if slab is not None and not slab.reaches(P2, best - size):
+                    stats["slab_pruned"] += 1
+                elif size + c == best + 1 and _refutes(adj, classes, c - 1, P2):
+                    stats["up_pruned"] += 1
+                elif P2:
+                    self.expand(R + [v], P2)
+                elif size >= best:
+                    self.best = R + [v]
                 if orbit is None:
                     P ^= bit
                     cls ^= bit
                 else:
-                    self.orbit_pruned += (P & orbit[v]).bit_count() - 1
+                    stats["orbit_pruned"] += (P & orbit[v]).bit_count() - 1
                     P &= ~orbit[v]
                     cls &= P
 
@@ -440,12 +426,14 @@ def max_independent_set(
     """Exact maximum independent set with certificate.
 
     The budget covers the whole call: its deadline starts on entry and is
-    checked inside the greedy incumbent, after it and every 2048 search
-    nodes; when it expires SolverTimeout carries the best set found so
-    far (never empty on a nonempty graph).  budget_s must be positive and
-    finite, else ValueError.  The solver holds at most three copies of
-    the adjacency bitmasks, which graphs.check_order bounds wherever rows
-    are built.  The certificate is deterministic for a given graph.
+    checked inside the greedy incumbent and on entry to every search node,
+    before the node is counted, so a timed-out search stops within one
+    node of the budget; when it expires SolverTimeout carries the best set
+    found so far (never empty on a nonempty graph).  budget_s must be
+    positive and finite, else ValueError.  The solver holds at most three
+    copies of the adjacency bitmasks, which graphs.check_order bounds
+    wherever rows are built.  The certificate is deterministic for a given
+    graph.
 
     The search is rooted at vertex 0 exactly when graphs.root_stabilizer
     returns generators, that is on Cayley graphs and their strong
@@ -487,7 +475,7 @@ def max_independent_set(
     gens = root_stabilizer(G)
     root_fixed = gens is not None
     fingerprint = graph_fingerprint(g)
-    sym = _symmetrize(g)
+    sym = list(g.rows) if g.symmetric else symmetrized_rows(g.rows)
     comp = complement_rows(sym)
     search = _CliqueSearch(comp, sym, deadline, _multistart_greedy(n, comp, deadline),
                            _slab_for(g, sym, deadline) if root_fixed else None)
@@ -495,8 +483,6 @@ def max_independent_set(
     completed = True
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
     try:
-        if time.monotonic() >= deadline:
-            raise _Expired()
         if n and root_fixed:
             orbit = _root_orbits(gens, n, comp[0])
             search.expand([0], comp[0], orbit)
@@ -504,14 +490,8 @@ def max_independent_set(
             search.expand([], (1 << n) - 1)
     except _Expired:
         completed = False
-    counters = dict(
-        nodes=search.nodes,
-        root_fixed=root_fixed,
-        depth1_orbits=len(set(orbit) - {0}) if gens and orbit else 0,
-        orbit_pruned=search.orbit_pruned,
-        up_pruned=search.up_pruned,
-        slab_pruned=search.slab_pruned,
-    )
+    counters = dict(search.stats, root_fixed=root_fixed,
+                    depth1_orbits=len(set(orbit) - {0}) if gens and orbit else 0)
     if stats is not None:
         stats.update(counters)
     result = IndepSet(vertices=g.label(sorted(search.best)),

@@ -131,3 +131,13 @@ def test_no_module_imports_a_name_it_never_uses(path):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(elt.value for elt in node.value.elts)
     assert sorted(imported - used) == []
+
+
+def test_no_assert_statement_in_src():
+    # python -O strips assert statements, so an invariant checked by one
+    # would go unchecked there; src raises InvariantViolation instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "paleyfq").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -31,13 +31,14 @@ def test_alpha_product_c7():
 
 def test_huge_field_order_refused_before_factoring():
     # 2^61 - 1 is prime, and trial division up to its square root does not
-    # finish, so each construction compares q with the cap before it
-    # factors q; a regression times the child out
+    # finish, so each of these compares q with the cap before it factors
+    # q; a regression times the child out
     code = """
 import time
 from paleyfq.errors import OrderTooLarge
-from paleyfq.indep import beta_pair_set, complement_power_graph, diagonal_indep_set
-for fn in (diagonal_indep_set, complement_power_graph, beta_pair_set):
+from paleyfq.indep import (beta_pair_set, cohen_bound, complement_power_graph,
+                           diagonal_indep_set)
+for fn in (diagonal_indep_set, complement_power_graph, beta_pair_set, cohen_bound):
     start = time.monotonic()
     try:
         fn(2305843009213693951, 2)
@@ -47,7 +48,7 @@ for fn in (diagonal_indep_set, complement_power_graph, beta_pair_set):
     proc = run_child(code, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["diagonal_indep_set", "True", "complement_power_graph",
-                                   "True", "beta_pair_set", "True"]
+                                   "True", "beta_pair_set", "True", "cohen_bound", "True"]
 
 
 def test_alpha_product_refuses_over_cap_power_before_building(monkeypatch):

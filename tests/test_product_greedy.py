@@ -15,6 +15,7 @@ from paleyfq.graphs import (
     graph_fingerprint,
     strong_power,
     strong_product,
+    symmetrized_rows,
 )
 from paleyfq.indep import complement_power_graph
 from paleyfq.rings import RingSpec, factor_prime_power, make_ring
@@ -143,7 +144,7 @@ def solver_closed(G):
     """Closed neighbourhoods of the symmetrized graph, as the solver seeds
     its greedy."""
     g = G.to_generic()
-    return [r | (1 << i) for i, r in enumerate(solver._symmetrize(g))]
+    return [r | (1 << i) for i, r in enumerate(symmetrized_rows(g.rows))]
 
 
 def check_greedy(n, closed, deadline=math.inf):
