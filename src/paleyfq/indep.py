@@ -4,6 +4,7 @@ constructions, clique numbers, and Shannon-capacity bounds."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, SolverTimeout
@@ -26,6 +27,7 @@ from .solver import (
     DEFAULT_BUDGET_S,
     SOLVER_VERTEX_CAP,
     IndepSet,
+    check_budget,
     max_independent_set,
     verify_independent,
 )
@@ -130,8 +132,15 @@ def capacity_bounds(
     exactly when the power has at most SOLVER_VERTEX_CAP vertices and
     falling back to the explicit constructions otherwise.  Upper bound:
     the theta value.
+
+    budget_s bounds all the solves together: its deadline starts on entry,
+    and each solve gets what is left of it.  A solve that runs out, or
+    starts with nothing left, counts its incumbent, which is still a valid
+    lower bound.
     """
     from .theta import lovasz_theta, lovasz_theta_complement
+
+    deadline = time.monotonic() + check_budget(budget_s)
 
     G = build_paley(R, k)
     base = G.complement_cayley() if use_complement else G
@@ -142,8 +151,10 @@ def capacity_bounds(
         alpha_n = None
         if q**n <= SOLVER_VERTEX_CAP:
             H = base if n == 1 else strong_power(base, n)
+            # with nothing left, a 1 ns budget still yields the incumbent
+            left = max(deadline - time.monotonic(), 1e-9)
             try:
-                alpha_n = max_independent_set(H, budget_s=budget_s).size
+                alpha_n = max_independent_set(H, budget_s=left).size
             except SolverTimeout as exc:
                 alpha_n = exc.incumbent.size  # still a valid lower bound
         elif use_complement and n == k and R.is_field:

@@ -4,13 +4,17 @@ Independence in a directed graph means independence in the symmetrized
 graph, so the input is symmetrized and the search runs as a maximum
 clique search on the complement, using bit-parallel candidate sets and a
 greedy coloring upper bound.  Where that bound is tight, a branch is
-tested once, by unit propagation over the colour classes and then
-failed-literal probing (MaxSAT-style inconsistent-subset reasoning, as
-in Li & Quan's MaxCLQ), and dropped unexpanded when no clique through
-it can beat the incumbent.  A multistart greedy supplies the incumbent, and
-for vertex-transitive inputs the search is rooted at vertex 0, which is
-exact because automorphisms carry any maximum set through any chosen
-vertex; on Cayley inputs, depth-1 branches are further pruned by orbits
+tested once, by unit propagation over the colour classes, a
+bit-parallel support filter (a vertex with no neighbour in some other
+class leaves its class) and then failed-literal probing of the vertices
+left (MaxSAT-style inconsistent-subset reasoning, as in Li & Quan's
+MaxCLQ), and dropped unexpanded when no clique through it can beat the
+incumbent.  The filter removes only vertices whose probe would fail at
+its first step, so it changes the cost of a test, never its answer.
+A multistart greedy supplies the incumbent, and for vertex-transitive
+inputs the search is rooted at vertex 0, which is exact because
+automorphisms carry any maximum set through any chosen vertex; on
+Cayley inputs, depth-1 branches are further pruned by orbits
 of the stabilizer of vertex 0, and on their strong products every branch
 is also tested by a slab bound drawn from the product structure.
 Everything is deterministic: natural index order, lowest-bit
@@ -192,24 +196,67 @@ def _propagate(adj: list[int], xs: list[int], P: int = -1) -> list[int] | None:
 
 
 def _refutes(adj: list[int], classes: list[int], k: int, P: int) -> bool:
-    """True iff unit propagation and failed-literal detection show that no
-    clique takes one vertex from each of classes[:k] & P.  False says
-    nothing.
+    """True iff unit propagation, a support filter and failed-literal
+    detection show that no clique takes one vertex from each of
+    classes[:k] & P.  False says nothing.  The classes are disjoint and
+    adj is symmetric and loopless, as in the search.
 
     Unit propagation runs first: a class cut to one vertex u forces u, so
-    every class still open is cut to adj[u], and a conflict refutes.  From
-    its fixpoint, each vertex u of each class of two or more vertices is
-    probed by propagating the other classes cut to adj[u].  A refuted u
-    (a failed literal) lies in no such clique and leaves its class; a
-    class cut to one vertex or none is propagated again, and a conflict
-    refutes.  Probing goes round the classes until a full round removes
-    nothing.  Cutting and removing only shrink classes, and a probe
-    refuted once stays refuted on smaller classes, so this greatest
-    fixpoint, and hence the answer, do not depend on the order of the
-    classes or of the probes."""
+    every class still open is cut to adj[u], and a conflict refutes.
+
+    The support filter (arc consistency, bit-parallel) then takes the
+    classes smallest first and cuts every class to the reach of class x,
+    x | (OR of adj[u] over u in x).  After a cut it starts again from the
+    smallest class, skipping the classes unchanged since their last
+    reach, until no reach removes a vertex; an emptied class refutes.  A
+    vertex w of another class left out of the reach has no neighbour in
+    x, so its probe (below) would return None on its first step, where it
+    cuts x to adj[w]: every vertex the filter removes is a failed
+    literal.  A class cut to one vertex u reaches u | adj[u], so its cut
+    is unit propagation.  A vertex costs the filter one OR per reach of
+    its class, where its probe costs an AND per other class and a call.
+
+    From the filter's fixpoint, each vertex u of each class of two or
+    more vertices is probed by propagating the other classes cut to
+    adj[u]; a single vertex left is adjacent to every vertex left and
+    constrains nothing.  A refuted u (a failed literal) lies in no such
+    clique and leaves its class; a class cut to one vertex or none is
+    propagated again, and a conflict refutes.  Probing goes round the
+    classes until a full round removes nothing.  Cutting and removing
+    only shrink classes, and a literal that fails once still fails on
+    smaller classes, so this greatest fixpoint, and hence the answer, do
+    not depend on the order of the classes, of the probes or of the
+    filter's cuts: the filter changes the work, never the answer, and so
+    never the search tree."""
     open_ = _propagate(adj, classes[:k], P)
     if open_ is None:
         return True
+    open_.sort(key=int.bit_count)
+    done = [0] * len(open_)  # each class as it was when it last cut
+    union = 0
+    for x in open_:
+        union |= x
+    i = 0
+    while i < len(open_):
+        x = open_[i]
+        if done[i] == x:
+            i += 1
+            continue
+        done[i] = x
+        r = rest = x
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            r |= adj[b.bit_length() - 1]
+        if union & ~r:
+            open_ = [y & r for y in open_]
+            if 0 in open_:
+                return True
+            union &= r
+            i = 0
+        else:
+            i += 1
+    open_ = [x for x in open_ if x & (x - 1)]
     # small classes first: they empty after the fewest probes
     open_.sort(key=int.bit_count)
     i = quiet = 0
@@ -463,11 +510,11 @@ def max_independent_set(
     root_fixed, depth1_orbits (orbits of the root's candidates, 0 without
     orbit pruning), orbit_pruned (depth-1 candidates dropped with an
     orbit whose branch was done, never expanded), up_pruned (branches
-    refuted by unit propagation or by failed-literal detection, never
-    expanded) and slab_pruned (branches dropped by the slab bound, never
-    expanded); SolverTimeout carries the same dict as its stats.  The
-    pruning cuts alpha(C_11^2) = 27 to 645 nodes (4,016 without the slab
-    bound, 50,978 with unit propagation alone).
+    refuted by unit propagation, the support filter or failed-literal
+    detection, never expanded) and slab_pruned (branches dropped by the
+    slab bound, never expanded); SolverTimeout carries the same dict as
+    its stats.  The pruning cuts alpha(C_11^2) = 27 to 645 nodes (4,016
+    without the slab bound, 50,978 with unit propagation alone).
     """
     deadline = time.monotonic() + check_budget(budget_s)
     g = G.to_generic()

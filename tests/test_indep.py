@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -198,6 +199,28 @@ def test_capacity_bounds_complement_uses_diagonal_seed(monkeypatch):
     cb = capacity_bounds(ring(7), 3, 3, use_complement=True)
     assert cb.lower >= 7 ** (1 / 3) - 1e-9
     assert cb.lower <= cb.upper + 1e-9
+
+
+def test_capacity_bounds_shares_one_budget(monkeypatch):
+    # each stand-in solve spends all the budget it is given and then times
+    # out on its greedy incumbent, so a full budget per solve would take
+    # 3 s over the solves of C_7, C_7^2 and C_7^3
+    budgets = []
+
+    def slow_solve(H, budget_s):
+        budgets.append(budget_s)
+        time.sleep(budget_s)
+        return max_independent_set(H, budget_s=1e-9)
+
+    monkeypatch.setattr(paleyfq.indep, "max_independent_set", slow_solve)
+    start = time.monotonic()
+    cb = capacity_bounds(ring(7), 3, 3, budget_s=1.0)
+    assert time.monotonic() - start < 2.0
+    assert len(budgets) == 3
+    assert all(b > 0 for b in budgets)
+    assert sum(budgets) <= 1.0 + 1e-6
+    assert 1.0 <= cb.lower <= cb.upper
+    assert abs(cb.upper - lovasz_theta(build_paley(ring(7), 3)).value) < 1e-12
 
 
 def test_alpha_le_theta_on_solved_instances():

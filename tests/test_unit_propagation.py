@@ -3,12 +3,15 @@
 
 Hand-made cases pin what each test proves and what it leaves open;
 seeded property tests check on random graphs that a refutation is sound
-(no clique takes one vertex from each class, by brute force) and does
-not depend on the order of the classes; and the search with the tests
-is compared against the search with them switched off, and against
-itself under python -O.
+(no clique takes one vertex from each class, by brute force), does not
+depend on the order of the classes, and answers as the probe-only
+reference util.ref_refutes, which has no support filter; the search with
+the tests is compared against the search with them switched off, and
+against itself under python -O; and the search trees of the benchmark's
+solver-bound graphs are pinned.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -21,7 +24,7 @@ from paleyfq.graphs import build_paley, strong_power
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import _refutes, max_independent_set
 
-from util import random_graph, run_child
+from util import random_graph, ref_refutes, run_child
 
 
 def bits(*vs):
@@ -108,11 +111,18 @@ def test_refutations_are_sound_and_order_free():
         classes = [bits(*verts[i:j]) for i, j in zip([0, *cuts], [*cuts, n])]
         P = rng.getrandbits(n) | bits(*rng.sample(range(n), 1))
         got = up(adj, classes, len(classes), P)
+        full = _refutes(adj, classes, len(classes), P)
+        assert full == ref_refutes(adj, classes, len(classes), P)
+        assert _refutes(adj, classes, len(classes) - 1, P) == ref_refutes(
+            adj, classes, len(classes) - 1, P)
         if got:
             refuted += 1
+            assert full
+        if full:
             assert not transversal_clique(adj, classes, P)
         for perm in itertools.permutations(classes):
             assert up(adj, list(perm), len(perm), P) == got
+            assert _refutes(adj, list(perm), len(perm), P) == full
     assert refuted > 50
 
 
@@ -127,6 +137,24 @@ def test_failed_literals_refute_the_six_cycle():
     adj = graph(6, [(x0, y0), (y0, z0), (z0, x1), (x1, y1), (y1, z1), (z1, x0),
                     (y0, z1)])
     assert not _refutes(adj, classes, 3, bits(*range(6)))
+
+
+def test_probing_goes_past_a_class_that_keeps_every_vertex():
+    # every vertex has a neighbour in every other class, so the support
+    # filter removes nothing; both probes of the smallest class A survive,
+    # but every vertex of B fails its probe, so only probing on past A
+    # empties a class
+    adj = graph(11, [(0, 2), (0, 4), (0, 5), (0, 6), (0, 8), (0, 10), (1, 2),
+                     (1, 3), (1, 4), (1, 6), (1, 7), (1, 8), (1, 9), (2, 5),
+                     (2, 7), (2, 9), (3, 5), (3, 10), (4, 5), (4, 6), (4, 8),
+                     (5, 9), (5, 10), (6, 9), (6, 10), (7, 8), (7, 10)])
+    A, B, C, D = bits(0, 1), bits(2, 3, 4), bits(5, 6, 7), bits(8, 9, 10)
+    full = bits(*range(11))
+    assert all(solver._propagate(adj, [B, C, D], adj[a]) is not None for a in (0, 1))
+    assert all(solver._propagate(adj, [A, C, D], adj[b]) is None for b in (2, 3, 4))
+    assert not up(adj, [A, B, C, D], 4, full)
+    assert _refutes(adj, [A, B, C, D], 4, full)
+    assert not transversal_clique(adj, [A, B, C, D], full)
 
 
 def test_refutes_a_plain_propagation_conflict():
@@ -154,6 +182,7 @@ def test_failed_literal_refutations_are_sound_and_order_free():
         P = bits(*(v for v in range(n) if rng.random() < 0.95))
         unit = up(adj, classes, len(classes), P)
         got = _refutes(adj, classes, len(classes), P)
+        assert got == ref_refutes(adj, classes, len(classes), P)
         clique = transversal_clique(adj, classes, P)
         if unit or got:
             assert not clique
@@ -167,7 +196,27 @@ def test_failed_literal_refutations_are_sound_and_order_free():
             assert unit or got or clique
         for perm in itertools.permutations(classes):
             assert _refutes(adj, list(perm), len(perm), P) == got
+            assert ref_refutes(adj, list(perm), len(perm), P) == got
     assert refuted > 50
+    # classes of up to six vertices, as deeper in the search, against the
+    # probe-only reference in shuffled orders
+    answers = []
+    for _ in range(200):
+        sizes = [rng.randint(2, 6) for _ in range(rng.randint(3, 6))]
+        n = sum(sizes)
+        adj = list(random_graph(rng, n, rng.uniform(0.4, 0.8)).rows)
+        ends = list(itertools.accumulate(sizes))
+        classes = [bits(*range(i, j)) for i, j in zip([0, *ends], ends)]
+        P = bits(*(v for v in range(n) if rng.random() < 0.95))
+        got = _refutes(adj, classes, len(classes), P)
+        assert got == ref_refutes(adj, classes, len(classes), P)
+        if got:
+            assert not transversal_clique(adj, classes, P)
+        for _ in range(3):
+            rng.shuffle(classes)
+            assert _refutes(adj, classes, len(classes), P) == got
+        answers.append(got)
+    assert 50 < sum(answers) < 150
 
 
 def test_unrooted_search_matches_search_without_the_test(monkeypatch):
@@ -202,6 +251,31 @@ def test_failed_literals_prune_beyond_unit_propagation(monkeypatch):
     # probing to the greatest fixpoint; one round of probes gives 4,051
     assert stats["nodes"] == 4_016
     assert stats["orbit_pruned"] == up_only["orbit_pruned"]
+
+
+# the benchmark's solver-bound graphs: (q, k, power) -> counters, and the
+# sha256 of the certificate's JSON with sorted keys
+SEARCH_TREES = {
+    (11, 5, 2): (dict(nodes=645, orbit_pruned=41, up_pruned=632, slab_pruned=1231),
+                 "0b6b507b526e089f01c16a718c4a4029113ca128c4727c78ddc69fa8fc820ac0"),
+    (17, 2, 2): (dict(nodes=1568, orbit_pruned=205, up_pruned=1065, slab_pruned=4019),
+                 "86538c25a62a98ed36c1a7b243124eba99678cf1faccec6b4d862a2a80a58b66"),
+    (5, 2, 3): (dict(nodes=382, orbit_pruned=76, up_pruned=649, slab_pruned=222),
+                "acb573e9876067782ce8424285259a7b75be889fcfe0e572e075ed89ae73473c"),
+}
+
+
+@pytest.mark.parametrize("q, k, power", sorted(SEARCH_TREES))
+def test_benchmark_search_trees_are_pinned(q, k, power):
+    # the refutation test changes how fast a branch is refuted, never
+    # whether, so the search tree and the certificate stay as pinned
+    counters, digest = SEARCH_TREES[q, k, power]
+    stats = {}
+    cert = max_independent_set(
+        strong_power(build_paley(make_ring(RingSpec.field(q)), k), power), stats=stats)
+    assert {key: stats[key] for key in counters} == counters
+    blob = json.dumps(cert.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_search_is_the_same_under_optimize_flag():

@@ -400,6 +400,68 @@ def ref_multistart_greedy(n: int, closed: list[int], deadline: float) -> list[in
     return best
 
 
+def ref_propagate(adj: list[int], xs: list[int], P: int = -1) -> list[int] | None:
+    """Unit propagation over the classes xs cut to P: None on an empty
+    class or two forced vertices not adjacent, else the classes of two or
+    more vertices left once each forced vertex has cut the others to its
+    neighbours."""
+    open_ = []
+    units = []
+    for x in xs:
+        x &= P
+        if not x:
+            return None
+        if x & (x - 1):
+            open_.append(x)
+        else:
+            units.append(x)
+    while units:
+        a = adj[units.pop().bit_length() - 1]
+        if any(not u & a for u in units):
+            return None
+        cut = [x & a for x in open_]
+        if 0 in cut:
+            return None
+        units += [x for x in cut if not x & (x - 1)]
+        open_ = [x for x in cut if x & (x - 1)]
+    return open_
+
+
+def ref_refutes(adj: list[int], classes: list[int], k: int, P: int) -> bool:
+    """The clique search's refutation test without its support filter:
+    unit propagation over classes[:k] & P, then failed-literal probing of
+    every vertex to the greatest fixpoint, which an emptied class ends."""
+    open_ = ref_propagate(adj, classes[:k], P)
+    if open_ is None:
+        return True
+    open_.sort(key=int.bit_count)
+    i = quiet = 0
+    while quiet < len(open_):
+        i %= len(open_)
+        x = open_[i]
+        others = open_[:i] + open_[i + 1:]
+        keep = rest = x
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if ref_propagate(adj, others, adj[b.bit_length() - 1]) is None:
+                keep ^= b
+        if keep == x:
+            quiet += 1
+        elif keep & (keep - 1):
+            open_[i] = keep
+            quiet = 1
+        else:
+            open_[i] = keep
+            open_ = ref_propagate(adj, open_)
+            if open_ is None:
+                return True
+            i = quiet = 0
+            continue
+        i += 1
+    return False
+
+
 def run_child(code: str, *flags: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run Python code in a fresh interpreter that imports this paleyfq;
     subprocess.TimeoutExpired after timeout seconds."""
