@@ -134,14 +134,15 @@ def complement_rows(rows) -> list[int]:
 @dataclass(frozen=True)
 class CayleyGraph:
     """Cayley graph on the ring R: x -> y is an edge iff x - y lies in the
-    connection set (nonzero elements).  build_paley makes Paley_k(R), whose
-    set is the nonzero k-th powers; its complement keeps k.  members and
-    inside (the connection set's index array and indicator) are kept;
-    symmetric is True iff the connection set is closed under negation.
+    connection set S (nonzero elements).  The graph is R and S alone:
+    build_paley makes Paley_k(R), whose S is the nonzero k-th powers, but
+    no exponent is kept, and what the solver and theta need (multipliers,
+    edge-transitivity) is read off S.  members and inside (S's index array
+    and indicator) are kept; symmetric is True iff S is closed under
+    negation.
     """
 
     ring: RingCtx
-    k: int
     connection: frozenset[int]
     symmetric: bool = field(init=False)
     members: np.ndarray = field(init=False, compare=False, repr=False)
@@ -182,14 +183,14 @@ class CayleyGraph:
         outside = ~self.inside
         outside[0] = False
         conn = frozenset(np.flatnonzero(outside).tolist())
-        return CayleyGraph(ring=self.ring, k=self.k, connection=conn)
+        return CayleyGraph(ring=self.ring, connection=conn)
 
 
 def build_paley(R: RingCtx, k: int) -> CayleyGraph:
     """Construct Paley_k(R) from the k-th power set of R."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    G = CayleyGraph(ring=R, k=k, connection=frozenset(kth_power_set(R, k) - {0}))
+    G = CayleyGraph(ring=R, connection=frozenset(kth_power_set(R, k) - {0}))
     if R.is_field and R.spec.p != 2:
         # -1 is a k-th power iff (q-1)/gcd(q-1,k) is even; char 2 has -1 = 1
         q = R.order
@@ -214,13 +215,13 @@ def root_stabilizer(G) -> list[np.ndarray] | None:
     not known vertex-transitive.
 
     Cayley graphs and strong products of Cayley graphs are
-    vertex-transitive by translation.  Their generators are, per factor,
-    x -> u*x for the unit k-th powers u (one generator of the cyclic
-    group for fields, a greedy generating set for Z/m) and, on F_{p^s}
-    with s > 1, Frobenius x -> x^p, each kept only if it maps the
-    connection set S onto itself, which makes it an automorphism fixing
-    0; and the transposition of two adjacent factors with equal ring and
-    connection set.  These also preserve the symmetrized graph."""
+    vertex-transitive by translation.  A multiplier x -> u*x by a unit u
+    is an automorphism (fixing 0) iff u*S = S, S the connection set, so
+    per factor the generators are read off S (_factor_stabilizer): the
+    multipliers that keep S and, on F_{p^s} with s > 1, Frobenius
+    x -> x^p if it keeps S.  Added to these is the transposition of two
+    adjacent factors with equal ring and connection set.  All of them
+    also preserve the symmetrized graph."""
     factors = (G,) if isinstance(G, CayleyGraph) else G.factors
     if not factors or not all(isinstance(f, CayleyGraph) for f in factors):
         return None
@@ -236,14 +237,33 @@ def root_stabilizer(G) -> list[np.ndarray] | None:
 
 
 def _factor_stabilizer(G: CayleyGraph) -> list[np.ndarray]:
-    R = G.ring
+    """Multipliers and Frobenius that keep the connection set S of G.
+
+    On F_q, whose units are the powers of the table generator g, the
+    units u with u*S = S form the cyclic group generated by g^e, e the
+    least period of S's indicator over the exponents (a divisor of q-1):
+    one generator, none when e = q-1.  On Z/m the units are taken
+    greedily in index order, each kept when u*S = S and u lies outside
+    the group generated so far; a test of u*s0 for one s0 in S first
+    makes a unit that cannot qualify cost O(1)."""
+    R, S, members, inside = G.ring, G.connection, G.members, G.inside
     n = R.order
-
-    def keeps_conn(perm):
-        return bool(G.inside[perm[G.members]].all())
-
+    xs = np.arange(n)
     if not R.is_field:
-        return _zmod_multipliers(n, kth_power_set(R, G.k), keeps_conn)
+        s0 = min(S, default=0)  # with S empty, every unit passes the s0 test
+        units = xs[(np.gcd(xs, n) == 1) & (inside[xs * s0 % n] == inside[s0])]
+        reached = xs == 1  # the group generated so far
+        gens = []
+        for u in units.tolist():
+            if reached[u] or not all(u * s % n in S for s in S):
+                continue
+            gens.append(xs * u % n)
+            # add the cosets u^i * reached up to the first u^i inside it
+            base, v = xs[reached], u
+            while not reached[v]:
+                reached[base * v % n] = True
+                v = v * u % n
+        return gens
     exp, log = np.array(R.exp), np.array(R.log)
 
     def log_map(f):  # x -> exp[f(log x)] on units, 0 -> 0
@@ -251,38 +271,13 @@ def _factor_stabilizer(G: CayleyGraph) -> list[np.ndarray]:
         perm[1:] = exp[f(log[1:]) % (n - 1)]
         return perm
 
-    d = math.gcd(G.k, n - 1)
-    cands = [log_map(lambda e: e + d)] if d < n - 1 else []
+    on_exp = inside[exp]
+    e = next(e for e in range(1, n)
+             if (n - 1) % e == 0 and np.array_equal(on_exp[e:], on_exp[:-e]))
+    gens = [log_map(lambda j: j + e)] if e < n - 1 else []
     if R.spec.s > 1:
-        cands.append(log_map(lambda e: e * R.spec.p))
-    return [perm for perm in cands if keeps_conn(perm)]
-
-
-def _zmod_multipliers(m: int, powers: frozenset[int], keeps_conn) -> list[np.ndarray]:
-    """Multiplications by unit k-th powers u of Z/m (the units in powers:
-    z^k is a unit iff z is) that keep the connection set, chosen greedily:
-    u is taken only when it lies outside the group generated so far."""
-    xs = np.arange(m)
-    reached = np.zeros(m, dtype=bool)
-    reached[1] = True
-    gens = []
-    for u in sorted(u for u in powers if math.gcd(u, m) == 1):
-        if reached[u]:
-            continue
-        perm = xs * u % m
-        if not keeps_conn(perm):
-            continue
-        gens.append(perm)
-        # reached <- reached * <u>, by doubling the power of u: once
-        # reached is closed under u^(2^j) it is closed under u
-        v = u
-        while True:
-            grown = reached.copy()
-            grown[xs[reached] * v % m] = True
-            if (grown == reached).all():
-                break
-            reached, v = grown, v * v % m
-    return gens
+        gens.append(log_map(lambda j: j * R.spec.p))
+    return [perm for perm in gens if inside[perm[members]].all()]
 
 
 def strong_product(G, H) -> GenericGraph:
@@ -340,7 +335,10 @@ def strong_power(G, n: int) -> GenericGraph:
 
 def crt_factor_check(m: int, n: int, k: int) -> bool:
     """True iff the CRT bijection x -> (x mod m, x mod n) is an exact
-    adjacency isomorphism Paley_k(Z/mn) = Paley_k(Z/m) x Paley_k(Z/n)."""
+    adjacency isomorphism Paley_k(Z/mn) = Paley_k(Z/m) x Paley_k(Z/n).
+    With perm[x] the product index of (x mod m, x mod n), row perm[x] of
+    the product, unpacked to bits, is gathered through perm in one step
+    and compared with row x."""
     if m <= 1 or n <= 1:
         raise NotCoprime("factors must exceed 1")
     if math.gcd(m, n) != 1:
@@ -350,16 +348,15 @@ def crt_factor_check(m: int, n: int, k: int) -> bool:
         build_paley(make_ring(RingSpec.zmod(m)), k),
         build_paley(make_ring(RingSpec.zmod(n)), k),
     )
-    perm = [prod.index((x % m, x % n)) for x in range(m * n)]
-    for x in range(m * n):
-        row = 0
-        pr = prod.rows[perm[x]]
-        for y in range(m * n):
-            if pr >> perm[y] & 1:
-                row |= 1 << y
-        if row != big.rows[x]:
-            return False
-    return True
+    xs = np.arange(m * n)
+    perm = xs % m * n + xs % n
+
+    def bits(row):
+        return np.unpackbits(np.frombuffer(row.to_bytes((m * n + 7) // 8, "little"),
+                                           dtype=np.uint8), bitorder="little")
+
+    return all(np.array_equal(bits(prod.rows[px])[perm], bits(big.rows[x])[:m * n])
+               for x, px in enumerate(perm.tolist()))
 
 
 def export_dimacs(G, path: str) -> None:
@@ -383,8 +380,9 @@ def export_dimacs(G, path: str) -> None:
 def import_dimacs(path: str) -> GenericGraph:
     """Read a DIMACS undirected graph file.  A malformed p or e line (too
     few fields, a non-integer, a vertex count below 0 or over the
-    adjacency cap, an edge before the p line or with an endpoint outside
-    1..n) raises ValueError naming it; other lines are skipped."""
+    adjacency cap, a second p line, an edge before the p line or with an
+    endpoint outside 1..n) raises ValueError naming it; other lines are
+    skipped."""
     n = 0
     rows: list[int] | None = None
     with open(path) as fh:
@@ -396,6 +394,8 @@ def import_dimacs(path: str) -> GenericGraph:
                 if len(parts) < 3:
                     raise ValueError(f"a {parts[0]} line needs at least 3 fields")
                 if parts[0] == "p":
+                    if rows is not None:
+                        raise ValueError("a second p line")
                     n = int(parts[2])
                     if n < 0:
                         raise ValueError(f"vertex count {n} is negative")

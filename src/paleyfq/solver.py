@@ -390,7 +390,7 @@ def _mutual_clique(f: CayleyGraph, deadline: float) -> list[int]:
     in it.  Its translations are automorphisms, so the search is rooted
     at 0."""
     conn = frozenset(f.members[f.inside[f.ring.neg_array(f.members)]].tolist())
-    rows = list(CayleyGraph(ring=f.ring, k=f.k, connection=conn).to_generic().rows)
+    rows = list(CayleyGraph(ring=f.ring, connection=conn).to_generic().rows)
     search = _CliqueSearch(rows, complement_rows(rows), deadline,
                            _multistart_greedy(f.n, rows, deadline))
     search.expand([0], rows[0])

@@ -1,7 +1,8 @@
 """Spectra of abelian Cayley graphs and Lovász theta via the ratio bound.
 
-For an undirected Paley graph over a field the multiplicative action of
-the k-th-power subgroup is transitive on edges, so the ratio bound
+For an undirected Cayley graph over a field whose connection set is a
+multiplicative subgroup (a Paley graph) the maps x -> a x + b, a in
+that subgroup, are transitive on edges, so the ratio bound
 n(-lambda_min)/(lambda_max - lambda_min) equals theta exactly.  The
 complement of such a graph is generally not edge-transitive, but both
 graphs are vertex-transitive, so theta(G) * theta(complement) = n gives
@@ -95,17 +96,21 @@ def _ratio_theta(G: CayleyGraph) -> ThetaReport:
 
 
 def _edge_transitive(G: CayleyGraph) -> bool:
-    # field Paley graphs: maps x -> a x + b with a a k-th power act
-    # transitively on edges; Z/p is the field F_p; no other connection set
-    # is known to keep this (complements, unions of power cosets, lose it)
-    spec = G.ring.spec
-    return ((spec.kind == "fq" or is_prime(spec.m))
-            and G.connection == kth_power_set(G.ring, G.k) - {0})
+    # S the nonzero d-th powers of a field (Z/p is the field F_p), d =
+    # (q-1)/|S|, all units when d = 1: maps x -> a x + b with a in S act
+    # transitively on edges; no other connection set is known to keep
+    # this (complements, unions of power cosets, lose it)
+    R, S = G.ring, G.connection
+    d, r = divmod(R.order - 1, len(S) or R.order)  # an empty S leaves r > 0
+    return ((R.is_field or is_prime(R.order)) and not r
+            and (d == 1 or S == kth_power_set(R, d) - {0}))
 
 
 def lovasz_theta(G: CayleyGraph) -> ThetaReport:
-    """Exact theta of an undirected Paley graph over a field (or prime
-    modulus), by the spectral ratio bound."""
+    """Exact theta, by the spectral ratio bound, of an undirected Cayley
+    graph over a field (or prime modulus) whose connection set S is the
+    subgroup of nonzero d-th powers, d = (q-1)/|S|: the graph is then
+    edge-transitive, and theta <= q^(1-1/d) is checked."""
     if not G.symmetric:
         raise DirectedUnsupported("theta needs an undirected graph")
     if not _edge_transitive(G):
@@ -115,9 +120,10 @@ def lovasz_theta(G: CayleyGraph) -> ThetaReport:
         )
     report = _ratio_theta(G)
     q = G.ring.order
-    # undirected means -1 is a k-th power, so the field bound applies
-    if report.value > q ** (1 - 1 / G.k) + REL_TOL * q:
-        raise InvariantViolation(f"theta exceeds q^(1-1/{G.k})")
+    d = (q - 1) // len(G.connection)
+    # undirected means -1 is a d-th power, so the field bound applies
+    if report.value > q ** (1 - 1 / d) + REL_TOL * q:
+        raise InvariantViolation(f"theta exceeds q^(1-1/{d})")
     return report
 
 

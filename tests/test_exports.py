@@ -141,3 +141,24 @@ def test_no_assert_statement_in_src():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_third_party_test_import_is_declared():
+    # a module imported under tests/, at module level or inside a
+    # function, that is neither stdlib, the package itself nor a tests/
+    # module must be a dependency or in the test extra of pyproject.toml,
+    # so that installing '.[test]' is enough to run the suite
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = {project["name"]} | {path.stem for path in tests}
+    assert sorted(imported - set(sys.stdlib_module_names) - local - declared) == []

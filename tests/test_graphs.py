@@ -23,6 +23,7 @@ from paleyfq.graphs import (
     strong_power,
     strong_product,
 )
+import paleyfq.graphs as graphs
 from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set, verify_independent
 
@@ -60,7 +61,7 @@ def test_paley_directed_f7_k6():
     assert not G.symmetric
     # built directly, the graph works out its directedness the same way,
     # and its certificate is independent in the symmetrized 7-cycle
-    D = CayleyGraph(ring=ring(7), k=6, connection=frozenset({1}))
+    D = CayleyGraph(ring=ring(7), connection=frozenset({1}))
     assert not D.symmetric and not D.to_generic().symmetric
     cert = max_independent_set(D)
     assert cert.size == 3
@@ -240,6 +241,22 @@ def test_crt_factor_check_small_grid():
             assert crt_factor_check(m, n, k)
 
 
+def test_crt_factor_check_sees_a_missing_edge(monkeypatch):
+    # the product less one edge, from 0 to its lowest neighbour j and back
+    def product(G, H):
+        g = real(G, H)
+        rows = list(g.rows)
+        j = (rows[0] & -rows[0]).bit_length() - 1
+        rows[0] &= ~(1 << j)
+        rows[j] &= ~1
+        return GenericGraph(g.n, tuple(rows), factors=g.factors)
+
+    real = graphs.strong_product
+    monkeypatch.setattr(graphs, "strong_product", product)
+    assert not crt_factor_check(3, 5, 2)
+    assert not crt_factor_check(5, 13, 3)
+
+
 def test_crt_factor_check_rejects_non_coprime():
     with pytest.raises(NotCoprime):
         crt_factor_check(6, 9, 2)
@@ -288,6 +305,7 @@ def test_dimacs_roundtrip(tmp_path):
     ("p edge x 0\n", 1, "invalid literal"),
     ("c a comment\np edge -3 0\n", 2, "negative"),
     ("p edge 10000000000000 0\n", 1, "over the cap"),
+    ("p edge 3 1\ne 1 2\np edge 3 0\n", 3, "second p line"),
 ])
 def test_dimacs_import_names_the_malformed_line(tmp_path, text, line, what):
     path = tmp_path / "bad.col"

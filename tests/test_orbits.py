@@ -42,9 +42,12 @@ from paleyfq.solver import max_independent_set, verify_independent
 from util import (
     exhaustive_mis_size,
     networkx_alpha,
+    random_connection_set,
     random_directed_graph,
     random_graph,
+    ref_multipliers,
     ref_symmetrize,
+    unit_orbit,
 )
 
 
@@ -64,8 +67,8 @@ def comp(R, k):
 
 
 def random_cayley(R, seed, symmetric=True):
-    """Cayley graph on a random connection set (k = 2 names the candidate
-    multipliers, which generally do not keep such a set)."""
+    """Cayley graph on a random connection set, which multipliers other
+    than 1 generally do not keep."""
     rng = random.Random(seed)
     conn = set()
     for x in range(1, R.order):
@@ -73,7 +76,7 @@ def random_cayley(R, seed, symmetric=True):
             conn.add(x)
             if symmetric:
                 conn.add(R.neg(x))
-    return CayleyGraph(ring=R, k=2, connection=frozenset(conn))
+    return CayleyGraph(ring=R, connection=frozenset(conn))
 
 
 CASES = {
@@ -158,12 +161,12 @@ PINS = {
     "comp-F4-k3-cubed": "42b008195bd09edf187784e242db7218eef193ba195db6b7d67750a568a8a599",
     "comp-F7-k3-squared": "9537c9db0ab8c6e44bece63d027014e4f772c3f36c85105a4f48f38a0658dd83",
     "comp-F9-k4-squared": "591a31d39e2f19443c1eff9e1f1be62a87335e00d16d17d2adcee377baa5652c",
-    "rnd-F25": "12f3136018e10be840db2aeb931011c7e13c0a8b1479f513a6a8739bc545ad3c",
+    "rnd-F25": "9b02b43c28b1d67398c35653a1c0fede065e1a1e483c59420f7d02dab985cfb0",
     "rnd-F27-directed": "0a85a6b5db5e5a773a427705bbdc95049f34ab9a1e0096958175a5a184ac86af",
     "rnd-F8-directed-squared": "154f1db5027dcc2684b739746e35aa131315069185c3927193491fa1e17ab6ab",
-    "rnd-F9-squared": "3590d64fc2b1e95c26e790b58c7ec2eb80d0bf18a46fb55ed9d8cdbc90798288",
-    "rnd-Z12-squared": "011abea654dbdf0df9f127e18fffbe50a99991c49f18f100b03681498d256ea4",
-    "rnd-Z16": "39123b54739958511c953b7173840daf1ea413145b4ce04c9068f927d9023a7c",
+    "rnd-F9-squared": "d40ea451f9d8c689c2ad69b208dea59bb6d6f84ffb2f6af5c21771e764b77895",
+    "rnd-Z12-squared": "91390116ad8c8692b251b3980881b10b2853823b7b17dc225a98d66efde53ffe",
+    "rnd-Z16": "4167e317d8a234abd61337bc9bbe017b07d09fef307927cfef74623f4ea7454b",
 }
 
 
@@ -361,6 +364,43 @@ def test_generator_sets_use_each_symmetry():
     assert len(root_stabilizer(paley(Z(21), 2))) == 1
     # a random connection set on F_8 is kept by neither x -> g x nor x^2
     assert root_stabilizer(random_cayley(F(2, 3), 4, symmetric=False)) == []
+
+
+def multipliers(G) -> list[int]:
+    """The units u of the multipliers x -> u*x among the generators
+    root_stabilizer gives the Cayley graph G; each other generator must be
+    Frobenius x -> x^p, and every one must keep the connection set."""
+    R = G.ring
+    units = []
+    for perm in root_stabilizer(G):
+        assert set(perm[sorted(G.connection)].tolist()) == G.connection
+        u = int(perm[1])
+        if u == 1:
+            assert R.spec.s > 1
+            assert perm.tolist() == [R.pow_elem(x, R.spec.p) for x in range(R.order)]
+        else:
+            assert perm.tolist() == [R.mul(u, x) for x in range(R.order)]
+            units.append(u)
+    return units
+
+
+@pytest.mark.parametrize("spec", [RingSpec.field(p, s) for p, s in (
+    (7, 1), (2, 3), (3, 2), (13, 1), (5, 2), (3, 3), (7, 2))] + [
+        RingSpec.zmod(m) for m in range(2, 65)],
+    ids=lambda spec: f"F{spec.order}" if spec.kind == "fq" else f"Z{spec.m}")
+def test_derived_multipliers_generate_the_stabilizer_of_S(spec):
+    # the group the derived multipliers generate is {unit u : u*S = S},
+    # on seeded random S (symmetric and not, half of them unions of the
+    # orbits of a random unit) and on every Paley graph and its complement
+    R = make_ring(spec)
+    rng = random.Random(20261019 + R.order)
+    sets = {random_connection_set(R, rng, symmetric=trial % 2 == 0) for trial in range(12)}
+    for k in range(2, R.order + 1):
+        G = paley(R, k)
+        sets |= {G.connection, G.complement_cayley().connection}
+    for S in sets:
+        G = CayleyGraph(ring=R, connection=S)
+        assert unit_orbit(R, 1, multipliers(G)) == ref_multipliers(R, S)
 
 
 @pytest.mark.parametrize("name", ["F101-k2", "F43-k3", "C5-cubed",

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from paleyfq.errors import (
     NotSquarefree,
 )
 from paleyfq.graphs import CayleyGraph, build_paley
-from paleyfq.rings import ORDER_CAP, RingSpec, make_ring
+from paleyfq.rings import ORDER_CAP, RingSpec, factor_prime_power, is_prime, make_ring
 from paleyfq.solver import max_independent_set
 from paleyfq.theta import (
     cayley_spectrum,
@@ -20,7 +21,7 @@ from paleyfq.theta import (
     theta_zmod,
 )
 
-from util import run_child
+from util import random_connection_set, ref_units, run_child, unit_orbit
 
 
 def ring(p, s=1):
@@ -98,10 +99,10 @@ def test_theta_rejects_complement_connection():
     # closed form instead of silently returning the loose value
     with pytest.raises(NotEdgeTransitive):
         lovasz_theta(build_paley(ring(13), 3).complement_cayley())
-    # an undirected connection set that is not the power set, with k = 2:
-    # its ratio value 2.8206 is not theta = 13 / theta(C_13) = 2.0299
+    # an undirected connection set that is no subgroup of F_13^*: its
+    # ratio value 2.8206 is not theta = 13 / theta(C_13) = 2.0299
     with pytest.raises(NotEdgeTransitive):
-        lovasz_theta(CayleyGraph(ring(13), 2, frozenset(range(2, 12))))
+        lovasz_theta(CayleyGraph(ring(13), frozenset(range(2, 12))))
 
 
 def test_theta_product_identity_self_complementary():
@@ -133,6 +134,43 @@ def test_theta_upper_bound_when_minus_one_power():
         G = build_paley(ring(p, s), k)
         assert G.symmetric
         assert lovasz_theta(G).value <= q ** (1 - 1 / k) + 1e-6
+    # every undirected Paley graph with q < 300, S the nonzero d-th
+    # powers: theta <= q^(1-1/d), which lovasz_theta also checks
+    checked = 0
+    for q in range(3, 300):
+        try:
+            R = ring(*factor_prime_power(q))
+        except ValueError:
+            continue
+        for d in (d for d in range(1, q) if (q - 1) % d == 0):
+            G = build_paley(R, d + q - 1)  # gcd(d + q - 1, q - 1) = d
+            if G.symmetric:
+                assert lovasz_theta(G).value <= q ** (1 - 1 / d) + 1e-6
+                checked += 1
+    assert checked > 300
+
+
+def test_edge_transitivity_accepts_exactly_the_subgroups():
+    # over fields (and Z/p) the ratio bound is taken iff S is a
+    # multiplicative subgroup, on every cyclic subgroup <u> (all of them),
+    # on seeded random sets and on Paley graphs and their complements;
+    # on a composite modulus it is never taken
+    from paleyfq.theta import _edge_transitive
+
+    rng = random.Random(20261019)
+    rings = [ring(7), ring(2, 3), ring(3, 2), ring(13), ring(5, 2), ring(3, 3), ring(7, 2)]
+    rings += [zring(m) for m in range(2, 65)]
+    for R in rings:
+        subgroups = {frozenset(unit_orbit(R, 1, [u])) for u in ref_units(R)}
+        sets = subgroups | {random_connection_set(R, rng, symmetric=t % 2 == 0)
+                            for t in range(12)}
+        for k in range(2, R.order + 1):
+            G = build_paley(R, k)
+            sets |= {G.connection, G.complement_cayley().connection}
+        field = R.is_field or is_prime(R.order)
+        for S in sets:
+            closed = bool(S) and all(R.mul(a, b) in S for a in S for b in S)
+            assert _edge_transitive(CayleyGraph(R, S)) == (field and closed)
 
 
 def test_theta_zmod_65():
@@ -209,8 +247,7 @@ from paleyfq.errors import InvariantViolation
 from paleyfq.graphs import CayleyGraph
 from paleyfq.rings import ORDER_CAP, RingSpec, make_ring
 from paleyfq.theta import cayley_spectrum
-G = CayleyGraph(ring=make_ring(RingSpec.field(7)), k=6,
-                connection=frozenset({1}))
+G = CayleyGraph(ring=make_ring(RingSpec.field(7)), connection=frozenset({1}))
 object.__setattr__(G, "symmetric", True)
 paleyfq.indep.verify_independent = lambda graph, vertices: False
 paleyfq.bounds.alpha_product = lambda *args, **kwargs: 10**6

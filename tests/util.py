@@ -3,6 +3,7 @@ the library's own search code."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -228,6 +229,47 @@ def ref_cayley_rows(G, xs=None) -> list[int]:
             m |= 1 << R.sub(x, s)
         rows.append(m)
     return rows
+
+
+def ref_units(R) -> list[int]:
+    """The units of R in index order: every nonzero element of a field,
+    the residues prime to m in Z/m."""
+    return [u for u in range(1, R.order) if R.is_field or math.gcd(u, R.order) == 1]
+
+
+def ref_multipliers(R, S) -> set[int]:
+    """The multipliers of the connection set S: {unit u : u*S = S}, by
+    multiplying S out by every unit."""
+    S = set(S)
+    return {u for u in ref_units(R) if {R.mul(u, s) for s in S} == S}
+
+
+def unit_orbit(R, x: int, gens) -> set[int]:
+    """x times the group the units gens generate: the closure of {x}
+    under multiplication by each of gens."""
+    orbit, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for u in gens:
+            z = R.mul(y, u)
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+    return orbit
+
+
+def random_connection_set(R, rng: random.Random, symmetric: bool) -> frozenset[int]:
+    """A seeded random connection set: a union of random orbits of the
+    nonzero elements under the group generated by -1 (if symmetric) and,
+    half the time, one random unit u, so that u keeps the set."""
+    gens = [rng.choice(ref_units(R))] if rng.random() < 0.5 else []
+    if symmetric:
+        gens.append(R.neg(1))
+    S: set[int] = set()
+    for x in range(1, R.order):
+        if x not in S and rng.random() < 0.4:
+            S |= unit_orbit(R, x, gens)
+    return frozenset(S)
 
 
 def ref_spectrum(G) -> list[float]:
