@@ -12,7 +12,7 @@ from .errors import DirectedUnsupported, InvariantViolation, NotUnimodal, Solver
 from .graphs import build_paley
 from .indep import alpha_product
 from .rings import RingCtx, field_spec, make_ring
-from .solver import DEFAULT_BUDGET_S, SOLVER_VERTEX_CAP
+from .solver import DEFAULT_BUDGET_S, SOLVER_VERTEX_CAP, check_budget
 from .theta import lovasz_theta
 
 INV_PHI = (math.sqrt(5) - 1) / 2
@@ -151,8 +151,8 @@ def bounds_report(
     budget_s: float = DEFAULT_BUDGET_S,
 ) -> BoundsLedger:
     """Assemble the per-symbol rate ledger for one (q, k, n): q a prime
-    power, k >= 2 and n >= 1, else ValueError before any work.  A q over
-    ORDER_CAP is refused (OrderTooLarge) before it is factored.
+    power, k >= 2, n >= 1 and budget_s > 0, else ValueError before any
+    work; q over ORDER_CAP is refused (OrderTooLarge) before factoring.
 
     The improved lower base needs the exact two-fold product independence
     number, so it is filled only when q^2 is at most SOLVER_VERTEX_CAP.  The
@@ -167,6 +167,7 @@ def bounds_report(
     spec = field_spec(q)
     if k < 2 or n < 1:
         raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+    check_budget(budget_s)
     green = green_exponent(q, k)
     refined = minimize_rate(q, gamma).value if gamma is not None else None
     lower_thm = q ** (1 - 1 / (2 * k))

@@ -40,11 +40,14 @@ def _round_floats(obj):
     return obj
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(payload: dict, fmt: str) -> None:
     payload = {"schema": SCHEMA, **_round_floats(payload)}
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        sys.stdout.write("\n")
+        sys.stdout.write(_json(payload) + "\n")
     elif fmt == "csv":
         keys = sorted(payload)
         sys.stdout.write(",".join(keys) + "\n")
@@ -56,7 +59,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _csv_cell(v) -> str:
     if isinstance(v, (list, dict)):
-        return '"' + json.dumps(v, sort_keys=True, separators=(",", ":")).replace('"', '""') + '"'
+        return '"' + _json(v).replace('"', '""') + '"'
     return str(v)
 
 
@@ -87,6 +90,11 @@ def _ring_payload(R: RingCtx) -> dict:
     return {"ring": f"zmod:{R.spec.m}"}
 
 
+def _connection_payload(G) -> dict:
+    return {"degree": len(G.connection), "symmetric": G.symmetric,
+            "connection": sorted(G.connection)}
+
+
 # -- commands ----------------------------------------------------------------
 
 def _cmd_graph(args) -> dict:
@@ -96,18 +104,12 @@ def _cmd_graph(args) -> dict:
         **_ring_payload(R),
         "k": args.k,
         "order": G.n,
-        "degree": len(G.connection),
-        "symmetric": G.symmetric,
-        "connection": sorted(G.connection),
+        **_connection_payload(G),
     }
     target = G
     if args.complement:
         target = G.complement_cayley()
-        payload["complement"] = {
-            "degree": len(target.connection),
-            "symmetric": target.symmetric,
-            "connection": sorted(target.connection),
-        }
+        payload["complement"] = _connection_payload(target)
     if args.power != 1:
         P = strong_power(target, args.power)
         payload["power"] = {
@@ -165,8 +167,7 @@ def _cmd_construct(args) -> dict:
         payload["verified"] = powerfree.verify_no_F_difference(A)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(_round_floats(payload), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(_json(_round_floats(payload)) + "\n")
         payload["out"] = args.out
     return payload
 
@@ -211,49 +212,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--format", choices=("json", "text", "csv"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
+    ring_k = argparse.ArgumentParser(add_help=False)
+    ring_k.add_argument("--ring", required=True, help="fq:<q> or zmod:<m>")
+    ring_k.add_argument("--k", type=int, required=True)
+    qkn = argparse.ArgumentParser(add_help=False)
+    for name in ("--q", "--k", "--n"):
+        qkn.add_argument(name, type=int, required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
 
-    g = sub.add_parser("graph", help="build and summarize a Paley graph")
-    g.add_argument("--ring", required=True, help="fq:<q> or zmod:<m>")
-    g.add_argument("--k", type=int, required=True)
+    g = sub.add_parser("graph", parents=[ring_k], help="build and summarize a Paley graph")
     g.add_argument("--complement", action="store_true")
     g.add_argument("--power", type=int, default=1)
     g.add_argument("--dimacs", help="write DIMACS file here")
     g.set_defaults(func=_cmd_graph)
 
-    a = sub.add_parser("alpha", help="exact independence number")
-    a.add_argument("--ring", required=True)
-    a.add_argument("--k", type=int, required=True)
+    a = sub.add_parser("alpha", parents=[ring_k, budget], help="exact independence number")
     a.add_argument("--power", type=int, default=1)
-    a.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
     a.set_defaults(func=_cmd_alpha)
 
-    t = sub.add_parser("theta", help="Lovasz theta via the ratio bound")
-    t.add_argument("--ring", required=True)
-    t.add_argument("--k", type=int, required=True)
+    t = sub.add_parser("theta", parents=[ring_k], help="Lovasz theta via the ratio bound")
     t.add_argument("--complement", action="store_true")
     t.set_defaults(func=_cmd_theta)
 
-    c = sub.add_parser("construct", help="build a difference-free set")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
+    c = sub.add_parser("construct", parents=[qkn, budget], help="build a difference-free set")
     c.add_argument("--variant", choices=("general", "power"), default="power")
     c.add_argument("--F", help="coefficients c_0,...,c_k of F")
     c.add_argument("--verify", action="store_true")
     c.add_argument("--out", help="write the certificate JSON here")
-    c.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
     c.set_defaults(func=_cmd_construct)
 
     v = sub.add_parser("verify", help="verify a stored difference-free set")
     v.add_argument("--in", required=True, help="certificate JSON from construct")
     v.set_defaults(func=_cmd_verify)
 
-    b = sub.add_parser("bounds", help="per-symbol rate ledger")
-    b.add_argument("--q", type=int, required=True)
-    b.add_argument("--k", type=int, required=True)
-    b.add_argument("--n", type=int, required=True)
+    b = sub.add_parser("bounds", parents=[qkn, budget], help="per-symbol rate ledger")
     b.add_argument("--gamma", help="refined-rate parameter, e.g. 4/9")
-    b.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
     b.set_defaults(func=_cmd_bounds)
     return top
 
@@ -265,8 +259,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        # --budget is checked before any work: bounds may never reach the
-        # solver, which would otherwise be the only check
+        # --budget is checked before any work: alpha and construct build
+        # their graphs before the solver checks it
         check_budget(getattr(args, "budget", DEFAULT_BUDGET_S))
         payload = args.func(args)
     except CapExceeded as exc:

@@ -327,9 +327,9 @@ def strong_power(G, n: int) -> GenericGraph:
     except ValueError:  # check_order's message has too many digits for str()
         raise OrderTooLarge(over) from None
     g = G.to_generic()
-    acc = replace(g, factors=g.factors or (G,))
-    for _ in range(n - 1):
-        acc = strong_product(acc, G)
+    base = acc = replace(g, factors=g.factors or (G,))
+    for _ in range(n - 1):  # base, not G: G's rows are built once
+        acc = strong_product(acc, base)
     return acc
 
 
@@ -381,9 +381,10 @@ def import_dimacs(path: str) -> GenericGraph:
     """Read a DIMACS undirected graph file.  A malformed p or e line (too
     few fields, a non-integer, a vertex count below 0 or over the
     adjacency cap, a second p line, an edge before the p line or with an
-    endpoint outside 1..n) raises ValueError naming it; other lines are
-    skipped."""
-    n = 0
+    endpoint outside 1..n, or an edge count m that is neither the number
+    of e lines nor of distinct edges, as in a file cut short) raises
+    ValueError naming it; other lines are skipped."""
+    n = e_lines = 0
     rows: list[int] | None = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -396,7 +397,9 @@ def import_dimacs(path: str) -> GenericGraph:
                 if parts[0] == "p":
                     if rows is not None:
                         raise ValueError("a second p line")
-                    n = int(parts[2])
+                    if len(parts) < 4:
+                        raise ValueError("a p line needs an edge count")
+                    n, m, p_line = int(parts[2]), int(parts[3]), lineno
                     if n < 0:
                         raise ValueError(f"vertex count {n} is negative")
                     rows = [0] * check_order(n)
@@ -406,11 +409,17 @@ def import_dimacs(path: str) -> GenericGraph:
                         raise ValueError("edge before the p line")
                     if not (0 <= i < n and 0 <= j < n):
                         raise ValueError(f"edge endpoint outside 1..{n}")
+                    e_lines += 1
                     if i != j:
                         rows[i] |= 1 << j
                         rows[j] |= 1 << i
             except (ValueError, OrderTooLarge) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if rows is not None:
+        edges = sum(r.bit_count() for r in rows) // 2
+        if m not in (e_lines, edges):
+            raise ValueError(f"{path}:{p_line}: the p line gives {m} edges, but"
+                             f" the file has {e_lines} e lines and {edges} distinct edges")
     return GenericGraph(n=n, rows=tuple(rows or ()), symmetric=True)
 
 

@@ -47,21 +47,18 @@ def diagonal_indep_set(q: int, k: int, graph: GenericGraph | None = None) -> Ind
     R = make_ring(field_spec(q))
     if graph is None:
         graph = complement_power_graph(q, k)
-    beta = generator(R)
-    tuples = []
-    for x in R.elements():
-        row = []
-        acc = x
-        for _ in range(k):
-            row.append(acc)
-            acc = R.mul(acc, beta)
-        tuples.append(tuple(row))
-    return _certify(graph, tuple(tuples))
+    return _certify(graph, R, generator(R), k)
 
 
-def _certify(graph: GenericGraph, tuples: tuple) -> IndepSet:
-    """Certificate for an explicit construction, checked on graph before
-    it is returned (InvariantViolation if the tuples are not independent)."""
+def _certify(graph: GenericGraph, R: RingCtx, beta: int, length: int) -> IndepSet:
+    """Certificate for the explicit construction (x, beta*x, ...,
+    beta^(length-1)*x) over x in R, checked on graph before it is returned
+    (InvariantViolation if the tuples are not independent)."""
+    rows = [[x] for x in R.elements()]
+    for row in rows:
+        while len(row) < length:
+            row.append(R.mul(row[-1], beta))
+    tuples = tuple(map(tuple, rows))
     out = IndepSet(vertices=tuples, graph_fingerprint=graph_fingerprint(graph))
     if not verify_independent(graph, tuples):
         raise InvariantViolation("explicit tuples are not independent")
@@ -83,7 +80,7 @@ def beta_pair_set(q: int, k: int, graph: GenericGraph | None = None) -> IndepSet
     beta = non_kth_power(R, k)  # raises AllPowers when gcd(k, q-1) = 1
     if graph is None:
         graph = strong_power(build_paley(R, k), 2)
-    return _certify(graph, tuple((x, R.mul(beta, x)) for x in R.elements()))
+    return _certify(graph, R, beta, 2)
 
 
 def clique_number(G, budget_s: float = DEFAULT_BUDGET_S) -> int:
@@ -101,10 +98,10 @@ def cohen_bound(q: int, k: int) -> float:
     Uses d = gcd(k, q-1) and natural logarithms.  q over rings.ORDER_CAP
     is refused (OrderTooLarge) before it is factored.
     """
-    p = field_spec(q).p
     d = math.gcd(k, q - 1)
-    if d < 2:
-        raise ValueError("requires gcd(k, q-1) >= 2")
+    if k < 2 or d < 2:
+        raise ValueError("requires k >= 2 and gcd(k, q-1) >= 2")
+    p = field_spec(q).p
     raw = (
         p / ((p - 1) * math.log(d)) * (0.5 * math.log(q) - 2 * math.log(math.log(q)))
         - 1
@@ -136,10 +133,12 @@ def capacity_bounds(
     budget_s bounds all the solves together: its deadline starts on entry,
     and each solve gets what is left of it.  A solve that runs out, or
     starts with nothing left, counts its incumbent, which is still a valid
-    lower bound.
+    lower bound.  max_n < 1 is refused (ValueError) before any work.
     """
     from .theta import lovasz_theta, lovasz_theta_complement
 
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     deadline = time.monotonic() + check_budget(budget_s)
 
     G = build_paley(R, k)

@@ -12,7 +12,7 @@ import math
 from typing import Iterator, Optional
 
 from .errors import ContextMismatch, EnumerationTooLarge, NotAField
-from .rings import RingCtx, fold_digits, split_digits
+from .rings import RingCtx, fold_digits, power, split_digits
 
 ENUM_CAP = 10**7
 
@@ -45,31 +45,27 @@ class PolyFq:
         if self.ring.spec != other.ring.spec:
             raise ContextMismatch("polynomials over different fields")
 
-    def __add__(self, other: "PolyFq") -> "PolyFq":
+    def _zip(self, other: "PolyFq", op) -> "PolyFq":
+        """The polynomial whose i-th coefficient is op of the two i-th."""
         self._check(other)
-        R = self.ring
         n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFq(R, [R.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return PolyFq(self.ring, [op(self.coeff(i), other.coeff(i)) for i in range(n)])
+
+    def __add__(self, other: "PolyFq") -> "PolyFq":
+        return self._zip(other, self.ring.add)
 
     def __sub__(self, other: "PolyFq") -> "PolyFq":
-        self._check(other)
-        R = self.ring
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFq(R, [R.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return self._zip(other, self.ring.sub)
 
     def __mul__(self, other: "PolyFq") -> "PolyFq":
-        self._check(other)
-        R = self.ring
-        if self.is_zero() or other.is_zero():
-            return PolyFq(R, ())
-        return PolyFq(R, R.convolve(self.coeffs, other.coeffs))
+        self._check(other)  # a zero factor convolves to zeros, which PolyFq strips
+        return PolyFq(self.ring, self.ring.convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> "PolyFq":
         if e < 0:
             raise ValueError("negative polynomial power")
-        if not e:
-            return PolyFq(self.ring, (1,))
-        return PolyFq(self.ring, _pow_coeffs(self.ring, self.coeffs, e))
+        R = self.ring
+        return PolyFq(R, power(R.convolve, self.coeffs, e) if e else (1,))
 
     def __neg__(self) -> "PolyFq":
         R = self.ring
@@ -108,8 +104,7 @@ def poly(ring: RingCtx, coeffs) -> PolyFq:
 
 def compose(F: PolyFq, u: PolyFq) -> PolyFq:
     """F(u) by Horner's rule on coefficient lists through R.convolve."""
-    if F.ring.spec != u.ring.spec:
-        raise ContextMismatch("polynomials over different fields")
+    F._check(u)
     R, uc = F.ring, u.coeffs
     acc = []
     for c in reversed(F.coeffs):
@@ -137,20 +132,6 @@ def _least_field_kth_root(R: RingCtx, c: int, k: int) -> Optional[int]:
     step = qm1 // d
     t0 = (a // d) * pow(k // d, -1, step) % step
     return min(R.exp[t0:qm1:step])
-
-
-def _pow_coeffs(R: RingCtx, a, e: int) -> list[int]:
-    """Coefficients of a^e (e >= 1) for the coefficient sequence a, by
-    right-to-left square-and-multiply through R.convolve, squaring only
-    while set bits remain above the current one."""
-    base, result = a, None
-    while True:
-        if e & 1:
-            result = base if result is None else R.convolve(result, base)
-        e >>= 1
-        if not e:
-            return list(result)
-        base = R.convolve(base, base)
 
 
 def _root_lead(R: RingCtx, k0: int, lead: int):
@@ -197,7 +178,7 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
     O((k0 - 1) * D^2) ring operations.  The lead set-up (B_0, its powers,
     the slopes and the inverse pivot) is cached per ring by _root_lead.
     The final check b^k0 = w keeps full strength at O(log k0) coefficient
-    list products through R.convolve.
+    list products, by rings.power over R.convolve.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -256,7 +237,7 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
                 cols[m].append(add(parts[m], mul(slope[m], Bj)))
             B.append(Bj)
         B.reverse()
-    if B and _pow_coeffs(R, B, k0) == list(wc):
+    if B and power(R.convolve, B, k0) == list(wc):
         return PolyFq(R, B)
     return None
 

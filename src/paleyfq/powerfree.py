@@ -289,19 +289,22 @@ def verify_no_F_difference(A: DifferenceFreeSet) -> bool:
 def greedy_difference_free(R: RingCtx, n: int, k: int) -> list[PolyFq]:
     """First-fit scan of P_{q,n} in enumeration order, keeping a
     polynomial iff no difference with a chosen one, in either order, is a
-    nonzero k-th power.  The guaranteed size q^(n-1-floor((n-1)/k)) needs
-    -1 to be a k-th power (both orders then coincide); the scan itself
-    runs regardless and its output is always difference-free.
+    nonzero k-th power; k < 2 or n < 1 is refused (ValueError) first.  The
+    guaranteed size q^(n-1-floor((n-1)/k)) needs -1 to be a k-th power
+    (both orders then coincide); the output is always difference-free.
 
     The scan walks the codes range(q^n) by banned translates.  A candidate
     is rejected iff cand - c or c - cand is in `powers` for an earlier
-    chosen c, that is iff cand is in c + powers or c - powers.  So each
-    chosen c bans the codes of c + w and c - w for every w in `powers`, a
-    code is chosen iff it is not banned when the walk reaches it, and only
+    chosen c, that is iff cand is in c + S with S = +-powers, the
+    connection set of the Cayley graph whose independent sets are the
+    difference-free sets.  So each chosen c bans the codes of c + S, a code
+    is chosen iff it is not banned when the walk reaches it, and only
     chosen codes are decoded.  A base-q digit of a code is the base-p
     index of one coefficient, so polynomial addition is digit-wise mod p
-    on the s*n base-p digits of the codes: |chosen|*|powers|*2 additions
-    on digit arrays, not pairwise PolyFq differences."""
+    on the s*n base-p digits of the codes: |chosen|*|S| additions on digit
+    arrays, not pairwise PolyFq differences."""
+    if k < 2 or n < 1:
+        raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     size = enumeration_size(R, n)
     depth = (n - 1) // k + 1
     codes = (encode_poly(b**k) for b in enumerate_polynomials(R, depth))
@@ -309,15 +312,14 @@ def greedy_difference_free(R: RingCtx, n: int, k: int) -> list[PolyFq]:
     p = R.radix
     places = p ** np.arange(len(R.shape) * n, dtype=np.int64)
     W = np.array(list(powers), dtype=np.int64)[:, None] // places % p
+    S = np.concatenate([W, -W])
     banned = bytearray(size)
     marks = np.frombuffer(banned, dtype=np.uint8)
     chosen = []
     code = banned.find(0)
     while code >= 0:
         chosen.append(code)
-        d = code // places % p
-        marks[(d + W) % p @ places] = 1
-        marks[(d - W) % p @ places] = 1
+        marks[(code // places + S) % p @ places] = 1
         code = banned.find(0, code + 1)
     return [decode_poly(R, c) for c in chosen]
 

@@ -96,6 +96,19 @@ def fold_digits(d, radix: int) -> int:
     return x
 
 
+def power(mul, base, e: int):
+    """base^e for e >= 1 under the associative product mul, right to left
+    from base itself; nothing is squared after the top bit of e."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = mul(base, base)
+
+
 def convolve_mod(a, b, m: int) -> list[int]:
     """Coefficients of the product of the polynomials a and b (integer
     sequences, low degree first) mod m: integer multiply-accumulate, then
@@ -344,14 +357,7 @@ class _ExtensionField(RingCtx):
         return self.from_digits(self._poly_mul(self.digits(x), self.digits(y)))
 
     def _raw_pow(self, x: int, e: int) -> int:
-        r, b = [1], self.digits(x)
-        while e:
-            if e & 1:
-                r = self._poly_mul(r, b)
-            e >>= 1
-            if e:
-                b = self._poly_mul(b, b)
-        return self.from_digits(r)
+        return self.from_digits(power(self._poly_mul, self.digits(x), e))
 
     def add_array(self, a, b) -> np.ndarray:
         """a + b for broadcastable index arrays."""

@@ -15,7 +15,7 @@ composite bound is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product as iproduct
 
 import numpy as np
@@ -87,10 +87,7 @@ def _ratio_theta(G: CayleyGraph) -> ThetaReport:
     lam = cayley_spectrum(G)
     lam_min, lam_max = lam[0], lam[-1]
     n = G.ring.order
-    if lam_max == lam_min:  # edgeless
-        return ThetaReport(value=float(n), method="ratio",
-                           lambda_max=lam_max, lambda_min=lam_min)
-    value = n * (-lam_min) / (lam_max - lam_min)
+    value = float(n) if lam_max == lam_min else n * (-lam_min) / (lam_max - lam_min)
     return ThetaReport(value=value, method="ratio",
                        lambda_max=lam_max, lambda_min=lam_min)
 
@@ -132,16 +129,10 @@ def lovasz_theta_complement(G: CayleyGraph) -> ThetaReport:
     exact because both graphs are vertex-transitive.  The ratio formula
     itself is not tight on complements that fail edge-transitivity."""
     base = lovasz_theta(G)
-    n = G.ring.order
-    comp = G.complement_cayley()
-    if comp.connection:
-        lam = cayley_spectrum(comp)
-        lam_min, lam_max = lam[0], lam[-1]
-    else:
-        lam_min = lam_max = 0.0
+    lam = cayley_spectrum(G.complement_cayley())
     return ThetaReport(
-        value=n / base.value, method="closed_form",
-        lambda_max=lam_max, lambda_min=lam_min,
+        value=G.ring.order / base.value, method="closed_form",
+        lambda_max=lam[-1], lambda_min=lam[0],
     )
 
 
@@ -183,12 +174,7 @@ class RuzsaCheck:
     alpha_status: str  # "exact" | "timeout" | "skipped"
 
     def to_json(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "bound": self.bound,
-            "alpha": self.alpha,
-            "alpha_status": self.alpha_status,
-        }
+        return asdict(self)
 
 
 def ruzsa_bound_check(
@@ -202,9 +188,10 @@ def ruzsa_bound_check(
     odd, every prime dividing m is 1 mod 2^(s+1) (for odd k this only
     requires odd primes).  Strictness is asserted through integrality:
     alpha <= ceil(bound) - 1.  alpha is solved for m <= SOLVER_VERTEX_CAP.
+    m <= 1 or k < 2 is refused (ValueError) before any work.
     """
-    if m <= 1:
-        raise ValueError("m must exceed 1")
+    if m <= 1 or k < 2:
+        raise ValueError(f"need m > 1 and k >= 2, got m={m}, k={k}")
     fac = factorize(m)
     squarefree = all(e == 1 for _, e in fac)
     s = 0

@@ -22,6 +22,21 @@ def test_every_exported_name_resolves():
     assert len(set(paleyfq.__all__)) == len(paleyfq.__all__)
 
 
+R7 = paleyfq.make_ring(paleyfq.RingSpec.field(7))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: paleyfq.cohen_bound(13, 0),
+    lambda: paleyfq.greedy_difference_free(R7, 3, 0),
+    lambda: paleyfq.greedy_difference_free(R7, -1, 2),
+    lambda: paleyfq.capacity_bounds(R7, 3, 0),
+    lambda: paleyfq.bounds_report(23, 3, 6, budget_s=-1),
+], ids=["cohen-k0", "greedy-k0", "greedy-n-1", "capacity-max_n0", "bounds-budget-1"])
+def test_public_entry_points_refuse_invalid_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def load_perfbench(name):
     """A perfbench module, loaded from its file without running anything."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")

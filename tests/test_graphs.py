@@ -306,12 +306,24 @@ def test_dimacs_roundtrip(tmp_path):
     ("c a comment\np edge -3 0\n", 2, "negative"),
     ("p edge 10000000000000 0\n", 1, "over the cap"),
     ("p edge 3 1\ne 1 2\np edge 3 0\n", 3, "second p line"),
+    ("p edge 3 2\ne 1 2\n", 1, "gives 2 edges"),
+    ("c a comment\np edge 3\ne 1 2\n", 2, "edge count"),
 ])
 def test_dimacs_import_names_the_malformed_line(tmp_path, text, line, what):
     path = tmp_path / "bad.col"
     path.write_text(text)
     with pytest.raises(ValueError, match=f":{line}: .*{what}"):
         import_dimacs(str(path))
+
+
+def test_dimacs_edge_count_reads_lines_or_distinct_edges(tmp_path):
+    # the count may be of e lines or of edges, each edge once or both ways
+    path = tmp_path / "c3.col"
+    for text in ("p edge 3 2\ne 1 2\ne 2 3\n",
+                 "p edge 3 4\ne 1 2\ne 2 1\ne 2 3\ne 3 2\n",
+                 "p edge 3 2\ne 1 2\ne 2 1\ne 2 3\ne 3 2\n"):
+        path.write_text(text)
+        assert import_dimacs(str(path)).rows == (0b010, 0b101, 0b010)
 
 
 def test_dimacs_rejects_directed(tmp_path):
@@ -325,6 +337,23 @@ def test_fingerprint_distinguishes_graphs():
     b = graph_fingerprint(build_paley(ring(7), 2))
     assert a != b
     assert a == graph_fingerprint(build_paley(ring(7), 3))
+
+
+def test_strong_power_builds_the_base_rows_once(monkeypatch):
+    calls = []
+    to_generic = CayleyGraph.to_generic
+
+    def counted(self):
+        calls.append(self)
+        return to_generic(self)
+
+    monkeypatch.setattr(CayleyGraph, "to_generic", counted)
+    G = build_paley(ring(5), 2)
+    P = strong_power(G, 3)
+    assert len(calls) == 1
+    assert P.factors == (G,) * 3
+    monkeypatch.undo()
+    assert P.rows == strong_product(strong_product(G, G), G).rows
 
 
 def test_strong_power_of_a_power_is_flat():

@@ -13,7 +13,8 @@ from paleyfq.errors import (
     NotMonomial,
     VerificationTooLarge,
 )
-from paleyfq.polys import compose, decode_poly, enumerate_polynomials, poly
+from paleyfq.graphs import CayleyGraph
+from paleyfq.polys import compose, decode_poly, encode_poly, enumerate_polynomials, poly
 from paleyfq.powerfree import (
     ConstructionParams,
     DifferenceFreeSet,
@@ -28,7 +29,7 @@ from paleyfq.powerfree import (
     verify_no_F_difference,
 )
 from paleyfq.rings import RingSpec, factor_prime_power, factorize, make_ring
-from paleyfq.solver import max_independent_set
+from paleyfq.solver import max_independent_set, verify_independent
 
 from util import exhaustive_mis_size, ref_greedy_difference_free
 
@@ -262,6 +263,43 @@ GREEDY_GRID = [(2, 6, 2), (2, 8, 3), (2, 9, 2), (2, 10, 4), (3, 3, 2),
 def test_greedy_matches_pairwise_first_fit(q, n, k):
     R = make_ring(RingSpec.field(*factor_prime_power(q)))
     assert greedy_difference_free(R, n, k) == ref_greedy_difference_free(R, n, k)
+
+
+# The Sarkozy graph Gamma(q,k,n) is the Cayley graph on P_{q,n} whose
+# connection set is the nonzero k-th powers b^k (deg b <= (n-1)/k) and
+# their negatives, so its independent sets are the difference-free sets.
+# A base-q code of P_{q,n} is the index of the element of F_{p^(s*n)} with
+# the same base-p digits, and polynomial addition is that field's addition,
+# so Gamma is a CayleyGraph on that field and needs no group type of its own.
+def sarkozy_graph(p, s, k, n):
+    Rq, R = make_ring(RingSpec.field(p, s)), make_ring(RingSpec.field(p, s * n))
+    depth = (n - 1) // k + 1
+    powers = {encode_poly(b**k) for b in enumerate_polynomials(Rq, depth)} - {0}
+    return Rq, CayleyGraph(R, frozenset(powers | {R.neg(w) for w in powers}))
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (2, 2), (5, 1), (3, 2)])
+def test_polynomial_codes_add_in_the_field_of_order_q_to_the_n(p, s):
+    n = 4
+    Rq, R = make_ring(RingSpec.field(p, s)), make_ring(RingSpec.field(p, s * n))
+    rng = random.Random(p**s)
+    for _ in range(500):
+        a, b = rng.randrange(R.order), rng.randrange(R.order)
+        f, g = decode_poly(Rq, a), decode_poly(Rq, b)
+        assert encode_poly(f + g) == R.add(a, b)
+        assert encode_poly(f - g) == R.sub(a, b)
+
+
+@pytest.mark.parametrize("p,s,k,n", [(3, 1, 2, 4), (2, 2, 3, 4), (5, 1, 2, 3), (7, 1, 3, 3)])
+def test_greedy_set_is_independent_in_the_sarkozy_graph(p, s, k, n):
+    Rq, G = sarkozy_graph(p, s, k, n)
+    chosen = [encode_poly(u) for u in greedy_difference_free(Rq, n, k)]
+    assert verify_independent(G, chosen)
+
+
+def test_sarkozy_graph_alpha_3_2_4():
+    _, G = sarkozy_graph(3, 1, 2, 4)
+    assert max_independent_set(G).size == 27
 
 
 def test_greedy_refuses_over_the_enumeration_cap_before_any_work(monkeypatch):

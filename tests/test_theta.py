@@ -227,6 +227,23 @@ def test_ruzsa_prime_condition():
     assert not ruzsa_bound_check(21, 2).applicable
 
 
+def test_ruzsa_refuses_k_below_2_before_any_work():
+    # k = 0 looped forever in the 2-adic split of k; a regression times
+    # the child out.  m = 1203 is over the solver cap, so no graph would
+    # refuse k on the way
+    code = """
+from paleyfq.theta import ruzsa_bound_check
+for k in (0, 1, -2):
+    try:
+        ruzsa_bound_check(1203, k)
+    except ValueError:
+        print(k)
+"""
+    proc = run_child(code, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "-2"]
+
+
 def test_alpha_le_theta_zmod():
     for m, k in ((65, 2), (85, 2), (21, 3)):
         G = build_paley(zring(m), k)
