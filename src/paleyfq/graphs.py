@@ -188,8 +188,6 @@ class CayleyGraph:
 
 def build_paley(R: RingCtx, k: int) -> CayleyGraph:
     """Construct Paley_k(R) from the k-th power set of R."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
     G = CayleyGraph(ring=R, connection=frozenset(kth_power_set(R, k) - {0}))
     if R.is_field and R.spec.p != 2:
         # -1 is a k-th power iff (q-1)/gcd(q-1,k) is even; char 2 has -1 = 1

@@ -35,8 +35,7 @@ from .solver import (
 
 def alpha_product(R: RingCtx, k: int, n: int, budget_s: float = DEFAULT_BUDGET_S) -> int:
     """Independence number of the n-fold strong power of Paley_k(R)."""
-    G = build_paley(R, k)
-    H = G if n == 1 else strong_power(G, n)
+    H = strong_power(build_paley(R, k), n)
     return max_independent_set(H, budget_s=budget_s).size
 
 
@@ -149,11 +148,10 @@ def capacity_bounds(
     for n in range(1, max_n + 1):
         alpha_n = None
         if q**n <= SOLVER_VERTEX_CAP:
-            H = base if n == 1 else strong_power(base, n)
             # with nothing left, a 1 ns budget still yields the incumbent
             left = max(deadline - time.monotonic(), 1e-9)
             try:
-                alpha_n = max_independent_set(H, budget_s=left).size
+                alpha_n = max_independent_set(strong_power(base, n), budget_s=left).size
             except SolverTimeout as exc:
                 alpha_n = exc.incumbent.size  # still a valid lower bound
         elif use_complement and n == k and R.is_field:

@@ -121,10 +121,7 @@ def _least_field_kth_root(R: RingCtx, c: int, k: int) -> Optional[int]:
     (c nonzero, gcd(k, p) = 1).  The gcd(k, q-1) roots are g^(t0 + j*step),
     j < gcd(k, q-1), whose exponents stay below q - 1, so they are one
     strided slice of the exp table."""
-    q = R.order
-    if q == 2:
-        return 1
-    qm1 = q - 1
+    qm1 = R.order - 1
     d = math.gcd(k, qm1)
     a = R.log[c]
     if a % d:
@@ -202,9 +199,6 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
         inv_frob = p ** ((-e) % s)
         wc = [R.pow_elem(c, inv_frob) for c in wc[::pe]]
 
-    if k0 == 1:
-        return PolyFq(R, wc)
-
     dw = len(wc) - 1
     if dw % k0:
         return None
@@ -243,8 +237,10 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
 
 
 def enumeration_size(R: RingCtx, n: int) -> int:
-    """q^n, the number of polynomials of degree < n; EnumerationTooLarge
-    over ENUM_CAP."""
+    """q^n, the number of polynomials of degree < n (n >= 0, else
+    ValueError); EnumerationTooLarge over ENUM_CAP."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     size = R.order**n
     if size > ENUM_CAP:
         raise EnumerationTooLarge(f"q^n = {size} exceeds cap {ENUM_CAP}")

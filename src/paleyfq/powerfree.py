@@ -44,7 +44,7 @@ from .polys import (
     enumeration_size,
     poly,
 )
-from .rings import RingCtx, RingSpec, is_kth_power, make_ring
+from .rings import RingCtx, RingSpec, field_spec, is_kth_power, make_ring
 from .solver import DEFAULT_BUDGET_S, max_independent_set
 
 VERIFY_CAP = 10**6  # q^depth * max(|allowed|, k*n) per verify call
@@ -325,11 +325,19 @@ def greedy_difference_free(R: RingCtx, n: int, k: int) -> list[PolyFq]:
 
 
 def greedy_lower_bound(q: int, n: int, k: int) -> int:
+    """q^(n - 1 - floor((n-1)/k)); q a prime power, n >= 1 and k >= 2."""
+    field_spec(q)
+    if k < 2 or n < 1:
+        raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     return q ** (n - 1 - (n - 1) // k)
 
 
 def pigeonhole_upper(q: int, n: int, k: int) -> int:
-    """Upper bound q^(n - floor((n-1)/k)), valid when k is a power of q."""
+    """Upper bound q^(n - floor((n-1)/k)) for a prime power q and n >= 1,
+    valid when k is a power of q."""
+    field_spec(q)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     t = k
     while t > 1 and t % q == 0:
         t //= q

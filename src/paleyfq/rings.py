@@ -50,8 +50,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """q as (p, s) with p prime and q = p^s, else ValueError."""
-    fac = factorize(q)
-    if q < 2 or len(fac) != 1:
+    fac = factorize(q)  # [] for q < 2
+    if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     return fac[0]
 
@@ -208,7 +208,7 @@ class RingCtx:
         self.modulus = self.exp = self.log = None
         if spec.kind == "fq":
             self.radix, self.shape = spec.p, (spec.p,) * spec.s
-            self.modulus = _find_modulus(spec.p, spec.s) if spec.s > 1 else (0, 1)
+            self.modulus = _find_modulus(spec.p, spec.s)
             self._build_tables()
         else:
             self.radix, self.shape = spec.m, (spec.m,)
@@ -243,16 +243,12 @@ class RingCtx:
         multiplication by g^t, exp[t:2t] = perm_t[exp[:t]] and perm_2t =
         perm_t[perm_t]."""
         q, p = self.order, self.spec.p
-        if q == 2:
-            g = 1
-        else:
-            qm1 = q - 1
-            primes = [r for r, _ in factorize(qm1)]
-            g = next((x for x in range(1, q)
-                      if all(self._raw_pow(x, qm1 // r) != 1 for r in primes)),
-                     None)
-            if g is None:
-                raise InvariantViolation(f"F_{q}^* has no generator")
+        qm1 = q - 1
+        primes = [r for r, _ in factorize(qm1)]
+        g = next((x for x in range(1, q)
+                  if all(self._raw_pow(x, qm1 // r) != 1 for r in primes)), None)
+        if g is None:
+            raise InvariantViolation(f"F_{q}^* has no generator")
         # int32 halves the bytes each gather touches; q <= ORDER_CAP fits
         perm = self._span([self._raw_mul(p**i, g) for i in range(self.spec.s)]
                           ).astype(np.int32)
@@ -512,25 +508,18 @@ def kth_power_set(R: RingCtx, k: int) -> frozenset[int]:
 
 
 def is_kth_power(R: RingCtx, x: int, k: int) -> bool:
-    """True iff x = z^k for some z in R."""
-    if x == 0:
-        return True
-    if R.is_field:
-        d = math.gcd(k, R.order - 1)
-        return R.log[x] % d == 0
+    """True iff x = z^k for some z in R, read off kth_power_set."""
     return x in kth_power_set(R, k)
 
 
 def non_kth_power(R: RingCtx, k: int) -> int:
-    """Least-index element of F_q that is not a k-th power."""
+    """Least-index element of F_q outside kth_power_set(R, k)."""
     if not R.is_field:
         raise NotAField("non_kth_power is defined for fields")
-    if math.gcd(k, R.order - 1) == 1:
+    powers = kth_power_set(R, k)
+    if len(powers) == R.order:
         raise AllPowers(f"every element of F_{R.order} is a {k}-th power")
-    for x in R.elements():
-        if not is_kth_power(R, x, k):
-            return x
-    raise InvariantViolation("unreachable: gcd > 1 guarantees a non-power")
+    return next(x for x in R.elements() if x not in powers)
 
 
 def generator(R: RingCtx) -> int:

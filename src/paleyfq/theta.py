@@ -70,8 +70,6 @@ def cayley_spectrum(G: CayleyGraph) -> list[float]:
     R = G.ring
     n = R.order
     deg = len(G.connection)
-    if not deg:
-        return [0.0] * n
     vals = np.fft.fftn(G.inside.astype(float).reshape(R.shape)).ravel()
     if np.abs(vals.imag).max() >= 1e-9:
         raise InvariantViolation("connection set is not closed under negation")
@@ -87,8 +85,7 @@ def _ratio_theta(G: CayleyGraph) -> ThetaReport:
     lam = cayley_spectrum(G)
     lam_min, lam_max = lam[0], lam[-1]
     n = G.ring.order
-    value = float(n) if lam_max == lam_min else n * (-lam_min) / (lam_max - lam_min)
-    return ThetaReport(value=value, method="ratio",
+    return ThetaReport(value=n * (-lam_min) / (lam_max - lam_min), method="ratio",
                        lambda_max=lam_max, lambda_min=lam_min)
 
 

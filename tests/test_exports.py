@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import paleyfq
+from util import run_child
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -23,6 +24,7 @@ def test_every_exported_name_resolves():
 
 
 R7 = paleyfq.make_ring(paleyfq.RingSpec.field(7))
+BELOW_2 = (0, 1, -2)
 
 
 @pytest.mark.parametrize("call", [
@@ -31,10 +33,58 @@ R7 = paleyfq.make_ring(paleyfq.RingSpec.field(7))
     lambda: paleyfq.greedy_difference_free(R7, -1, 2),
     lambda: paleyfq.capacity_bounds(R7, 3, 0),
     lambda: paleyfq.bounds_report(23, 3, 6, budget_s=-1),
-], ids=["cohen-k0", "greedy-k0", "greedy-n-1", "capacity-max_n0", "bounds-budget-1"])
+    lambda: paleyfq.pigeonhole_upper(0, 5, 2),
+    lambda: paleyfq.pigeonhole_upper(6, 5, 2),
+    lambda: paleyfq.pigeonhole_upper(2, -3, 2),
+    lambda: paleyfq.pigeonhole_upper(2, 0, 2),
+    lambda: paleyfq.greedy_lower_bound(3, 5, 0),
+    lambda: paleyfq.greedy_lower_bound(3, 5, 1),
+    lambda: paleyfq.greedy_lower_bound(6, 5, 2),
+    lambda: paleyfq.greedy_lower_bound(3, 0, 2),
+    lambda: paleyfq.polys.enumeration_size(R7, -1),
+    lambda: list(paleyfq.enumerate_polynomials(R7, -1)),
+    *(lambda k=k: paleyfq.is_kth_power(R7, 3, k) for k in BELOW_2),
+    *(lambda k=k: paleyfq.non_kth_power(R7, k) for k in BELOW_2),
+], ids=["cohen-k0", "greedy-k0", "greedy-n-1", "capacity-max_n0", "bounds-budget-1",
+        "pigeonhole-q0", "pigeonhole-q6", "pigeonhole-n-3", "pigeonhole-n0",
+        "greedy_lower-k0", "greedy_lower-k1", "greedy_lower-q6", "greedy_lower-n0",
+        "enumeration_size-n-1", "enumerate-n-1",
+        *(f"is_kth_power-k{k}" for k in BELOW_2),
+        *(f"non_kth_power-k{k}" for k in BELOW_2)])
 def test_public_entry_points_refuse_invalid_arguments(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_pigeonhole_refuses_q1_before_any_work():
+    # q = 1 looped forever dividing k by q; a regression times the child out
+    code = """
+from paleyfq import greedy_lower_bound, pigeonhole_upper
+for bound in (pigeonhole_upper, greedy_lower_bound):
+    try:
+        bound(1, 5, 2)
+    except ValueError:
+        print(bound.__name__)
+"""
+    proc = run_child(code, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["pigeonhole_upper", "greedy_lower_bound"]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the two Python blocks under "Library quick start", run in order in
+    # one namespace, print and build what their comments say
+    text = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    text = text.split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 2
+    scope = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), scope)
+    size, theta = capsys.readouterr().out.split()
+    assert size == "10" and theta.startswith("3.3176672")
+    assert scope["A"].size == 24010
+    assert paleyfq.verify_no_F_difference(scope["A"])
 
 
 def load_perfbench(name):

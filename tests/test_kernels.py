@@ -1,6 +1,7 @@
 """Differential tests: the vectorized ring tables, scalar ring arithmetic,
 Cayley adjacency and FFT spectra against the reference oracles in util.py."""
 
+import json
 import math
 import random
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from paleyfq.errors import DirectedUnsupported
-from paleyfq.graphs import build_paley
+from paleyfq.graphs import CayleyGraph, build_paley
 from paleyfq.rings import RingSpec, factor_prime_power, factorize, make_ring
 from paleyfq.theta import cayley_spectrum
 from util import (
@@ -141,6 +142,9 @@ def test_spectrum_matches_oracle(make, order):
         want = ref_spectrum(G)
         assert len(got) == len(want)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+    # the empty connection set: n zeros, none of them -0.0
+    empty = cayley_spectrum(CayleyGraph(ring=R, connection=frozenset()))
+    assert json.dumps(empty) == json.dumps([0.0] * R.order)
 
 
 # -- scalar arithmetic: every pair on small rings, seeded pairs on large ones

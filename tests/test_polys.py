@@ -137,6 +137,7 @@ def test_enumerate_order_and_count():
         (), (1,), (0, 1), (1, 1)
     ]
     assert [u.coeffs for u in enumerate_polynomials(R3, 1)] == [(), (1,), (2,)]
+    assert [u.coeffs for u in enumerate_polynomials(R3, 0)] == [()]  # the zero polynomial
     assert sum(1 for _ in enumerate_polynomials(R3, 4)) == 81
 
 

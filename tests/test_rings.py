@@ -18,6 +18,7 @@ from paleyfq.rings import (
     make_ring,
     non_kth_power,
 )
+from util import ref_power_sets
 
 
 def test_is_prime_matches_trial_division():
@@ -130,13 +131,29 @@ def test_kth_power_set_size_formula():
 
 
 def test_is_kth_power_matches_enumeration():
-    for spec in (RingSpec.field(7), RingSpec.field(3, 2), RingSpec.zmod(65),
-                 RingSpec.zmod(36)):
+    # F_2 and F_4 take the generator search with no prime factor of q - 1
+    # to test (F_2) or one (F_4); k runs past q - 1 so every gcd occurs
+    for spec in (RingSpec.field(2), RingSpec.field(2, 2), RingSpec.field(7),
+                 RingSpec.field(3, 2), RingSpec.zmod(65), RingSpec.zmod(36)):
         R = make_ring(spec)
-        for k in (2, 3, 4, 6):
-            table = kth_power_set(R, k)
-            for x in R.elements():
-                assert is_kth_power(R, x, k) == (x in table)
+        for k, oracle in ref_power_sets(R, R.order + 1).items():
+            assert kth_power_set(R, k) == oracle, (R, k)
+            assert [is_kth_power(R, x, k) for x in R.elements()] == [
+                x in oracle for x in R.elements()], (R, k)
+
+
+def test_non_kth_power_is_the_least_non_power():
+    for q in range(2, 33):
+        if len(factorize(q)) != 1:
+            continue
+        R = make_ring(RingSpec.field(*factorize(q)[0]))
+        for k, oracle in ref_power_sets(R, q + 1).items():
+            outside = [x for x in R.elements() if x not in oracle]
+            if outside:
+                assert non_kth_power(R, k) == outside[0], (q, k)
+            else:
+                with pytest.raises(AllPowers):
+                    non_kth_power(R, k)
 
 
 def test_is_kth_power_examples():

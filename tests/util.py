@@ -218,6 +218,16 @@ def ref_pow_table(R) -> np.ndarray:
     return table
 
 
+def ref_power_sets(R, top: int) -> dict[int, set[int]]:
+    """{k: {z^k : z in R}} for 2 <= k <= top, by repeated ref_mul."""
+    xs = col = np.arange(R.order)
+    out = {}
+    for k in range(2, top + 1):
+        col = ref_mul(R, col, xs)
+        out[k] = set(col.tolist())
+    return out
+
+
 def ref_cayley_rows(G, xs=None) -> list[int]:
     """Adjacency rows of a Cayley graph by the R.sub loop over the
     connection set, for the vertices xs (all by default)."""
