@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from .errors import DirectedUnsupported, InvariantViolation, NotUnimodal, SolverTimeout
 from .graphs import build_paley
 from .indep import alpha_product
-from .rings import RingCtx, field_spec, make_ring
+from .powerfree import greedy_exponent
+from .rings import RingCtx, make_ring
 from .solver import DEFAULT_BUDGET_S, SOLVER_VERTEX_CAP, check_budget
 from .theta import lovasz_theta
 
@@ -164,9 +165,7 @@ def bounds_report(
     gcd(k, q-1) > 1).  Beside it, r_k2_upper is floor(theta(G)^2) for
     G = Paley_k(F_q) when G is undirected (see _theta_square_floor).
     """
-    spec = field_spec(q)
-    if k < 2 or n < 1:
-        raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+    spec, greedy_e = greedy_exponent(q, n, k)
     check_budget(budget_s)
     green = green_exponent(q, k)
     refined = minimize_rate(q, gamma).value if gamma is not None else None
@@ -190,7 +189,7 @@ def bounds_report(
                     f"r_k2 lower bound {r_k2_lower} exceeds theta^2 bound {r_k2_upper}"
                 )
     method_limit = q ** (1 - 1 / (k * k))
-    greedy = q ** ((n - 1 - (n - 1) // k) / n)
+    greedy = q ** (greedy_e / n)
     ledger = BoundsLedger(
         q=q, k=k, n=n,
         green_exponent=green.exponent, green_rate=green.base,

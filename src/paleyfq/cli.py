@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 desk-scale cap violations,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -204,7 +205,10 @@ def _cmd_bounds(args) -> dict:
     return ledger.to_json()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args only reads
+    it, and each call gets a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="paleyfq",
         description="Paley graphs, independence numbers, theta bounds, and "

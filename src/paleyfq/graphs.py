@@ -11,7 +11,7 @@ import hashlib
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -46,27 +46,87 @@ def check_order(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
 class GenericGraph:
-    """Plain adjacency-bitmask graph; no self-loops.
+    """Plain adjacency-bitmask graph; no self-loops.  Immutable.
 
-    symmetric (every edge has its reverse) is worked out from the rows;
-    only the builders in this module, which know it exactly, pass it.
-    factors is empty unless the graph is a strong product; then it holds
-    the factor graphs (CayleyGraph or GenericGraph) and vertex i is the
-    tuple of factor coordinates at row-major index i."""
+    GenericGraph(n, rows, symmetric=None, factors=()): symmetric (every
+    edge has its reverse) is worked out from the rows; only the builders
+    in this module, which know it exactly, pass it.  factors is empty
+    unless the graph is a strong product; then it holds the factor graphs
+    (CayleyGraph or GenericGraph) and vertex i is the tuple of factor
+    coordinates at row-major index i.
 
-    n: int
-    rows: tuple[int, ...]
-    symmetric: bool | None = None
-    factors: tuple = ()
+    A product made by strong_product or strong_power holds the rows of
+    its factors, not its own: `rows` derives them from the factors' rows
+    on first read (by _product_rows) and keeps them, so they are built at
+    most once.  graph_fingerprint streams the rows of a product whose rows
+    were never read, and has_edge_among (so verify_independent) tests a
+    product by coordinates on its factors; neither needs them.  Equality,
+    hash and repr go by n, symmetric and the factors of a product (which
+    fix its rows) and by n, symmetric and the rows of any other graph, so
+    none of them depends on whether a product's rows were read."""
 
-    def __post_init__(self):
-        for i, r in enumerate(self.rows):
+    __slots__ = ("n", "symmetric", "factors", "_rows", "_parts")
+
+    def __init__(self, n: int, rows: tuple[int, ...], symmetric: bool | None = None,
+                 factors: tuple = ()):
+        for i, r in enumerate(rows):
             if r >> i & 1:
                 raise ValueError("self-loops are not allowed")
-        if self.symmetric is None:
-            object.__setattr__(self, "symmetric", symmetrized_rows(self.rows) == list(self.rows))
+        if symmetric is None:
+            symmetric = symmetrized_rows(rows) == list(rows)
+        self._set(n=n, symmetric=symmetric, factors=factors, _rows=rows, _parts=None)
+
+    @classmethod
+    def _product(cls, factors: tuple, parts: tuple) -> "GenericGraph":
+        """The strong product of factors, whose plain graphs (aligned with
+        factors) are parts; no row of it is built.  It is symmetric iff
+        every factor is, or one is empty (then it has no vertices)."""
+        g = object.__new__(cls)
+        n = math.prod(p.n for p in parts)
+        g._set(n=n, symmetric=all(p.symmetric for p in parts) or n == 0,
+               factors=factors, _rows=None, _parts=parts)
+        return g
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.n, self.symmetric, self.factors or self.rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        if self._parts is not None:
+            return GenericGraph._product, (self.factors, self._parts)
+        return GenericGraph, (self.n, self.rows, self.symmetric, self.factors)
+
+    def __repr__(self):
+        body = f"factors={self.factors!r}" if self.factors else f"rows={self.rows!r}"
+        return f"GenericGraph(n={self.n}, {body}, symmetric={self.symmetric})"
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Bit j of rows[i] is set iff i -> j is an edge.  A product
+        derives its rows here on first read and keeps them."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(_product_rows(self._parts)))
+        return self._rows
+
+    def _stream(self):
+        """The rows if held, else a one-pass generator of a product's rows
+        that keeps none of them."""
+        return self._rows if self._rows is not None else _product_rows(self._parts)
 
     def to_generic(self) -> "GenericGraph":
         return self
@@ -104,6 +164,39 @@ class GenericGraph:
         if not 0 <= v < self.n:
             raise VertexOutOfRange(f"vertex {v!r} out of range")
         return v
+
+    def has_edge_among(self, idx) -> bool:
+        """True iff i -> j is an edge for some i != j in the vertex
+        indices idx (repeats allowed).
+
+        A product made by strong_product or strong_power is tested by
+        coordinates: t -> t' is an edge of the strong product iff t != t'
+        and, in every factor, the coordinates are equal or an edge.  That
+        is the rule _product_rows builds its rows by, so the answer is the
+        one its rows give.  For each member and factor, the member's closed
+        row in that factor is unpacked once and read at the coordinates of
+        all m = len(idx) members: O(m^2 * number of factors) lookups, and
+        no row of the product is built.  Any other graph is tested on its
+        rows."""
+        if self._parts is None:
+            rows = self.rows
+            return any(a != b and rows[a] >> b & 1 for a in idx for b in idx)
+        idx = np.asarray(idx, dtype=np.int64)
+        coords = np.unravel_index(idx, [p.n for p in self._parts])
+        for a in range(len(idx)):
+            hit = idx != idx[a]
+            for p, c in zip(self._parts, coords):
+                x = int(c[a])
+                hit &= _bits(p.rows[x] | 1 << x, p.n)[c]
+            if hit.any():
+                return True
+        return False
+
+
+def _bits(row: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of row, as a boolean array."""
+    return np.unpackbits(np.frombuffer(row.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
+                         count=n, bitorder="little").view(bool)
 
 
 def symmetrized_rows(rows) -> list[int]:
@@ -278,43 +371,71 @@ def _factor_stabilizer(G: CayleyGraph) -> list[np.ndarray]:
     return [perm for perm in gens if inside[perm[members]].all()]
 
 
-def strong_product(G, H) -> GenericGraph:
-    """Strong product: (a,b) -> (c,d) iff each coordinate pair is an edge
-    or equal, and the endpoints differ.  Directed inputs are permitted.
-    Row (a, b) is the OR of closed_h[b] << x*|H| over x in N[a]; since
-    closed_h[b] < 2^|H| these fill disjoint bit ranges, so the OR is the
-    carry-free product spread_a * closed_h[b], where spread_a is the sum
-    of 2^(x*|H|) over x in N[a].  Its own bit, always set, is xor-ed off.
-    The product is symmetric iff both factors are, or either is empty
-    (then it has no vertices).  The factors are those of G then H, a
-    product contributing its own, so powers of powers are flat.  The
-    order |G|*|H| is checked before any rows are built."""
-    n = check_order(G.n * H.n)
-    g, h = G.to_generic(), H.to_generic()
+def _product_rows(parts):
+    """Rows of the strong product of the plain graphs parts, in row-major
+    order, one at a time: (a, b) -> (c, d) iff each coordinate pair is an
+    edge or equal, and the endpoints differ.  The product of all parts but
+    the last is built and held (|V|/|H| rows, H the last part), and the
+    rows over H are made as they are asked for and not kept.
+
+    Row (a, b) of G x H is the OR of closed_h[b] << x*|H| over x in N[a];
+    since closed_h[b] < 2^|H| these fill disjoint bit ranges, so the OR is
+    the carry-free product spread_a * closed_h[b], where spread_a is the
+    sum of 2^(x*|H|) over x in N[a].  Its own bit, always set, is xor-ed
+    off."""
+    prefix = parts[0].rows
+    for h in parts[1:-1]:
+        prefix = list(_rows_times(prefix, h))
+    return _rows_times(prefix, parts[-1]) if len(parts) > 1 else iter(prefix)
+
+
+def _rows_times(g_rows, h: GenericGraph):
+    """Rows of G x H from the rows of G, one at a time (see _product_rows)."""
     closed_h = [h.rows[b] | (1 << b) for b in range(h.n)]
-    rows = []
-    for a in range(g.n):
-        ca = g.rows[a] | (1 << a)
+    i = 0
+    for a, row in enumerate(g_rows):
+        ca = row | (1 << a)
         spread = 0
         while ca:
             x = (ca & -ca).bit_length() - 1
             spread |= 1 << (x * h.n)
             ca &= ca - 1
         for chb in closed_h:
-            rows.append((spread * chb) ^ (1 << len(rows)))
-    symmetric = (g.symmetric and h.symmetric) or n == 0
-    return GenericGraph(n, tuple(rows), symmetric,
-                        factors=(g.factors or (G,)) + (h.factors or (H,)))
+            yield (spread * chb) ^ (1 << i)
+            i += 1
+
+
+def _factored(G) -> tuple[tuple, tuple]:
+    """(factors, parts) of G: its factor graphs and their plain graphs,
+    aligned.  A graph that is not a product is its own one factor."""
+    g = G.to_generic()
+    if not g.factors:
+        return (G,), (g,)
+    return g.factors, g._parts or tuple(f.to_generic() for f in g.factors)
+
+
+def strong_product(G, H) -> GenericGraph:
+    """Strong product: (a,b) -> (c,d) iff each coordinate pair is an edge
+    or equal, and the endpoints differ.  Directed inputs are permitted.
+    The factors are those of G then H, a product contributing its own, so
+    powers of powers are flat.  The order |G|*|H| is checked first; the
+    product keeps its factors' rows and builds its own only when they are
+    read (see GenericGraph)."""
+    check_order(G.n * H.n)
+    factors_g, parts_g = _factored(G)
+    factors_h, parts_h = _factored(H)
+    return GenericGraph._product(factors_g + factors_h, parts_g + parts_h)
 
 
 def strong_power(G, n: int) -> GenericGraph:
     """n-fold strong product of G with itself (for n = 1, G with factors
     (G,), so its vertices are 1-tuples).  The final order |G|^n is checked
-    before any product is built, as by check_order; when its refusal
+    before any product is made, as by check_order; when its refusal
     could not be printed (the order or its size in MB has more decimal
     digits than int-to-str conversion allows) it names the order |G|^n,
     which is then never computed in full when it has more than the
-    interpreter's default 4,300 digits."""
+    interpreter's default 4,300 digits.  The rows of G are built once,
+    whatever n."""
     if n < 1:
         raise ValueError("power must be >= 1")
     over = f"{G.n}^{n} vertices are over the cap of {ADJACENCY_CAP >> 20} MB of solver bitmasks"
@@ -324,8 +445,7 @@ def strong_power(G, n: int) -> GenericGraph:
         check_order(G.n ** n)
     except ValueError:  # check_order's message has too many digits for str()
         raise OrderTooLarge(over) from None
-    g = G.to_generic()
-    base = acc = replace(g, factors=g.factors or (G,))
+    base = acc = GenericGraph._product(*_factored(G))
     for _ in range(n - 1):  # base, not G: G's rows are built once
         acc = strong_product(acc, base)
     return acc
@@ -348,12 +468,7 @@ def crt_factor_check(m: int, n: int, k: int) -> bool:
     )
     xs = np.arange(m * n)
     perm = xs % m * n + xs % n
-
-    def bits(row):
-        return np.unpackbits(np.frombuffer(row.to_bytes((m * n + 7) // 8, "little"),
-                                           dtype=np.uint8), bitorder="little")
-
-    return all(np.array_equal(bits(prod.rows[px])[perm], bits(big.rows[x])[:m * n])
+    return all(np.array_equal(_bits(prod.rows[px], m * n)[perm], _bits(big.rows[x], m * n))
                for x, px in enumerate(perm.tolist()))
 
 
@@ -422,11 +537,13 @@ def import_dimacs(path: str) -> GenericGraph:
 
 
 def graph_fingerprint(G) -> str:
-    """SHA-256 over vertex count and adjacency rows; binds certificates."""
+    """SHA-256 over vertex count and adjacency rows; binds certificates.
+    A product whose rows were never read streams them (GenericGraph), so
+    the fingerprint holds one row at a time and keeps none."""
     g = G.to_generic()
     h = hashlib.sha256()
     h.update(str(g.n).encode())
     nbytes = (g.n + 7) // 8
-    for r in g.rows:
+    for r in g._stream():
         h.update(r.to_bytes(nbytes, "little"))
     return h.hexdigest()

@@ -324,12 +324,19 @@ def greedy_difference_free(R: RingCtx, n: int, k: int) -> list[PolyFq]:
     return [decode_poly(R, c) for c in chosen]
 
 
-def greedy_lower_bound(q: int, n: int, k: int) -> int:
-    """q^(n - 1 - floor((n-1)/k)); q a prime power, n >= 1 and k >= 2."""
-    field_spec(q)
+def greedy_exponent(q: int, n: int, k: int) -> tuple[RingSpec, int]:
+    """(the RingSpec of F_q, n - 1 - floor((n-1)/k)), the exponent of
+    greedy_lower_bound; q a prime power, n >= 1 and k >= 2, else
+    ValueError (q over ORDER_CAP: OrderTooLarge, before it is factored)."""
+    spec = field_spec(q)
     if k < 2 or n < 1:
         raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    return q ** (n - 1 - (n - 1) // k)
+    return spec, n - 1 - (n - 1) // k
+
+
+def greedy_lower_bound(q: int, n: int, k: int) -> int:
+    """q^(n - 1 - floor((n-1)/k)); q a prime power, n >= 1 and k >= 2."""
+    return q ** greedy_exponent(q, n, k)[1]
 
 
 def pigeonhole_upper(q: int, n: int, k: int) -> int:

@@ -521,8 +521,8 @@ def max_independent_set(
     n = g.n
     gens = root_stabilizer(G)
     root_fixed = gens is not None
-    fingerprint = graph_fingerprint(g)
     sym = list(g.rows) if g.symmetric else symmetrized_rows(g.rows)
+    fingerprint = graph_fingerprint(g)  # after the rows are read: hashed, not streamed
     comp = complement_rows(sym)
     search = _CliqueSearch(comp, sym, deadline, _multistart_greedy(n, comp, deadline),
                            _slab_for(g, sym, deadline) if root_fixed else None)
@@ -550,12 +550,8 @@ def max_independent_set(
 
 def verify_independent(G, vertices) -> bool:
     """True iff no ordered pair of distinct members is an edge.  Members
-    are vertex labels, checked as by GenericGraph.index."""
+    are vertex labels, checked as by GenericGraph.index; repeats are
+    allowed.  A strong product is checked by coordinates on its factors
+    (GenericGraph.has_edge_among), so its rows are never built."""
     g = G.to_generic()
-    idx = [g.index(v) for v in vertices]
-    for a in idx:
-        row = g.rows[a]
-        for b in idx:
-            if a != b and row >> b & 1:
-                return False
-    return True
+    return not g.has_edge_among([g.index(v) for v in vertices])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -144,3 +146,42 @@ def test_rk2_sqrt_dominates_rk1():
         r1 = alpha_product(R, k, 1)
         r2 = alpha_product(R, k, 2)
         assert math.sqrt(r2) >= r1 - 1e-9
+
+
+def _ledger_digest(cases) -> str:
+    """SHA-256 over the exact ledger JSON (floats unrounded) of each case,
+    or the refusal's type and message."""
+    blobs = []
+    for q, k, n, gamma in cases:
+        try:
+            blobs.append(bounds_report(q, k, n, gamma=gamma).to_json())
+        except Exception as exc:
+            blobs.append([type(exc).__name__, str(exc)])
+    return hashlib.sha256(json.dumps(blobs, sort_keys=True).encode()).hexdigest()
+
+
+LEDGER_PINS = {
+    # the README's `bounds --q 7 --k 3 --n 6 --gamma 4/9` and the
+    # benchmark's two other bounds commands
+    (7, 3, 6, 4 / 9): "6641033c98c416c9ee71a2393bd41f40d37854beecd6130d7a8f2e2e982b15d9",
+    (5, 2, 4, 1 / 2): "bac6fab842577147de00529c8482414bed57c85fcbbc88f0d696cdfb01e08beb",
+    (9, 2, 4, 1 / 2): "01c5864998b20a545cc16b363b97eef7b2f86df9813afbdf5c992b8b29d3ec23",
+}
+LEDGER_GRID = (
+    [(q, k, n, None) for q in (2, 3, 4, 5, 7, 8, 9, 11) for k in (2, 3, 4)
+     for n in (1, 2, 3, 6)]
+    + [(13, 2, n, None) for n in (1, 2, 3, 6)]
+    + [(6, 2, 3, None), (1, 2, 3, None), (7, 1, 3, None), (7, 2, 0, None),
+       (2**61 - 1, 2, 3, None)]
+)
+LEDGER_GRID_PIN = "e1e5de89ec89e3621e0f4646f15da1c2db6c25e8c9f3eacddc72de4aa9c1c167"
+
+
+@pytest.mark.parametrize("case", sorted(LEDGER_PINS))
+def test_bounds_ledger_pinned(case):
+    assert _ledger_digest([case]) == LEDGER_PINS[case]
+
+
+def test_bounds_ledger_grid_pinned():
+    # the greedy base is q ** (e / n), e the exponent of greedy_lower_bound
+    assert _ledger_digest(LEDGER_GRID) == LEDGER_GRID_PIN

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import paleyfq.cli as cli
 from paleyfq.cli import main
 from util import run_child
 
@@ -322,6 +323,7 @@ def test_huge_order_refused_before_factoring():
     # before it forms that power); a regression times the child out
     code = """
 import sys, time
+import paleyfq.cli as cli
 from paleyfq.cli import main
 from paleyfq.errors import OrderTooLarge
 from paleyfq.rings import RingSpec, make_ring
@@ -646,3 +648,32 @@ def test_readme_cli_examples_pinned(capsys, tmp_path, monkeypatch):
                    for f in sorted(set(tmp_path.iterdir()) - before)}
         got[" ".join(argv[1:])] = (code, hashlib.sha256(out.encode()).hexdigest(), written)
     assert got == README_EXAMPLES
+
+
+def test_one_parser_serves_consecutive_calls(capsys, tmp_path, monkeypatch):
+    # main builds the parser once per process; a run of different
+    # commands prints what it prints with a fresh parser for each
+    monkeypatch.chdir(tmp_path)
+    argvs = [argv[1:] for argv in readme_cli_examples()] + [
+        ["--format", "text", "graph", "--ring", "fq:7", "--k", "3"],
+        ["--format", "csv", "bounds", "--q", "5", "--k", "2", "--n", "4"],
+        ["graph", "--ring", "fq:5", "--k", "2", "--power", "2"],
+        ["alpha", "--ring", "fq:7", "--k", "3", "--budget", "0"],
+        ["alpha", "--ring", "fq:7"],  # no --k: argparse exits 2
+        ["graph", "--ring", "fq:7", "--k", "3", "--complement"],
+    ]
+
+    def outputs(fresh: bool) -> list:
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    shared = outputs(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert shared == outputs(fresh=True)
+    assert [code for code, _, _ in shared[-4:]] == [0, 2, 2, 0]

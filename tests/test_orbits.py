@@ -40,8 +40,13 @@ from paleyfq.rings import RingSpec, make_ring
 from paleyfq.solver import max_independent_set, verify_independent
 
 from util import (
+    CASES,
+    F,
+    Z,
+    comp,
     exhaustive_mis_size,
     networkx_alpha,
+    random_cayley,
     random_connection_set,
     random_directed_graph,
     random_graph,
@@ -51,81 +56,7 @@ from util import (
 )
 
 
-def F(p, s=1):
-    return make_ring(RingSpec.field(p, s))
-
-
-def Z(m):
-    return make_ring(RingSpec.zmod(m))
-
-
 paley = build_paley
-
-
-def comp(R, k):
-    return build_paley(R, k).complement_cayley()
-
-
-def random_cayley(R, seed, symmetric=True):
-    """Cayley graph on a random connection set, which multipliers other
-    than 1 generally do not keep."""
-    rng = random.Random(seed)
-    conn = set()
-    for x in range(1, R.order):
-        if rng.random() < 0.4:
-            conn.add(x)
-            if symmetric:
-                conn.add(R.neg(x))
-    return CayleyGraph(ring=R, connection=frozenset(conn))
-
-
-CASES = {
-    # F_p
-    "F13-k2": lambda: paley(F(13), 2),
-    "F37-k2": lambda: paley(F(37), 2),
-    "F61-k2": lambda: paley(F(61), 2),
-    "F101-k2": lambda: paley(F(101), 2),
-    "F31-k3": lambda: paley(F(31), 3),
-    "F43-k3": lambda: paley(F(43), 3),
-    "F41-k4": lambda: paley(F(41), 4),
-    "F29-k4-directed": lambda: paley(F(29), 4),
-    "F7-k3-squared": lambda: strong_power(paley(F(7), 3), 2),
-    # F_4, F_8, F_9 and larger prime powers, where Frobenius applies
-    "F4-k3-cubed": lambda: strong_power(paley(F(2, 2), 3), 3),
-    "F8-k7-squared": lambda: strong_power(paley(F(2, 3), 7), 2),
-    "F9-k2-squared": lambda: strong_power(paley(F(3, 2), 2), 2),
-    "F9-k4-squared": lambda: strong_power(paley(F(3, 2), 4), 2),
-    "F25-k3": lambda: paley(F(5, 2), 3),
-    "F49-k2": lambda: paley(F(7, 2), 2),
-    "F64-k3": lambda: paley(F(2, 6), 3),
-    "F81-k4": lambda: paley(F(3, 4), 4),
-    # Z/m
-    "Z15-k2": lambda: paley(Z(15), 2),
-    "Z21-k2": lambda: paley(Z(21), 2),
-    "Z21-k3": lambda: paley(Z(21), 3),
-    "Z65-k2": lambda: paley(Z(65), 2),
-    # directed squares
-    "F19-k2-squared": lambda: strong_power(paley(F(19), 2), 2),
-    "F23-k2-squared": lambda: strong_power(paley(F(23), 2), 2),
-    # complement powers
-    "comp-F7-k3-squared": lambda: strong_power(comp(F(7), 3), 2),
-    "comp-F13-k3-squared": lambda: strong_power(comp(F(13), 3), 2),
-    "comp-F9-k4-squared": lambda: strong_power(comp(F(3, 2), 4), 2),
-    "comp-F4-k3-cubed": lambda: strong_power(comp(F(2, 2), 3), 3),
-    # mixed products: unequal orders, equal rings with unequal connections
-    "F5xF13": lambda: strong_product(paley(F(5), 2), paley(F(13), 2)),
-    "F7-k3-x-comp": lambda: strong_product(paley(F(7), 3), comp(F(7), 3)),
-    "Z15xF5": lambda: strong_product(paley(Z(15), 2), paley(F(5), 2)),
-    "Z21xF4": lambda: strong_product(paley(Z(21), 2), paley(F(2, 2), 3)),
-    # random connection sets
-    "rnd-Z16": lambda: random_cayley(Z(16), 2),
-    "rnd-Z12-squared": lambda: strong_power(random_cayley(Z(12), 1), 2),
-    "rnd-F9-squared": lambda: strong_power(random_cayley(F(3, 2), 3), 2),
-    "rnd-F8-directed-squared": lambda: strong_power(
-        random_cayley(F(2, 3), 4, symmetric=False), 2),
-    "rnd-F25": lambda: random_cayley(F(5, 2), 6),
-    "rnd-F27-directed": lambda: random_cayley(F(3, 3), 7, symmetric=False),
-}
 
 
 # sha256 of pin(G, stats, cert) for the first solve of each case
