@@ -57,14 +57,15 @@ class GenericGraph:
     coordinates at row-major index i.
 
     A product made by strong_product or strong_power holds the rows of
-    its factors, not its own: `rows` derives them from the factors' rows
-    on first read (by _product_rows) and keeps them, so they are built at
-    most once.  graph_fingerprint streams the rows of a product whose rows
-    were never read, and has_edge_among (so verify_independent) tests a
-    product by coordinates on its factors; neither needs them.  Equality,
-    hash and repr go by n, symmetric and the factors of a product (which
-    fix its rows) and by n, symmetric and the rows of any other graph, so
-    none of them depends on whether a product's rows were read."""
+    its factors, not its own: `rows` derives them on first read from the
+    packed row blocks of _product_blocks and keeps them, so they are built
+    at most once.  graph_fingerprint hashes the blocks of a product whose
+    rows were never read, `degree` counts from the factors, and
+    has_edge_among (so verify_independent) tests a product by coordinates
+    on its factors; none of them needs the rows.  Equality, hash and repr
+    go by n, symmetric and the factors of a product (which fix its rows)
+    and by n, symmetric and the rows of any other graph, so none of them
+    depends on whether a product's rows were read."""
 
     __slots__ = ("n", "symmetric", "factors", "_rows", "_parts")
 
@@ -120,19 +121,24 @@ class GenericGraph:
         """Bit j of rows[i] is set iff i -> j is an edge.  A product
         derives its rows here on first read and keeps them."""
         if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(_product_rows(self._parts)))
+            rows = []
+            for block in _product_blocks(self._parts):
+                rows += _row_ints(block)
+            object.__setattr__(self, "_rows", tuple(rows))
         return self._rows
-
-    def _stream(self):
-        """The rows if held, else a one-pass generator of a product's rows
-        that keeps none of them."""
-        return self._rows if self._rows is not None else _product_rows(self._parts)
 
     def to_generic(self) -> "GenericGraph":
         return self
 
     def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
+        """Out-degree of vertex i.  On a product it comes from the
+        factors: the closed out-neighbourhood of i is the product of its
+        coordinates' closed out-neighbourhoods, so it has prod(degree + 1)
+        members, i among them, and no row of the product is built."""
+        if self._parts is None:
+            return self.rows[i].bit_count()
+        coords = np.unravel_index(i, [p.n for p in self._parts])
+        return math.prod(p.rows[c].bit_count() + 1 for p, c in zip(self._parts, coords)) - 1
 
     def label(self, verts) -> tuple:
         """Labels of the vertex indices verts, as Python ints: the indices
@@ -172,31 +178,49 @@ class GenericGraph:
         A product made by strong_product or strong_power is tested by
         coordinates: t -> t' is an edge of the strong product iff t != t'
         and, in every factor, the coordinates are equal or an edge.  That
-        is the rule _product_rows builds its rows by, so the answer is the
-        one its rows give.  For each member and factor, the member's closed
-        row in that factor is unpacked once and read at the coordinates of
-        all m = len(idx) members: O(m^2 * number of factors) lookups, and
-        no row of the product is built.  Any other graph is tested on its
-        rows."""
+        is the rule _product_blocks builds its rows by, so the answer is
+        the one its rows give.  For a block of members and each factor,
+        the members' closed rows in that factor are unpacked at once
+        (_closed_bits, as the row kernel does) and read at the coordinates
+        of all m = len(idx) members: O(m^2 * number of factors) lookups,
+        with every temporary at most _BLOCK_ELEMS booleans, and no row of
+        the product is built.  Any other graph is tested on its rows."""
         if self._parts is None:
             rows = self.rows
             return any(a != b and rows[a] >> b & 1 for a in idx for b in idx)
         idx = np.asarray(idx, dtype=np.int64)
         coords = np.unravel_index(idx, [p.n for p in self._parts])
-        for a in range(len(idx)):
-            hit = idx != idx[a]
+        step = max(1, _BLOCK_ELEMS // max(len(idx), *(p.n for p in self._parts)))
+        for lo in range(0, len(idx), step):
+            hit = idx[lo:lo + step, None] != idx
             for p, c in zip(self._parts, coords):
-                x = int(c[a])
-                hit &= _bits(p.rows[x] | 1 << x, p.n)[c]
+                hit &= _closed_bits(p, c[lo:lo + step])[:, c]
             if hit.any():
                 return True
         return False
 
 
-def _bits(row: int, n: int) -> np.ndarray:
-    """Bits 0..n-1 of row, as a boolean array."""
-    return np.unpackbits(np.frombuffer(row.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
-                         count=n, bitorder="little").view(bool)
+def _packed(rows, nbytes: int) -> np.ndarray:
+    """The ints rows as a uint8 matrix, one row of nbytes little-endian
+    bytes each."""
+    return np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                         dtype=np.uint8).reshape(len(rows), nbytes)
+
+
+def _row_ints(packed: np.ndarray) -> list[int]:
+    """The rows of a C-contiguous uint8 matrix as little-endian ints
+    (undoes _packed).  Each row is read as one fixed-width bytes item;
+    numpy drops its trailing zero bytes, the high bytes of a little-endian
+    int, which leaves the value unchanged."""
+    items = packed.view(f"S{packed.shape[1]}").ravel().tolist()
+    return list(map(int.from_bytes, items, ["little"] * len(items)))
+
+
+def _closed_bits(p: GenericGraph, xs: np.ndarray) -> np.ndarray:
+    """Closed rows of the plain graph p at the vertices xs (each with its
+    own bit set), as a boolean array of shape (len(xs), p.n)."""
+    packed = _packed([p.rows[x] | 1 << x for x in xs.tolist()], (p.n + 7) // 8)
+    return np.unpackbits(packed, axis=1, count=p.n, bitorder="little").view(bool)
 
 
 def symmetrized_rows(rows) -> list[int]:
@@ -207,8 +231,7 @@ def symmetrized_rows(rows) -> list[int]:
     builds the complement still holds at most three adjacency copies."""
     n, rows = len(rows), list(rows)
     nbytes = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
-                           dtype=np.uint8).reshape(n, nbytes)
+    packed = _packed(rows, nbytes)
     width = max(1, _TRANSPOSE_BLOCK // (8 * max(n, 1)))  # bytes of columns per block
     for lo in range(0, nbytes, width):
         bits = np.unpackbits(packed[:, lo:lo + width], axis=1, bitorder="little")
@@ -267,8 +290,7 @@ class CayleyGraph:
             idx = R.add_array(np.arange(lo, min(lo + step, n))[:, None], neg)
             block = np.zeros((len(idx), n), dtype=bool)
             np.put_along_axis(block, idx, True, axis=1)
-            packed = np.packbits(block, axis=1, bitorder="little")
-            rows.extend(int.from_bytes(r, "little") for r in packed)
+            rows += _row_ints(np.packbits(block, axis=1, bitorder="little"))
         return GenericGraph(n=n, rows=tuple(rows), symmetric=self.symmetric)
 
     def complement_cayley(self) -> "CayleyGraph":
@@ -371,38 +393,69 @@ def _factor_stabilizer(G: CayleyGraph) -> list[np.ndarray]:
     return [perm for perm in gens if inside[perm[members]].all()]
 
 
-def _product_rows(parts):
+def _product_blocks(parts):
     """Rows of the strong product of the plain graphs parts, in row-major
-    order, one at a time: (a, b) -> (c, d) iff each coordinate pair is an
-    edge or equal, and the endpoints differ.  The product of all parts but
-    the last is built and held (|V|/|H| rows, H the last part), and the
-    rows over H are made as they are asked for and not kept.
+    order, as blocks of consecutive rows: C-contiguous uint8 arrays of
+    shape (rows, ceil(n/8)), n the product's order, whose bytes are
+    row.to_bytes(ceil(n/8), "little") of each row in turn.
 
-    Row (a, b) of G x H is the OR of closed_h[b] << x*|H| over x in N[a];
-    since closed_h[b] < 2^|H| these fill disjoint bit ranges, so the OR is
-    the carry-free product spread_a * closed_h[b], where spread_a is the
-    sum of 2^(x*|H|) over x in N[a].  Its own bit, always set, is xor-ed
-    off."""
-    prefix = parts[0].rows
-    for h in parts[1:-1]:
-        prefix = list(_rows_times(prefix, h))
-    return _rows_times(prefix, parts[-1]) if len(parts) > 1 else iter(prefix)
+    Vertex i = (a_1, ..., a_k) has the closed neighbourhood N[a_1] x ...
+    x N[a_k] (every coordinate pair equal or an edge), so bit j of its
+    closed row is the AND over the factors t of [c_t(j) in N[a_t]], where
+    c_t(j) = j // inner_t % n_t is the t-th coordinate of j and inner_t
+    the product of the orders after t.  Packing puts bit j at bit j % 8
+    of byte j // 8 and pads with zeros, which is to_bytes' little-endian
+    layout, and it maps an AND of bit vectors to the bytewise AND of
+    their packings.  So the packed closed row is the bytewise AND over t
+    of spread_t(a_t), the packing of [c_t(j) in N[a_t]] over j (_spread).
+    The row's own bit is set in every spread, so in the AND, and one xor
+    clears it: the bytes are exactly the row's.
+
+    A block has _BLOCK_ELEMS // n rows (at least one), so no unpacked
+    temporary has more than _BLOCK_ELEMS booleans.  The n_t spreads of a
+    factor are made once and held when their n_t * ceil(n/8) bytes are at
+    most _BLOCK_ELEMS; otherwise each block makes the spreads of the
+    coordinates it meets, at most one per row."""
+    orders = [p.n for p in parts]
+    n = math.prod(orders)
+    nbytes = (n + 7) // 8
+    step = max(1, _BLOCK_ELEMS // max(n, 1))
+    spreads = []
+    for t, p in enumerate(parts):
+        outer, inner = math.prod(orders[:t]), math.prod(orders[t + 1:])
+        table = None
+        if p.n * nbytes <= _BLOCK_ELEMS:  # hold all n_t spreads
+            table = np.empty((p.n, nbytes), dtype=np.uint8)
+            for lo in range(0, p.n, step):
+                table[lo:lo + step] = _spread(p, outer, inner, np.arange(lo, min(lo + step, p.n)))
+        spreads.append((p, outer, inner, table))
+    for lo in range(0, n, step):
+        idx = np.arange(lo, min(lo + step, n))
+        block = None
+        for p, outer, inner, table in spreads:
+            first = lo // inner  # the block meets coordinates first, first + 1, ... mod n_t
+            xs = np.arange(first, idx[-1] // inner + 1) % p.n
+            rows = table[xs] if table is not None else _spread(p, outer, inner, xs)
+            if inner > 1:
+                rows = rows[idx // inner - first]
+            if block is None:
+                block = rows
+            else:
+                block &= rows
+        block[np.arange(len(idx)), idx >> 3] ^= (1 << (idx & 7)).astype(np.uint8)
+        yield block
 
 
-def _rows_times(g_rows, h: GenericGraph):
-    """Rows of G x H from the rows of G, one at a time (see _product_rows)."""
-    closed_h = [h.rows[b] | (1 << b) for b in range(h.n)]
-    i = 0
-    for a, row in enumerate(g_rows):
-        ca = row | (1 << a)
-        spread = 0
-        while ca:
-            x = (ca & -ca).bit_length() - 1
-            spread |= 1 << (x * h.n)
-            ca &= ca - 1
-        for chb in closed_h:
-            yield (spread * chb) ^ (1 << i)
-            i += 1
+def _spread(p: GenericGraph, outer: int, inner: int, xs: np.ndarray) -> np.ndarray:
+    """For each vertex x of xs, the packed bits [j // inner % p.n in N[x]]
+    over j < outer * p.n * inner: the closed row of x with each bit
+    repeated inner times, tiled outer times."""
+    bits = _closed_bits(p, xs)
+    if inner > 1:
+        bits = np.repeat(bits, inner, axis=1)
+    if outer > 1:
+        bits = np.broadcast_to(bits[:, None], (len(xs), outer, bits.shape[1])).reshape(len(xs), -1)
+    return np.packbits(bits, axis=1, bitorder="little")
 
 
 def _factored(G) -> tuple[tuple, tuple]:
@@ -454,9 +507,9 @@ def strong_power(G, n: int) -> GenericGraph:
 def crt_factor_check(m: int, n: int, k: int) -> bool:
     """True iff the CRT bijection x -> (x mod m, x mod n) is an exact
     adjacency isomorphism Paley_k(Z/mn) = Paley_k(Z/m) x Paley_k(Z/n).
-    With perm[x] the product index of (x mod m, x mod n), row perm[x] of
-    the product, unpacked to bits, is gathered through perm in one step
-    and compared with row x."""
+    With perm[x] the product index of (x mod m, x mod n), closed row
+    perm[x] of the product, unpacked to bits, is gathered through perm
+    and compared with closed row x, a block of rows at a time."""
     if m <= 1 or n <= 1:
         raise NotCoprime("factors must exceed 1")
     if math.gcd(m, n) != 1:
@@ -468,8 +521,10 @@ def crt_factor_check(m: int, n: int, k: int) -> bool:
     )
     xs = np.arange(m * n)
     perm = xs % m * n + xs % n
-    return all(np.array_equal(_bits(prod.rows[px], m * n)[perm], _bits(big.rows[x], m * n))
-               for x, px in enumerate(perm.tolist()))
+    step = max(1, _BLOCK_ELEMS // (m * n))
+    return all(np.array_equal(_closed_bits(prod, perm[lo:lo + step])[:, perm],
+                              _closed_bits(big, xs[lo:lo + step]))
+               for lo in range(0, m * n, step))
 
 
 def export_dimacs(G, path: str) -> None:
@@ -537,13 +592,18 @@ def import_dimacs(path: str) -> GenericGraph:
 
 
 def graph_fingerprint(G) -> str:
-    """SHA-256 over vertex count and adjacency rows; binds certificates.
-    A product whose rows were never read streams them (GenericGraph), so
-    the fingerprint holds one row at a time and keeps none."""
+    """SHA-256 over vertex count and adjacency rows, each row the
+    ceil(n/8) little-endian bytes of its int; binds certificates.  The
+    rows are hashed a block of rows at a time: a product whose rows were
+    never read is hashed from the packed blocks of _product_blocks, and
+    none of its rows is kept."""
     g = G.to_generic()
-    h = hashlib.sha256()
-    h.update(str(g.n).encode())
-    nbytes = (g.n + 7) // 8
-    for r in g._stream():
-        h.update(r.to_bytes(nbytes, "little"))
+    h = hashlib.sha256(str(g.n).encode())
+    if g._rows is None:
+        blocks = _product_blocks(g._parts)
+    else:
+        step = max(1, _BLOCK_ELEMS // max(g.n, 1))
+        blocks = (_packed(g._rows[lo:lo + step], (g.n + 7) // 8) for lo in range(0, g.n, step))
+    for block in blocks:
+        h.update(block)
     return h.hexdigest()

@@ -5,11 +5,10 @@ and builds its own only when something reads `rows`.  Its fingerprint
 before that is streamed from the same row generator, and
 verify_independent tests it by coordinates on the factors.  These tests
 check both against the rows: the library's own, once read, and the
-reference shift loop of util.ref_strong_product_rows.
+reference shift loop of util.ref_strong_product_rows (util.ref_rows).
 """
 
 import copy
-import hashlib
 import pickle
 import random
 import tracemalloc
@@ -30,7 +29,7 @@ from paleyfq.indep import beta_pair_set, complement_power_graph, diagonal_indep_
 from paleyfq.rings import field_spec, make_ring, non_kth_power
 from paleyfq.solver import max_independent_set, verify_independent
 
-from util import CASES, F, Z, ref_strong_product_rows
+from util import CASES, F, Z, ref_fingerprint, ref_rows
 
 # every product of the suite, and squares of a directed factor, a Z/m
 # factor and an F_{p^s} factor
@@ -42,39 +41,23 @@ PRODUCTS.update({
 })
 
 
-def ref_rows(P) -> list[int]:
-    """The rows of P from its factors by the reference shift loop."""
-    rows = None
-    for f in P.factors:
-        g = f.to_generic()
-        rows = list(g.rows) if rows is None else ref_strong_product_rows(
-            GenericGraph(len(rows), tuple(rows)), g)
-    return rows
-
-
-def ref_fingerprint(n: int, rows) -> str:
-    h = hashlib.sha256(str(n).encode())
-    for r in rows:
-        h.update(r.to_bytes((n + 7) // 8, "little"))
-    return h.hexdigest()
-
-
 def ref_edge_among(rows, idx) -> bool:
     return any(a != b and rows[a] >> b & 1 for a in idx for b in idx)
 
 
 @pytest.fixture
 def made(monkeypatch):
-    """Counts the rows the product row generator hands out."""
+    """Counts the rows the product row-block generator hands out: one
+    entry per row of each block, so len(made) is the number of rows made."""
     count = []
-    real = graph_layer._product_rows
+    real = graph_layer._product_blocks
 
     def counted(parts):
-        for row in real(parts):
-            count.append(1)
-            yield row
+        for block in real(parts):
+            count.extend([1] * len(block))
+            yield block
 
-    monkeypatch.setattr(graph_layer, "_product_rows", counted)
+    monkeypatch.setattr(graph_layer, "_product_blocks", counted)
     return count
 
 
@@ -93,6 +76,7 @@ def test_streamed_fingerprint_equals_the_fingerprint_of_the_rows(name, made):
     rows = P.rows
     assert len(made) == 3 * P.n
     assert list(rows) == ref_rows(P)
+    assert [P.degree(i) for i in range(P.n)] == [r.bit_count() for r in rows]
     assert graph_fingerprint(P) == streamed == ref_fingerprint(P.n, rows)
     assert len(made) == 3 * P.n  # held rows are hashed, not made again
 
@@ -166,8 +150,9 @@ def test_equality_hash_and_repr_do_not_depend_on_reading_rows():
 def test_row_readers_build_a_product_once(made):
     P = strong_power(build_paley(F(5), 2), 3)
     assert P.degree(0) == 26
-    assert len(made) == 125
+    assert made == []  # the degree comes from the factors
     complement(P)
+    assert len(made) == 125
     graph_fingerprint(P)
     max_independent_set(P)
     assert len(made) == 125

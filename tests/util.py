@@ -3,6 +3,7 @@ the library's own search code."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -434,6 +435,26 @@ def ref_strong_product_rows(g: GenericGraph, h: GenericGraph) -> list[int]:
             rows[idx] = m & ~(1 << idx)
             idx += 1
     return rows
+
+
+def ref_rows(P) -> list[int]:
+    """The rows of the product P from its factors, folded left by the
+    reference shift loop."""
+    rows = None
+    for f in P.factors:
+        g = f.to_generic()
+        rows = list(g.rows) if rows is None else ref_strong_product_rows(
+            GenericGraph(len(rows), tuple(rows)), g)
+    return rows
+
+
+def ref_fingerprint(n: int, rows) -> str:
+    """SHA-256 over str(n) and each row's ceil(n/8) little-endian bytes,
+    one row at a time."""
+    h = hashlib.sha256(str(n).encode())
+    for r in rows:
+        h.update(r.to_bytes((n + 7) // 8, "little"))
+    return h.hexdigest()
 
 
 def ref_multistart_greedy(n: int, closed: list[int], deadline: float) -> list[int]:
