@@ -29,6 +29,7 @@ from .rings import RingCtx, RingSpec, kth_power_set, make_ring
 # rows, the symmetrized rows of a directed input, the complement)
 ADJACENCY_CAP = 512 << 20
 _BLOCK_ELEMS = 1 << 20  # bound on the elements of each to_generic temporary
+_SPREAD_BITS = 1 << 16  # bound on the bits of each _spread column block
 # bytes of unpacked bits per block of columns in symmetrized_rows
 _TRANSPOSE_BLOCK = 1 << 22
 
@@ -283,11 +284,12 @@ class CayleyGraph:
         a time, and packed into row ints."""
         R = self.ring
         n = check_order(R.order)
-        neg = R.neg_array(self.members)[None, :]
+        # int32 halves the (rows x |S|) index temporaries; n <= ORDER_CAP
+        neg = R.neg_array(self.members).astype(np.int32)[None, :]
         step = max(1, _BLOCK_ELEMS // max(n, neg.size))
         rows = []
         for lo in range(0, n, step):
-            idx = R.add_array(np.arange(lo, min(lo + step, n))[:, None], neg)
+            idx = R.add_array(np.arange(lo, min(lo + step, n), dtype=np.int32)[:, None], neg)
             block = np.zeros((len(idx), n), dtype=bool)
             np.put_along_axis(block, idx, True, axis=1)
             rows += _row_ints(np.packbits(block, axis=1, bitorder="little"))
@@ -377,7 +379,7 @@ def _factor_stabilizer(G: CayleyGraph) -> list[np.ndarray]:
                 reached[base * v % n] = True
                 v = v * u % n
         return gens
-    exp, log = np.array(R.exp), np.array(R.log)
+    exp, log = R.exp, R.log
 
     def log_map(f):  # x -> exp[f(log x)] on units, 0 -> 0
         perm = np.zeros(n, dtype=np.int64)
@@ -388,7 +390,7 @@ def _factor_stabilizer(G: CayleyGraph) -> list[np.ndarray]:
     e = next(e for e in range(1, n)
              if (n - 1) % e == 0 and np.array_equal(on_exp[e:], on_exp[:-e]))
     gens = [log_map(lambda j: j + e)] if e < n - 1 else []
-    if R.spec.s > 1:
+    if R.spec.s > 1:  # int32 logs times p <= sqrt(q): below q^1.5 <= 2^30
         gens.append(log_map(lambda j: j * R.spec.p))
     return [perm for perm in gens if inside[perm[members]].all()]
 
@@ -448,14 +450,46 @@ def _product_blocks(parts):
 
 def _spread(p: GenericGraph, outer: int, inner: int, xs: np.ndarray) -> np.ndarray:
     """For each vertex x of xs, the packed bits [j // inner % p.n in N[x]]
-    over j < outer * p.n * inner: the closed row of x with each bit
-    repeated inner times, tiled outer times."""
-    bits = _closed_bits(p, xs)
-    if inner > 1:
-        bits = np.repeat(bits, inner, axis=1)
-    if outer > 1:
-        bits = np.broadcast_to(bits[:, None], (len(xs), outer, bits.shape[1])).reshape(len(xs), -1)
-    return np.packbits(bits, axis=1, bitorder="little")
+    over j < n = outer * p.n * inner: the closed row of x with each bit
+    repeated inner times, tiled outer times.
+
+    The bits repeat with period p.n * inner, so the bytes repeat with
+    period lcm(p.n * inner, 8) / 8.  The bytes of the first period (all
+    of them, if there are fewer) are packed in column blocks of at most
+    _SPREAD_BITS bits from the closed bits of the coordinates each block
+    meets, the rest are doubling copies of the bytes before them, and the
+    bits past n in the last byte are cleared.  The closed rows are
+    unpacked once and continued cyclically past p.n by the coordinates
+    of one block, so each block reads a slice.  So besides the len(xs) *
+    ceil(n/8) bytes returned, a temporary has at most twice the
+    len(xs) * p.n closed bits (within _BLOCK_ELEMS, as _product_blocks
+    passes xs) plus about _SPREAD_BITS booleans and a run of inner bits
+    at each end of each row."""
+    n = outer * p.n * inner
+    nbytes = (n + 7) // 8
+    period = p.n * inner
+    head = min(period // math.gcd(period, 8), nbytes)
+    width = min(max(1, _SPREAD_BITS // (8 * len(xs))), head)  # bytes of a column block
+    span = (8 * width - 1) // inner + 2  # the most coordinates a block meets
+    closed = _closed_bits(p, xs)
+    closed = np.concatenate((closed, np.take(closed, np.arange(span), axis=1, mode="wrap")), axis=1)
+    out = np.empty((len(xs), nbytes), dtype=np.uint8)
+    for lo in range(0, head, width):
+        hi = min(lo + width, head)
+        first, last = 8 * lo // inner, (8 * hi - 1) // inner  # mod p.n: the coordinates met
+        bits = closed[:, first % p.n:first % p.n + last - first + 1]
+        if inner > 1:
+            bits = np.repeat(bits, inner, axis=1)
+        skip = 8 * lo - first * inner
+        out[:, lo:hi] = np.packbits(bits[:, skip:skip + 8 * (hi - lo)], axis=1, bitorder="little")
+    filled = head
+    while filled < nbytes:  # out[:, :filled] is whole periods
+        take = min(filled, nbytes - filled)
+        out[:, filled:filled + take] = out[:, :take]
+        filled += take
+    if n % 8:
+        out[:, -1] &= (1 << n % 8) - 1
+    return out
 
 
 def _factored(G) -> tuple[tuple, tuple]:

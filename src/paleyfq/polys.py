@@ -123,12 +123,12 @@ def _least_field_kth_root(R: RingCtx, c: int, k: int) -> Optional[int]:
     strided slice of the exp table."""
     qm1 = R.order - 1
     d = math.gcd(k, qm1)
-    a = R.log[c]
+    a = int(R.log[c])
     if a % d:
         return None
     step = qm1 // d
     t0 = (a // d) * pow(k // d, -1, step) % step
-    return min(R.exp[t0:qm1:step])
+    return int(R.exp[t0:qm1:step].min())
 
 
 def _root_lead(R: RingCtx, k0: int, lead: int):

@@ -3,8 +3,10 @@
 Elements are canonical integer indices in [0, |R|).  For F_{p^s} the index
 is the base-p evaluation of the coefficient vector of the residue
 polynomial modulo a fixed irreducible; for Z/mZ it is the least
-nonnegative residue.  A RingCtx is immutable after construction and all
-operations are pure, so contexts can be shared freely.
+nonnegative residue.  A RingCtx does not change after construction
+except for caches filled on first use (k-th power sets, k-th root set-ups
+and the scalar lists of an extension field), and all operations are
+pure, so contexts can be shared freely.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def _chunk_tables(p: int, q: int) -> tuple[int, np.ndarray, np.ndarray]:
     mod p, for u, v < P = p^w.  w is the largest with P^2 <= min(_ADD_TABLE,
     q), and at least 1, so add has q entries at most.  Built one digit at
     a time: the new top digit's table times P plus the table below it."""
-    d = np.arange(p)
+    d = np.arange(p, dtype=np.int32)  # every index is below q <= ORDER_CAP
     add1, neg1 = (d[:, None] + d) % p, -d % p
     P, add, neg = p, add1, neg1
     while (P * p) ** 2 <= min(_ADD_TABLE, q):
@@ -189,7 +191,9 @@ class RingCtx:
     integers mod the order) or _ExtensionField (F_{p^s} with s > 1,
     exp/log and Zech tables).  Each also has its own polynomial product
     kernel, convolve(a, b).  Every field keeps the exp/log tables of its
-    least-index generator.
+    least-index generator as int32 numpy arrays: exp[t] = g^t for t < q-1
+    and log[x] with exp[log[x]] = x for x != 0 (log[0] = 0).  Readers
+    index them as arrays and convert what they keep to Python ints.
 
     The additive group is the grid (Z/radix)^len(shape): shape is (p,)*s
     for F_{p^s} and (m,) for Z/m.  An index is the base-radix number of
@@ -264,16 +268,12 @@ class RingCtx:
         del perm
         if self._raw_mul(int(exp[-1]), g) != 1:
             raise InvariantViolation("generator order must be q-1")
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
+        log = np.full(q, -1, dtype=np.int32)
+        log[exp] = np.arange(q - 1, dtype=np.int32)
         if log[1:].min() < 0:
             raise InvariantViolation("exp must enumerate every nonzero element")
         log[0] = 0
-        self._store_tables(exp, log)
-
-    def _store_tables(self, exp: np.ndarray, log: np.ndarray) -> None:
-        self.exp = exp.tolist()
-        self.log = log.tolist()
+        self.exp, self.log = exp, log
 
     def elements(self) -> range:
         return range(self.order)
@@ -335,13 +335,21 @@ class _ResidueRing(RingCtx):
 class _ExtensionField(RingCtx):
     """F_{p^s} with s > 1: multiplication through exp/log, addition through
     Zech's logarithm zech[t] = log(1 + g^t) (-1 where 1 + g^t = 0), so
-    x + y = g^(log x + zech[log y - log x]) for nonzero x, y."""
+    x + y = g^(log x + zech[log y - log x]) for nonzero x, y.
 
-    __slots__ = ("_zech", "_qm1", "_log_neg1", "_chunk", "_add_table", "_neg_table")
+    The scalar kernels (add, neg, sub, mul, inv, pow_elem, convolve) index
+    Python lists, which are faster per element than numpy arrays but take
+    about 36 bytes an entry.  They are built on the first scalar operation
+    (_warm) and kept in _tabs as (exp, log, zech, q - 1), so a ring used
+    only through the arrays (graphs, fingerprints, spectra) never has them."""
+
+    __slots__ = ("_tabs", "_log_neg1", "_chunk", "_add_table", "_neg_table")
 
     def __init__(self, spec: RingSpec):
+        self._tabs = None
         self._chunk, self._add_table, self._neg_table = _chunk_tables(spec.p, spec.order)
         super().__init__(spec)
+        self._log_neg1 = int(self.log[spec.p - 1])  # index p - 1 is -1
 
     # -- residue polynomial arithmetic, for building the tables ------------
 
@@ -384,31 +392,31 @@ class _ExtensionField(RingCtx):
             place *= P
         return out
 
-    def _store_tables(self, exp: np.ndarray, log: np.ndarray) -> None:
-        p = self.spec.p
+    def _warm(self) -> tuple:
+        """Build and keep _tabs, the scalar kernels' lists."""
+        exp, log, p = self.exp, self.log, self.spec.p
         low = exp % p  # adding 1 changes only the constant digit
         one_plus = exp - low + (low + 1) % p
         zech = log[one_plus]
         zech[one_plus == 0] = -1
-        self._zech = zech.tolist()
-        self._qm1 = self.order - 1
-        self._log_neg1 = int(log[p - 1])  # index p - 1 is -1
-        super()._store_tables(exp, log)
+        self._tabs = (exp.tolist(), log.tolist(), zech.tolist(), self.order - 1)
+        return self._tabs
 
     def add(self, x: int, y: int) -> int:
         if not x:
             return y
         if not y:
             return x
-        log, qm1 = self.log, self._qm1
+        exp, log, zech, qm1 = self._tabs or self._warm()
         lx = log[x]
-        z = self._zech[(log[y] - lx) % qm1]
-        return 0 if z < 0 else self.exp[(lx + z) % qm1]
+        z = zech[(log[y] - lx) % qm1]
+        return 0 if z < 0 else exp[(lx + z) % qm1]
 
     def neg(self, x: int) -> int:
         if not x:
             return 0
-        return self.exp[(self.log[x] + self._log_neg1) % self._qm1]
+        exp, log, _, qm1 = self._tabs or self._warm()
+        return exp[(log[x] + self._log_neg1) % qm1]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -416,26 +424,29 @@ class _ExtensionField(RingCtx):
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        return self.exp[(self.log[x] + self.log[y]) % self._qm1]
+        exp, log, _, qm1 = self._tabs or self._warm()
+        return exp[(log[x] + log[y]) % qm1]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.exp[-self.log[x] % self._qm1]
+        exp, log, _, qm1 = self._tabs or self._warm()
+        return exp[-log[x] % qm1]
 
     def pow_elem(self, x: int, e: int) -> int:
         if x == 0:
             if e < 0:
                 raise ZeroDivisionError("0 has no inverse")
             return 0 if e else 1
-        return self.exp[self.log[x] * e % self._qm1]
+        exp, log, _, qm1 = self._tabs or self._warm()
+        return exp[log[x] * e % qm1]
 
     def convolve(self, a, b) -> list[int]:
         """Coefficients of the product of the polynomials a and b (index
         sequences, low degree first).  Each output coefficient is kept as
         an unreduced log, -1 while it is zero; a product term g^t is added
         by Zech's logarithm, and the logs go back through exp at the end."""
-        log, zech, qm1 = self.log, self._zech, self._qm1
+        exp, log, zech, qm1 = self._tabs or self._warm()
         logs_b = [(j, log[y]) for j, y in enumerate(b) if y]
         acc = [-1] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -449,7 +460,6 @@ class _ExtensionField(RingCtx):
                     else:
                         z = zech[(t - s) % qm1]
                         acc[k] = -1 if z < 0 else s + z
-        exp = self.exp
         return [0 if s < 0 else exp[s % qm1] for s in acc]
 
 
@@ -497,7 +507,7 @@ def kth_power_set(R: RingCtx, k: int) -> frozenset[int]:
     if R.is_field:
         q = R.order
         d = math.gcd(k, q - 1)
-        out = frozenset((0, *R.exp[::d]))
+        out = frozenset((0, *R.exp[::d].tolist()))
         if len(out) != 1 + (q - 1) // d:
             raise InvariantViolation(f"F_{q} must have {(q - 1) // d} nonzero {k}-th powers")
     else:
@@ -526,7 +536,7 @@ def generator(R: RingCtx) -> int:
     """Least-index multiplicative generator of F_q^* (the table base)."""
     if not R.is_field:
         raise NotAField("generator is defined for fields")
-    return R.exp[1] if R.order > 2 else 1
+    return int(R.exp[1]) if R.order > 2 else 1
 
 
 def crt_split(m: int) -> list[int]:

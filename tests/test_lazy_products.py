@@ -11,7 +11,6 @@ reference shift loop of util.ref_strong_product_rows (util.ref_rows).
 import copy
 import pickle
 import random
-import tracemalloc
 
 import pytest
 
@@ -29,7 +28,7 @@ from paleyfq.indep import beta_pair_set, complement_power_graph, diagonal_indep_
 from paleyfq.rings import field_spec, make_ring, non_kth_power
 from paleyfq.solver import max_independent_set, verify_independent
 
-from util import CASES, F, Z, ref_fingerprint, ref_rows
+from util import CASES, F, Z, peak_traced, ref_fingerprint, ref_rows
 
 # every product of the suite, and squares of a directed factor, a Z/m
 # factor and an F_{p^s} factor
@@ -167,20 +166,11 @@ def test_max_independent_set_makes_each_row_once(made):
         assert cert.graph_fingerprint == ref_fingerprint(P.n, ref_rows(P))
 
 
-def _peak(fn, *args):
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("fn,q,k", [(beta_pair_set, 101, 2), (diagonal_indep_set, 19, 3)])
 def test_explicit_sets_are_certified_without_the_product_rows(fn, q, k):
     # the rows of Paley_2(F_101)^2 are 10,201 ints of 1,388 bytes (14 MB)
     make_ring(field_spec(q))  # ring tables are not what this measures
-    cert, peak = _peak(fn, q, k)
+    cert, peak = peak_traced(fn, q, k)
     assert peak < 3 << 20, peak
     if fn is beta_pair_set:
         P = strong_power(build_paley(make_ring(field_spec(q)), k), 2)

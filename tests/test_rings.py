@@ -80,7 +80,7 @@ def test_field_tables_pinned_up_to_1024():
         fac = factorize(q)
         if len(fac) == 1:
             R = make_ring(RingSpec.field(*fac[0]))
-            h.update(json.dumps([q, R.modulus, R.exp, R.log]).encode())
+            h.update(json.dumps([q, R.modulus, R.exp.tolist(), R.log.tolist()]).encode())
     assert h.hexdigest() == TABLES_UP_TO_1024
 
 

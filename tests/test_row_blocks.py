@@ -6,15 +6,18 @@ rows, streamed fingerprints and the factor degrees against the
 reference shift loop (util.ref_rows, util.ref_fingerprint) on factor
 orders on and off byte boundaries, directed and Z/m factors, higher
 powers and products whose large factor's spreads are made per block; pin
-the fingerprints of the explicit-set products; and bound the time and
-memory of the streamed fingerprint of an unbalanced product.
+the fingerprints of the explicit-set products; bound the time and
+memory of the streamed fingerprint of an unbalanced product; and check
+each factor's spreads (graphs._spread) bit by bit, in one and in many
+column blocks.
 """
 
 import itertools
-import tracemalloc
 
+import numpy as np
 import pytest
 
+import paleyfq.graphs as graph_layer
 from paleyfq.graphs import (
     GenericGraph,
     build_paley,
@@ -25,7 +28,7 @@ from paleyfq.graphs import (
 from paleyfq.indep import complement_power_graph
 from paleyfq.rings import field_spec, make_ring
 
-from util import F, Z, ref_fingerprint, ref_rows, run_child
+from util import F, Z, peak_traced, ref_fingerprint, ref_rows, run_child
 
 # one factor of each order: 1, 2, 3 and 7 (both directed), 8, 9 and 16
 BY_ORDER = {
@@ -120,12 +123,53 @@ def test_unbalanced_product_fingerprint_is_fast():
 def test_unbalanced_product_fingerprint_memory():
     P = strong_product(build_paley(make_ring(field_spec(2)), 2),
                        build_paley(make_ring(field_spec(4099)), 2))
-    tracemalloc.start()
-    try:
-        fingerprint = graph_fingerprint(P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    fingerprint, peak = peak_traced(graph_fingerprint, P)
     assert fingerprint == "fb8b8c0d6b3d8c8c5b097de4d28212e92251c8910ce47c14268e1f645b16a5be"
     # the bigint generator held 4,099 closed rows of Paley_2(F_4099): 2.27 MB
     assert peak <= 2.27 * 2**20, peak
+
+
+def ref_spread(p, outer, inner, xs) -> list[bytes]:
+    """For each x of xs, bit j of the closed row of x at coordinate
+    j // inner % p.n, for j < outer * p.n * inner, as little-endian bytes."""
+    n = outer * p.n * inner
+    out = []
+    for x in xs:
+        closed = p.rows[x] | 1 << x
+        bits = sum(1 << j for j in range(n) if closed >> (j // inner % p.n) & 1)
+        out.append(bits.to_bytes((n + 7) // 8, "little"))
+    return out
+
+
+SPREADS = [(1, 5, 2), (2, 3, 11), (3, 8, 8), (3, 13, 1), (7, 1, 1), (7, 9, 3),
+           (8, 1, 1), (8, 5, 3), (9, 2, 1), (9, 1, 16), (16, 1, 5), (16, 3, 1)]
+
+
+@pytest.mark.parametrize("bits", [1 << 16, 64], ids=["default-blocks", "tiny-blocks"])
+@pytest.mark.parametrize("order,outer,inner", SPREADS, ids=lambda v: str(v))
+def test_spread_matches_the_expanded_bits(monkeypatch, bits, order, outer, inner):
+    # 64 bits pack one byte a column block
+    monkeypatch.setattr(graph_layer, "_SPREAD_BITS", bits)
+    p = BY_ORDER[order]().to_generic()
+    xs = np.arange(1, 2 * p.n + 2) % p.n  # every vertex, twice, wrapping
+    got = graph_layer._spread(p, outer, inner, xs)
+    assert got.flags.c_contiguous
+    assert [r.tobytes() for r in got] == ref_spread(p, outer, inner, xs.tolist())
+
+
+def test_spread_of_a_large_factor_in_column_blocks():
+    # 41 spreads of 514 bytes are over _SPREAD_BITS, so they are packed
+    # in 3 column blocks of at most 199 bytes, two of them crossing p.n
+    p = big().to_generic()
+    xs = np.arange(0, 2053, 51)
+    assert len(xs) * 8 * 514 > graph_layer._SPREAD_BITS
+    got = graph_layer._spread(p, 2, 1, xs)
+    assert [r.tobytes() for r in got] == ref_spread(p, 2, 1, xs.tolist())
+
+
+def test_beta_pair_product_fingerprint_memory():
+    P = strong_power(build_paley(make_ring(field_spec(101)), 2), 2)
+    fingerprint, peak = peak_traced(graph_fingerprint, P)
+    assert fingerprint == PINS[(strong_power, 101, 2)]
+    # spreads expanded to n = 10,201 booleans a row before packing: 1.36 MB
+    assert peak <= 1 << 20, peak

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -539,6 +540,16 @@ def ref_refutes(adj: list[int], classes: list[int], k: int, P: int) -> bool:
             continue
         i += 1
     return False
+
+
+def peak_traced(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc traced during the call)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_child(code: str, *flags: str, timeout: float = 120) -> subprocess.CompletedProcess:
