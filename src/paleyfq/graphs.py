@@ -256,7 +256,10 @@ class CayleyGraph:
     no exponent is kept, and what the solver and theta need (multipliers,
     edge-transitivity) is read off S.  members and inside (S's index array
     and indicator) are kept; symmetric is True iff S is closed under
-    negation.
+    negation.  sums, None until theta.cayley_spectrum first runs on the
+    graph (or on a graph whose complement this is), holds the real
+    character sums over S in transform order, index 0 the trivial
+    character; like members and inside it takes no part in equality.
     """
 
     ring: RingCtx
@@ -264,6 +267,7 @@ class CayleyGraph:
     symmetric: bool = field(init=False)
     members: np.ndarray = field(init=False, compare=False, repr=False)
     inside: np.ndarray = field(init=False, compare=False, repr=False)
+    sums: np.ndarray | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         members = np.fromiter(self.connection, dtype=np.int64, count=len(self.connection))
@@ -296,11 +300,20 @@ class CayleyGraph:
         return GenericGraph(n=n, rows=tuple(rows), symmetric=self.symmetric)
 
     def complement_cayley(self) -> "CayleyGraph":
-        """Cayley graph on the complementary connection set."""
+        """Cayley graph on the complementary connection set S'.  Its
+        indicator is 1 - [x = 0] - 1_S and the transform is linear, so when
+        this graph's sums are known the complement's follow with no
+        transform: |S'| at the trivial character, -1 - (sum over S) at
+        every other, and exact zeros when S' is empty."""
         outside = ~self.inside
         outside[0] = False
         conn = frozenset(np.flatnonzero(outside).tolist())
-        return CayleyGraph(ring=self.ring, connection=conn)
+        C = CayleyGraph(ring=self.ring, connection=conn)
+        if self.sums is not None:
+            sums = -1.0 - self.sums if conn else np.zeros_like(self.sums)
+            sums[0] = len(conn)
+            object.__setattr__(C, "sums", sums)
+        return C
 
 
 def build_paley(R: RingCtx, k: int) -> CayleyGraph:

@@ -6,7 +6,10 @@ that subgroup, are transitive on edges, so the ratio bound
 n(-lambda_min)/(lambda_max - lambda_min) equals theta exactly.  The
 complement of such a graph is generally not edge-transitive, but both
 graphs are vertex-transitive, so theta(G) * theta(complement) = n gives
-the complement value in closed form.  Composite moduli are handled by
+the complement value in closed form.  The spectrum is the transform of
+the connection-set indicator, run once per graph and kept on it; a
+complement's indicator is 1 - [x = 0] - 1_S, so its sums follow from the
+graph's with no second transform.  Composite moduli are handled by
 CRT factorization and the multiplicativity of theta over strong
 products, which only ever yields an upper bound and is exactly how the
 composite bound is used.
@@ -64,16 +67,25 @@ def cayley_spectrum(G: CayleyGraph) -> list[float]:
     R.shape, (m,) for Z/m and (p,)*s for F_{p^s} = (Z/p)^s.  The FFT uses
     the conjugate characters, which yields the same multiset.  Imaginary
     parts must vanish, which checks the symmetry of the connection set.
+
+    The transform runs only while G.sums is None; its real parts are then
+    kept on G, and G.complement_cayley() derives its own from them, so a
+    graph and its complement cost one transform.  The trace and degree
+    checks run on every call.
     """
     if not G.symmetric:
         raise DirectedUnsupported("spectrum needs an undirected graph")
     R = G.ring
     n = R.order
     deg = len(G.connection)
-    vals = np.fft.fftn(G.inside.astype(float).reshape(R.shape)).ravel()
-    if np.abs(vals.imag).max() >= 1e-9:
-        raise InvariantViolation("connection set is not closed under negation")
-    lam = np.sort(vals.real)
+    if G.sums is None:
+        vals = np.fft.fftn(G.inside.astype(float).reshape(R.shape)).ravel()
+        if np.abs(vals.imag).max() >= 1e-9:
+            raise InvariantViolation("connection set is not closed under negation")
+        # + 0.0 copies the real parts out of the complex array and turns
+        # a -0.0 into 0.0, whose sign pocketfft picks by transform length
+        object.__setattr__(G, "sums", vals.real + 0.0)
+    lam = np.sort(G.sums)
     if abs(lam.sum()) >= 1e-6 * max(n, deg):
         raise InvariantViolation("adjacency trace must vanish")
     if abs(lam[-1] - deg) >= 1e-9:

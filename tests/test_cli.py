@@ -252,6 +252,28 @@ def test_theta_complement_cli(capsys):
     assert abs(direct - 5.18173662542) < 1e-9
 
 
+EDGELESS_COMPLEMENTS = {
+    "fq:89": '{"complement":true,"k":3,"p":89,"ring":"fq:89","s":1,"schema":1,'
+             '"theta":{"lambda_max":0.0,"lambda_min":0.0,"method":"closed_form",'
+             '"value":89.0}}\n',
+    "zmod:89": '{"complement":true,"k":3,"ring":"zmod:89","schema":1,'
+               '"theta":{"lambda_max":0.0,"lambda_min":0.0,"method":"closed_form",'
+               '"value":89.0}}\n',
+    "fq:7": '{"complement":true,"k":5,"p":7,"ring":"fq:7","s":1,"schema":1,'
+            '"theta":{"lambda_max":0.0,"lambda_min":0.0,"method":"closed_form",'
+            '"value":7.0}}\n',
+}
+
+
+@pytest.mark.parametrize("ring,k", [("fq:89", 3), ("zmod:89", 3), ("fq:7", 5)])
+def test_theta_edgeless_complement_prints_positive_zeros(capsys, ring, k):
+    # gcd(k, q-1) = 1 makes Paley_k complete and its complement edgeless:
+    # both extreme eigenvalues print as 0.0, never -0.0
+    code, out = run(capsys, "theta", "--ring", ring, "--k", str(k), "--complement")
+    assert code == 0
+    assert out == EDGELESS_COMPLEMENTS[ring]
+
+
 def test_alpha_zmod_cli(capsys):
     code, payload = run_json(capsys, "alpha", "--ring", "zmod:65", "--k", "2")
     assert code == 0

@@ -285,7 +285,8 @@ for check in (lambda: cayley_spectrum(G),
 def test_theta_at_order_cap_fits_in_2gb():
     # theta at the largest ring make_ring admits, with address space capped
     # so a dense n x |S| temporary fails fast instead of swapping;
-    # --complement computes the spectra of the graph and of its complement
+    # --complement transforms the graph once and derives its complement's
+    # spectrum from the kept sums
     code = f"""
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
