@@ -28,7 +28,9 @@ from .rings import RingCtx, RingSpec, kth_power_set, make_ring
 # bound for every consumer, as the solver holds at most three copies (the
 # rows, the symmetrized rows of a directed input, the complement)
 ADJACENCY_CAP = 512 << 20
-_BLOCK_ELEMS = 1 << 20  # bound on the elements of each to_generic temporary
+# bound on the elements of each temporary of a block of product or
+# fingerprint rows, or of a coordinate test on a product
+_BLOCK_ELEMS = 1 << 20
 _SPREAD_BITS = 1 << 16  # bound on the bits of each _spread column block
 # bytes of unpacked bits per block of columns in symmetrized_rows
 _TRANSPOSE_BLOCK = 1 << 22
@@ -217,6 +219,11 @@ def _row_ints(packed: np.ndarray) -> list[int]:
     return list(map(int.from_bytes, items, ["little"] * len(items)))
 
 
+def _bits_int(bits: np.ndarray) -> int:
+    """The int whose bit j is bits[j], for a boolean vector."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _closed_bits(p: GenericGraph, xs: np.ndarray) -> np.ndarray:
     """Closed rows of the plain graph p at the vertices xs (each with its
     own bit set), as a boolean array of shape (len(xs), p.n)."""
@@ -282,21 +289,35 @@ class CayleyGraph:
         return self.ring.order
 
     def to_generic(self) -> GenericGraph:
-        """Row x has bit x - s set for each s in the connection set.  The
-        index block x - s is formed by R.add_array from a column of rows x
-        and the row of negated connection elements, for a block of rows at
-        a time, and packed into row ints."""
+        """Row x has bit x - s set for each s in the connection set: it is
+        x + (-S), row 0 (the indicator of -S) translated by x.  So each
+        row after row 0 is an earlier row moved by one unit of one digit.
+
+        Take the digit places P = radix^i of the additive grid in turn.
+        For P <= x < radix * P, x - P differs from x only in digit i,
+        which is one lower, so x = (x - P) + P in the group with no carry:
+        row x is row x - P with every index y moved to y + P.  That adds
+        P to y when digit i of y is below radix - 1 (a shift up by P) and
+        subtracts (radix - 1) * P when it is radix - 1 (a shift down, the
+        digit wrapping to 0).  With B the indices whose digit i is
+        radix - 1 and A the rest, row x is (r & A) << P | (r & B) >>
+        (radix - 1) * P for r = row x - P.  Rows come out in index order,
+        each from one already made; Z/m is one place of radix m, where a
+        step is a rotation."""
         R = self.ring
         n = check_order(R.order)
-        # int32 halves the (rows x |S|) index temporaries; n <= ORDER_CAP
-        neg = R.neg_array(self.members).astype(np.int32)[None, :]
-        step = max(1, _BLOCK_ELEMS // max(n, neg.size))
-        rows = []
-        for lo in range(0, n, step):
-            idx = R.add_array(np.arange(lo, min(lo + step, n), dtype=np.int32)[:, None], neg)
-            block = np.zeros((len(idx), n), dtype=bool)
-            np.put_along_axis(block, idx, True, axis=1)
-            rows += _row_ints(np.packbits(block, axis=1, bitorder="little"))
+        full = (1 << n) - 1
+        neg = np.zeros(n, dtype=bool)
+        neg[R.neg_array(self.members)] = True
+        rows = [_bits_int(neg)]
+        place = 1
+        for _ in R.shape:
+            wrap = _bits_int(np.arange(n) // place % R.radix == R.radix - 1)
+            keep, down = full ^ wrap, (R.radix - 1) * place
+            for x in range(place, R.radix * place):
+                r = rows[x - place]
+                rows.append((r & keep) << place | (r & wrap) >> down)
+            place *= R.radix
         return GenericGraph(n=n, rows=tuple(rows), symmetric=self.symmetric)
 
     def complement_cayley(self) -> "CayleyGraph":

@@ -72,7 +72,7 @@ class ConstructionParams:
             raise BadDegree(f"deg F = {F.degree}, expected k = {k}")
         step, name = (k, "k") if self.variant == "general" else (2 * k, "2k")
         if n < 1 or n % step:
-            raise BadN(f"n={n} must be divisible by {name}={step}")
+            raise BadN(f"n={n} must be a positive multiple of {name}={step}")
 
     @property
     def q(self) -> int:

@@ -242,6 +242,17 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path, variant, corrupt
     assert payload["error"] == error
 
 
+@pytest.mark.parametrize("variant, name", [("general", "k=3"), ("power", "2k=6")])
+@pytest.mark.parametrize("n", [0, -6])
+def test_construct_refuses_n_below_one(capsys, variant, name, n):
+    # 0 and -6 are divisible by 6, so the refusal names what n must be
+    code, payload = run_json(capsys, "construct", "--q", "4", "--k", "3",
+                             "--n", str(n), "--variant", variant)
+    assert code == 2
+    assert payload == {"error": "BadN", "schema": 1,
+                       "message": f"n={n} must be a positive multiple of {name}"}
+
+
 def test_theta_complement_cli(capsys):
     code, payload = run_json(
         capsys, "theta", "--ring", "fq:13", "--k", "3", "--complement"

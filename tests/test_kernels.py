@@ -4,6 +4,7 @@ Cayley adjacency and FFT spectra against the reference oracles in util.py."""
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from paleyfq.graphs import CayleyGraph, build_paley
 from paleyfq.rings import RingSpec, factor_prime_power, factorize, make_ring
 from paleyfq.theta import cayley_spectrum
 from util import (
+    peak_traced,
     ref_add,
     ref_cayley_rows,
     ref_digits,
@@ -124,10 +126,26 @@ def test_to_generic_rows_match_oracle(make, order):
     else:
         rng = random.Random(n)
         xs = sorted({0, 1, n - 1} | set(rng.sample(range(n), SAMPLE_ROWS)))
-    for G in graphs_of(R):
-        rows = G.to_generic().rows
-        assert len(rows) == n
-        assert [rows[x] for x in xs] == ref_cayley_rows(G, xs)
+    empty = CayleyGraph(ring=R, connection=frozenset())
+    full = CayleyGraph(ring=R, connection=frozenset(range(1, n)))
+    for G in [*graphs_of(R), empty, full]:
+        g = G.to_generic()
+        assert len(g.rows) == n
+        assert [g.rows[x] for x in xs] == ref_cayley_rows(G, xs)
+        assert g.symmetric == ({R.neg(s) for s in G.connection} == G.connection)
+    assert not any(empty.to_generic().rows)
+    assert full.to_generic().rows == tuple((1 << n) - 1 ^ 1 << x for x in range(n))
+
+
+@pytest.mark.parametrize("spec,k", [
+    (RingSpec.zmod(3003), 2), (RingSpec.field(3, 7), 2), (RingSpec.field(2, 10), 3)],
+    ids=["zmod:3003-k2", "fq:2187-k2", "fq:1024-k3"])
+def test_to_generic_peak_is_about_its_rows(spec, k):
+    # each row is translated from an earlier one, so besides the rows the
+    # call holds O(n) bits; a (rows x |S|) index block would show here
+    G = build_paley(make_ring(spec), k)
+    g, peak = peak_traced(G.to_generic)
+    assert peak <= 1.25 * sum(map(sys.getsizeof, g.rows))
 
 
 @pytest.mark.parametrize("make,order", RINGS)
