@@ -82,6 +82,14 @@ class GenericGraph:
         self._set(n=n, symmetric=symmetric, factors=factors, _rows=rows, _parts=None)
 
     @classmethod
+    def _loopless(cls, rows: tuple[int, ...], symmetric: bool) -> "GenericGraph":
+        """The graph on rows, which the caller knows loopless and
+        symmetric or not, with no scan of the rows."""
+        g = object.__new__(cls)
+        g._set(n=len(rows), symmetric=symmetric, factors=(), _rows=rows, _parts=None)
+        return g
+
+    @classmethod
     def _product(cls, factors: tuple, parts: tuple) -> "GenericGraph":
         """The strong product of factors, whose plain graphs (aligned with
         factors) are parts; no row of it is built.  It is symmetric iff
@@ -263,10 +271,10 @@ class CayleyGraph:
     no exponent is kept, and what the solver and theta need (multipliers,
     edge-transitivity) is read off S.  members and inside (S's index array
     and indicator) are kept; symmetric is True iff S is closed under
-    negation.  sums, None until theta.cayley_spectrum first runs on the
-    graph (or on a graph whose complement this is), holds the real
-    character sums over S in transform order, index 0 the trivial
-    character; like members and inside it takes no part in equality.
+    negation.  sums, None until character_sums first runs on the graph
+    (or on a graph whose complement this is), holds the real character
+    sums over S in transform order, index 0 the trivial character; like
+    members and inside it takes no part in equality.
     """
 
     ring: RingCtx
@@ -318,7 +326,28 @@ class CayleyGraph:
                 r = rows[x - place]
                 rows.append((r & keep) << place | (r & wrap) >> down)
             place *= R.radix
-        return GenericGraph(n=n, rows=tuple(rows), symmetric=self.symmetric)
+        # 0 is not in S, so no row has its own bit
+        return GenericGraph._loopless(tuple(rows), self.symmetric)
+
+    def character_sums(self) -> np.ndarray:
+        """The adjacency eigenvalues of an undirected Cayley graph, in
+        transform order: the sum over S of each additive character, which
+        is the DFT of S's indicator over the group, the FFT of the
+        indicator reshaped to the additive grid R.shape ((m,) for Z/m,
+        (p,)*s for F_{p^s} = (Z/p)^s).  The FFT uses the conjugate
+        characters, which yields the same multiset.  Imaginary parts must
+        vanish (InvariantViolation), which checks that S is closed under
+        negation.  The transform runs only while sums is None, and its
+        real parts are kept there."""
+        if self.sums is None:
+            R = self.ring
+            vals = np.fft.fftn(self.inside.astype(float).reshape(R.shape)).ravel()
+            if np.abs(vals.imag).max() >= 1e-9:
+                raise InvariantViolation("connection set is not closed under negation")
+            # + 0.0 copies the real parts out of the complex array and turns
+            # a -0.0 into 0.0, whose sign pocketfft picks by transform length
+            object.__setattr__(self, "sums", vals.real + 0.0)
+        return self.sums
 
     def complement_cayley(self) -> "CayleyGraph":
         """Cayley graph on the complementary connection set S'.  Its

@@ -11,7 +11,9 @@ left (MaxSAT-style inconsistent-subset reasoning, as in Li & Quan's
 MaxCLQ), and dropped unexpanded when no clique through it can beat the
 incumbent.  The filter removes only vertices whose probe would fail at
 its first step, so it changes the cost of a test, never its answer.
-A multistart greedy supplies the incumbent, and for vertex-transitive
+A multistart greedy supplies the incumbent, an explicit floor set on
+two factors over one field raises the size a clique must beat, and the
+product of the factors' ratio bounds caps alpha; for vertex-transitive
 inputs the search is rooted at vertex 0, which is exact because
 automorphisms carry any maximum set through any chosen vertex; on
 Cayley inputs, depth-1 branches are further pruned by orbits
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverTimeout
+from .errors import InvariantViolation, SolverTimeout
 from .graphs import (
     CayleyGraph,
     GenericGraph,
@@ -73,16 +75,21 @@ class IndepSet:
 class _CliqueSearch:
     """Tomita-style max clique with greedy coloring bound on bitmasks."""
 
-    __slots__ = ("adj", "best", "deadline", "slab", "stats", "sym")
+    __slots__ = ("adj", "bar", "best", "cap", "deadline", "slab", "stats", "sym")
 
     def __init__(self, adj: list[int], sym: list[int], deadline: float,
-                 seed: list[int], slab: _Slab | None = None):
+                 seed: list[int], slab: _Slab | None = None, bar: int = 0,
+                 cap: int | None = None):
         # adj: the graph searched for cliques; sym: its loopless
         # complement, the input graph, so sym[v] is what may share a
-        # colour class with v
+        # colour class with v.  The search prunes against bar, the size a
+        # clique must beat (max(|seed|, bar), then each new incumbent's
+        # size), and ends with _AtCap once an incumbent has cap vertices.
         self.adj = adj
         self.sym = sym
         self.best = list(seed)
+        self.bar = max(len(seed), bar)
+        self.cap = cap
         self.deadline = deadline
         self.slab = slab
         self.stats = dict(nodes=0, orbit_pruned=0, up_pruned=0, slab_pruned=0)
@@ -137,7 +144,7 @@ class _CliqueSearch:
         for c in range(len(classes), 0, -1):
             cls = classes[c - 1] & P
             while cls:
-                best = len(self.best)
+                best = self.bar
                 if size + c <= best:
                     return
                 v = cls.bit_length() - 1
@@ -151,6 +158,9 @@ class _CliqueSearch:
                     self.expand(R + [v], P2)
                 elif size >= best:
                     self.best = R + [v]
+                    self.bar = size + 1
+                    if self.cap is not None and self.bar >= self.cap:
+                        raise _AtCap()
                 if orbit is None:
                     P ^= bit
                     cls ^= bit
@@ -401,7 +411,12 @@ class _Expired(Exception):
     pass
 
 
-def _multistart_greedy(n: int, adj: list[int], deadline: float) -> list[int]:
+class _AtCap(Exception):
+    pass
+
+
+def _multistart_greedy(n: int, adj: list[int], deadline: float,
+                       cap: int | None = None) -> list[int]:
     """Deterministic incumbent: index-order greedy from staggered offsets,
     on the loopless complement rows adj the clique search holds (a
     chosen v leaves only adj[v] available: v and its neighbours go).
@@ -409,7 +424,9 @@ def _multistart_greedy(n: int, adj: list[int], deadline: float) -> list[int]:
     nonempty set; the deadline is checked before each later start.
     Start s takes the lowest uncovered vertex at or above s (hi), then
     below s: the order s, ..., n-1, 0, ..., s-1 of a vertex-by-vertex
-    scan, since a vertex passed over is covered and stays covered."""
+    scan, since a vertex passed over is covered and stays covered.  The
+    first largest set is kept, and the starts end at the first set of
+    cap vertices, which no later start can beat when cap bounds alpha."""
     best: list[int] = []
     for start in range(min(n, 300)):
         if start and time.monotonic() >= deadline:
@@ -425,7 +442,78 @@ def _multistart_greedy(n: int, adj: list[int], deadline: float) -> list[int]:
             avail &= adj[v]
         if len(chosen) > len(best):
             best = chosen
+            if cap is not None and len(best) >= cap:
+                break
     return best
+
+
+def _floor_set(g: GenericGraph) -> list[int]:
+    """Sorted indices of an explicit independent set of g: q vertices
+    when two Cayley factors of the strong product g lie on one field F_q,
+    else none.
+
+    For factors i < j on F_q with connection sets S_i, S_j and a unit u
+    with u*S_i and S_j disjoint, the vertices with coordinate x at i, u*x
+    at j and 0 elsewhere, over x in F_q, are independent even in the
+    symmetrized product: two of them differ by d = x - y != 0 at i and by
+    u*d at j, and an edge either way needs d or -d in S_i with u times it
+    in S_j.  u is the least such unit by index: with g the table
+    generator, g^t*S_i meets S_j iff t = log t' - log s mod q - 1 for
+    some s in S_i, t' in S_j, one subtraction table over the logs.  On
+    Paley_k(F_q) squared (S_i = S_j the nonzero k-th powers) u is the
+    least non-k-th power, so the set is indep.beta_pair_set's.  The first
+    pair of factors with a u on the largest field is taken, and the set
+    is checked by has_edge_among (InvariantViolation if it fails)."""
+    fs = g.factors
+    best: list[int] = []
+    for i, a in enumerate(fs):
+        for j in range(i + 1, len(fs)):
+            b = fs[j]
+            if not (isinstance(a, CayleyGraph) and isinstance(b, CayleyGraph)
+                    and a.ring.is_field and a.ring.spec == b.ring.spec
+                    and a.n > len(best)):
+                continue
+            R, q = a.ring, a.n
+            bad = np.zeros(q - 1, dtype=bool)
+            bad[np.subtract.outer(R.log[b.members], R.log[a.members]) % (q - 1)] = True
+            good = np.flatnonzero(~bad[R.log[1:]])
+            if not len(good):
+                continue
+            t = int(R.log[good[0] + 1])  # log u
+            coords = np.zeros((len(fs), q), dtype=np.int64)
+            coords[i] = np.arange(q)
+            coords[j, 1:] = R.exp[(R.log[1:] + t) % (q - 1)]
+            best = sorted(np.ravel_multi_index(tuple(coords), [f.n for f in fs]).tolist())
+    if g.has_edge_among(best):
+        raise InvariantViolation("the floor set is not independent")
+    return best
+
+
+def _ratio_cap(G) -> int | None:
+    """floor(prod over the factors f of G of ratio(f) * (1 + 1e-9)), an
+    upper bound on alpha(G) when G is a symmetric Cayley graph or a strong
+    product of them, else None.
+
+    ratio(f) = |f| * (-lambda_min) / (lambda_max - lambda_min), with
+    lambda_max = |S| and lambda_min the least of f's kept character sums
+    (|f| for an empty S).  On a regular graph theta <= ratio, theta is
+    multiplicative under strong products and alpha <= theta (Lovasz, On
+    the Shannon capacity of a graph, 1979), so alpha(G) <= the product;
+    the factor 1 + 1e-9 keeps float rounding from cutting an integral
+    product to the integer below.  A directed factor gives no cap."""
+    factors = (G,) if isinstance(G, CayleyGraph) else G.to_generic().factors
+    if not factors:
+        return None
+    bound = 1.0
+    for f in factors:
+        if not (isinstance(f, CayleyGraph) and f.symmetric):
+            return None
+        if f.connection:
+            lam_min, lam_max = float(f.character_sums().min()), len(f.connection)
+            bound *= f.n * -lam_min / (lam_max - lam_min)
+        else:
+            bound *= f.n
+    return math.floor(bound * (1 + 1e-9))
 
 
 def _root_orbits(gens: list, n: int, candidates: int) -> list[int]:
@@ -506,15 +594,41 @@ def max_independent_set(
     search that ends on the root's colouring bound builds neither.  Over
     the cap, or on any other graph, the search is as without it.
 
+    Two bounds come from the Cayley factors of G.  The floor (_floor_set)
+    is an explicit independent set, q pairs (x, u*x) on two factors over
+    one field F_q, checked by has_edge_among; the search then prunes
+    against the bar max(|greedy|, |floor| - 1) in place of the incumbent's
+    size.  The cap (_ratio_cap) is floor(prod of the factors' ratio
+    bounds * (1 + 1e-9)) >= theta(G) >= alpha(G) on symmetric Cayley
+    factors, None with a directed one: the greedy ends at its first start
+    that meets it, the search is skipped when the greedy set meets it, and
+    it ends at the first incumbent that meets it.  Neither changes the
+    certificate.  The colouring, the branch order and the orbit removals
+    do not depend on the incumbent, and every test prunes only subtrees
+    holding no clique larger than the bar; while no alpha-clique is found
+    the bar is below alpha, so no subtree holding one is pruned, and the
+    first alpha-clique reached in the fixed branch order (a leaf: it has
+    no extension) becomes the incumbent, after which nothing can replace
+    it.  So the answer is the greedy set when that has alpha vertices,
+    else that first alpha-clique, whatever the bar below alpha, and the
+    stop at cap = alpha only skips the rest of the search.  A completed
+    solve whose set is smaller than the floor or larger than the cap
+    raises InvariantViolation (not an assert, so it runs under -O); on a
+    timeout the incumbent is the larger of the search's set and the floor
+    set, the search's on a tie.
+
     stats, if given, is filled with nodes (search nodes expanded),
     root_fixed, depth1_orbits (orbits of the root's candidates, 0 without
     orbit pruning), orbit_pruned (depth-1 candidates dropped with an
     orbit whose branch was done, never expanded), up_pruned (branches
     refuted by unit propagation, the support filter or failed-literal
-    detection, never expanded) and slab_pruned (branches dropped by the
-    slab bound, never expanded); SolverTimeout carries the same dict as
-    its stats.  The pruning cuts alpha(C_11^2) = 27 to 645 nodes (4,016
-    without the slab bound, 50,978 with unit propagation alone).
+    detection, never expanded), slab_pruned (branches dropped by the
+    slab bound, never expanded), floor (the floor set's size, 0 without
+    one) and cap (the ratio cap, None without one); SolverTimeout carries
+    the same dict as its stats.  The pruning cuts alpha(C_11^2) = 27 to
+    645 nodes (4,016 without the slab bound, 50,978 with unit propagation
+    alone), and the floor and cap cut alpha(Paley_2(F_17)^2) = 17 from
+    1,568 nodes to 33.
     """
     deadline = time.monotonic() + check_budget(budget_s)
     g = G.to_generic()
@@ -524,25 +638,40 @@ def max_independent_set(
     sym = list(g.rows) if g.symmetric else symmetrized_rows(g.rows)
     fingerprint = graph_fingerprint(g)  # after the rows are read: hashed, not streamed
     comp = complement_rows(sym)
-    search = _CliqueSearch(comp, sym, deadline, _multistart_greedy(n, comp, deadline),
-                           _slab_for(g, sym, deadline) if root_fixed else None)
+    floor = _floor_set(g)
+    cap = _ratio_cap(G)
+    greedy = _multistart_greedy(n, comp, deadline, cap)
+    search = _CliqueSearch(comp, sym, deadline, greedy,
+                           _slab_for(g, sym, deadline) if root_fixed else None,
+                           bar=len(floor) - 1, cap=cap)
     orbit = None
     completed = True
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
     try:
-        if n and root_fixed:
+        if cap is not None and len(greedy) >= cap:
+            pass
+        elif n and root_fixed:
             orbit = _root_orbits(gens, n, comp[0])
             search.expand([0], comp[0], orbit)
         elif n:
             search.expand([], (1 << n) - 1)
     except _Expired:
         completed = False
+    except _AtCap:
+        pass
+    best = search.best
     counters = dict(search.stats, root_fixed=root_fixed,
-                    depth1_orbits=len(set(orbit) - {0}) if gens and orbit else 0)
+                    depth1_orbits=len(set(orbit) - {0}) if gens and orbit else 0,
+                    floor=len(floor), cap=cap)
     if stats is not None:
         stats.update(counters)
-    result = IndepSet(vertices=g.label(sorted(search.best)),
-                      graph_fingerprint=fingerprint)
+    if completed and not len(floor) <= len(best) <= (n if cap is None else cap):
+        raise InvariantViolation(
+            f"a maximum independent set of {len(best)} vertices lies outside"
+            f" the floor {len(floor)} and cap {cap}")
+    if not completed and len(floor) > len(best):
+        best = floor
+    result = IndepSet(vertices=g.label(sorted(best)), graph_fingerprint=fingerprint)
     if not completed:
         raise SolverTimeout(incumbent=result, budget_s=budget_s, stats=counters)
     return result

@@ -58,44 +58,33 @@ class ThetaReport:
         return out
 
 
-def cayley_spectrum(G: CayleyGraph) -> list[float]:
-    """Adjacency eigenvalues via additive characters, sorted ascending.
+def cayley_spectrum(G: CayleyGraph, extremes: bool = False):
+    """Adjacency eigenvalues via additive characters, sorted ascending:
+    the real character sums over the connection set that
+    G.character_sums() works out once and keeps on G (and from which
+    G.complement_cayley() derives its own, so a graph and its complement
+    cost one transform).  The trace and degree checks run on every call.
 
-    The eigenvalue at a character is the character sum over the connection
-    set, so the spectrum is the DFT of the connection-set indicator over
-    the group: the FFT of the indicator reshaped to the additive grid
-    R.shape, (m,) for Z/m and (p,)*s for F_{p^s} = (Z/p)^s.  The FFT uses
-    the conjugate characters, which yields the same multiset.  Imaginary
-    parts must vanish, which checks the symmetry of the connection set.
-
-    The transform runs only while G.sums is None; its real parts are then
-    kept on G, and G.complement_cayley() derives its own from them, so a
-    graph and its complement cost one transform.  The trace and degree
-    checks run on every call.
+    With extremes, only (lambda_min, lambda_max) is returned, read off
+    the kept sums, so no sorted copy or list of n floats is made.
     """
     if not G.symmetric:
         raise DirectedUnsupported("spectrum needs an undirected graph")
-    R = G.ring
-    n = R.order
+    sums = G.character_sums()
+    n = G.ring.order
     deg = len(G.connection)
-    if G.sums is None:
-        vals = np.fft.fftn(G.inside.astype(float).reshape(R.shape)).ravel()
-        if np.abs(vals.imag).max() >= 1e-9:
-            raise InvariantViolation("connection set is not closed under negation")
-        # + 0.0 copies the real parts out of the complex array and turns
-        # a -0.0 into 0.0, whose sign pocketfft picks by transform length
-        object.__setattr__(G, "sums", vals.real + 0.0)
-    lam = np.sort(G.sums)
-    if abs(lam.sum()) >= 1e-6 * max(n, deg):
+    lam_max = float(sums.max())
+    if abs(sums.sum()) >= 1e-6 * max(n, deg):
         raise InvariantViolation("adjacency trace must vanish")
-    if abs(lam[-1] - deg) >= 1e-9:
+    if abs(lam_max - deg) >= 1e-9:
         raise InvariantViolation("largest eigenvalue must equal the degree")
-    return lam.tolist()
+    if extremes:
+        return float(sums.min()), lam_max
+    return np.sort(sums).tolist()
 
 
 def _ratio_theta(G: CayleyGraph) -> ThetaReport:
-    lam = cayley_spectrum(G)
-    lam_min, lam_max = lam[0], lam[-1]
+    lam_min, lam_max = cayley_spectrum(G, extremes=True)
     n = G.ring.order
     return ThetaReport(value=n * (-lam_min) / (lam_max - lam_min), method="ratio",
                        lambda_max=lam_max, lambda_min=lam_min)
@@ -138,10 +127,10 @@ def lovasz_theta_complement(G: CayleyGraph) -> ThetaReport:
     exact because both graphs are vertex-transitive.  The ratio formula
     itself is not tight on complements that fail edge-transitivity."""
     base = lovasz_theta(G)
-    lam = cayley_spectrum(G.complement_cayley())
+    lam_min, lam_max = cayley_spectrum(G.complement_cayley(), extremes=True)
     return ThetaReport(
         value=G.ring.order / base.value, method="closed_form",
-        lambda_max=lam[-1], lambda_min=lam[0],
+        lambda_max=lam_max, lambda_min=lam_min,
     )
 
 

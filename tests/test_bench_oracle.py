@@ -1,15 +1,20 @@
-"""The benchmark's product-building and fingerprint jobs give the bytes
-of its oracle.
+"""The benchmark's product-building, solver-calling and fingerprint jobs
+give the bytes of its oracle.
 
 Every pool entry of the alpha-bnb workload in perfbench/workloads.py that
 builds a strong product (the `alpha --power` CLI jobs and the
-`beta_pairs` and `diagonal` library jobs), and every `fingerprint` entry
-of the ring-scale workload, is run in-process, and the sha256 of its
-output is compared with perfbench/expected.json, the oracle the
-benchmark checks every pass against: the sha256 of the CLI's stdout, or
-of the canonical JSON of the library call's value.  So byte drift in a
-product's or a Cayley graph's rows, fingerprint or certificate fails
-here, before a benchmark run.  The benchmark files are only read.
+`beta_pairs` and `diagonal` library jobs) or calls the solver (every
+`alpha` and `bounds` CLI job and the `capacity` and `clique` library
+jobs), every `construct` entry of the powerfree-verify workload, and
+every `fingerprint` entry of the ring-scale workload, is run in-process,
+and the sha256 of its output is compared with perfbench/expected.json,
+the oracle the benchmark checks every pass against: the sha256 of the
+CLI's stdout, or of the canonical JSON of the library call's value (a
+capacity sandwich with its floats rounded to 12 significant digits, as
+the benchmark records it).  So byte drift in a product's or a Cayley
+graph's rows, fingerprint or certificate, or in any answer the solver
+gives the benchmark, fails here, before a benchmark run.  The benchmark
+files are only read.
 """
 
 import contextlib
@@ -57,10 +62,39 @@ def _ring(text):
     return paleyfq.make_ring(paleyfq.RingSpec.zmod(int(value)))
 
 
+def _calls_the_solver(job) -> bool:
+    if job["kind"] == "cli":
+        return job["argv"][0] in ("alpha", "bounds", "construct")
+    return job["call"] in ("capacity", "clique")
+
+
+def _field(q):
+    return paleyfq.make_ring(paleyfq.RingSpec.field(*factor_prime_power(q)))
+
+
+def _round(x):
+    return float(f"{x:.12g}")
+
+
+def _capacity(q, k, max_n):
+    bounds = paleyfq.capacity_bounds(_field(q), k, max_n)
+    return {"lower": _round(bounds.lower), "upper": _round(bounds.upper),
+            "n_used": bounds.n_used}
+
+
+def _clique(q, k):
+    return paleyfq.clique_number(paleyfq.build_paley(_field(q), k))
+
+
 WORKLOADS = _workloads()
 JOBS = [job for job in WORKLOADS.all_jobs("alpha-bnb") if _builds_a_product(job)]
+SOLVER_JOBS = [job for workload in ("alpha-bnb", "powerfree-verify")
+               for job in WORKLOADS.all_jobs(workload)
+               if _calls_the_solver(job) and not _builds_a_product(job)]
 FINGERPRINTS = [job for job in WORKLOADS.all_jobs("ring-scale") if job.get("call") == "fingerprint"]
-LIB = {"beta_pairs": paleyfq.beta_pair_set, "diagonal": paleyfq.diagonal_indep_set}
+LIB = {"beta_pairs": lambda q, k: paleyfq.beta_pair_set(q, k).to_json(),
+       "diagonal": lambda q, k: paleyfq.diagonal_indep_set(q, k).to_json(),
+       "capacity": _capacity, "clique": _clique}
 
 with open(os.path.join(BENCH, "expected.json")) as fh:
     EXPECTED = json.load(fh)
@@ -68,11 +102,11 @@ with open(os.path.join(BENCH, "expected.json")) as fh:
 
 def test_the_replay_covers_every_product_job():
     assert len(JOBS) == 18
-    assert {job["call"] for job in JOBS if job["kind"] == "lib"} == set(LIB)
+    assert {job["call"] for job in JOBS if job["kind"] == "lib"} == {"beta_pairs", "diagonal"}
 
 
-@pytest.mark.parametrize("job", JOBS, ids=[job["id"] for job in JOBS])
-def test_product_job_matches_the_benchmark_oracle(job):
+def _replay(job):
+    """(exit code, sha256 of the output) of a job run in-process."""
     if job["kind"] == "cli":
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -80,11 +114,27 @@ def test_product_job_matches_the_benchmark_oracle(job):
         text = out.getvalue()
     else:
         rc = 0
-        text = json.dumps(LIB[job["call"]](*job["args"]).to_json(),
-                          sort_keys=True, separators=(",", ":"))
+        text = json.dumps(LIB[job["call"]](*job["args"]), sort_keys=True,
+                          separators=(",", ":"))
+    return rc, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("job", JOBS, ids=[job["id"] for job in JOBS])
+def test_product_job_matches_the_benchmark_oracle(job):
     want = EXPECTED[job["id"]]
-    assert rc == want["rc"]
-    assert hashlib.sha256(text.encode()).hexdigest() == want["sha256"]
+    assert _replay(job) == (want["rc"], want["sha256"])
+
+
+def test_the_replay_covers_every_solver_job():
+    kinds = [job["argv"][0] if job["kind"] == "cli" else job["call"] for job in SOLVER_JOBS]
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        "alpha": 5, "bounds": 3, "capacity": 2, "clique": 2, "construct": 11}
+
+
+@pytest.mark.parametrize("job", SOLVER_JOBS, ids=[job["id"] for job in SOLVER_JOBS])
+def test_solver_job_matches_the_benchmark_oracle(job):
+    want = EXPECTED[job["id"]]
+    assert _replay(job) == (want["rc"], want["sha256"])
 
 
 def test_the_replay_covers_every_fingerprint_job():

@@ -61,43 +61,43 @@ paley = build_paley
 
 # sha256 of pin(G, stats, cert) for the first solve of each case
 PINS = {
-    "F101-k2": "da94b8d41bd9f0452754c5ae5522c729555a472de1f9cd920f27c11e40ffd3af",
-    "F13-k2": "a80948bcac087af55c54b7d17a7cef796041dc1c433b391600870af880345c54",
-    "F19-k2-squared": "55791c860e4d8e384911a791e8f818be4df61904018265ccd7e03bde01eed2bc",
-    "F23-k2-squared": "fc52ec0e191c264cd4b4a4c362eae010fb2af767e8759f4a7bc9f5923818fecf",
-    "F25-k3": "16578e13d82db5151e4357ed3cc87a6333c8dc17ae41472ae033b6966e0d31d0",
-    "F29-k4-directed": "ad20216b41373ef70a76d903b24d6a1afe46afd140cc1b6b3ab145cbe923938e",
-    "F31-k3": "ef07636f023b6aab8d130222e2b52d1d92eadfb752199bf3a4ebf3ad71ae80ed",
-    "F37-k2": "bd7a81a2defe9dc0d3b97dee5723738de403bf811fd83c4319303996df34baf3",
-    "F4-k3-cubed": "baf632a4bd9c7aa6eb6ba12bce0aaa23d1ae0838ff0be3046655f1432c91dd9d",
-    "F41-k4": "8535146a6fef4aa953248d3a827579b967aa1344c45728362a8c65f9cccb28df",
-    "F43-k3": "c3b17579a2fa539528a39750643d29535c52bb157e2ab633ab80ea55abb0b613",
-    "F49-k2": "679113966500ebaa615c084325b96c7df7b759c154597b0e974ca14b1c883e79",
-    "F5xF13": "edacee9cd977811d1be7c507aaa6b9ef72562f770483e0104442ddb256ab8ac3",
-    "F61-k2": "83fbc1b8ae4619b8d26d1116e19dbf8e11f432e3a9505da09c8eeb7479aa82c8",
-    "F64-k3": "1a9746ac3ec3d17e85af24fa165941f2d93d1fcaabfe42380271278f26ff9486",
-    "F7-k3-squared": "bcd94d4520596e373cca298329f2780546c5e7087ab5b28651a3d6883a2aff6a",
-    "F7-k3-x-comp": "647621a34e34ca4b6396237a58de3f781c1797ec01074bb93a25c7dd51b448c9",
-    "F8-k7-squared": "bfddd097b56ee6165889ad2cc0f2a28bcc38e8ca3b2d87b90bd503895744dd46",
-    "F81-k4": "da4cd5e4c5a99162c42f4c8401e4772221fe96e985fde7a02685b20599c369fc",
-    "F9-k2-squared": "624e1fb9749bc4f2f060c6b85d4ffc1b5a239fab66414f75553282d0f127b92c",
-    "F9-k4-squared": "dd17207b4d9c89dbe714f6f4e093896db62aef5c291a848bd838c3e94e1a0abf",
-    "Z15-k2": "02accad7005681bd6eb0c2f187148e8fa69eecd45b8e05f610d6a14cc609290e",
-    "Z15xF5": "90c4fa6e8bd7c365d4a62b369288f1c21406f5e3fbec63e26ae9722ce3198b1c",
-    "Z21-k2": "ab93b3894e6bb225084371961771e749dfff0ecd69f7f9215fdc9ac19eca7298",
-    "Z21-k3": "a1641637482ec9370c6ad00a5b2bfc222fcee14547c6458307556baa8ec5c58b",
-    "Z21xF4": "46dcad8ade98b1493e9c16d6a973f8c16a09d2e0f6ac59ccf2edd155ed748834",
-    "Z65-k2": "d682edeac878b3d92bb5d94f5240897326cd3b530898b75d50a778296a9854f6",
-    "comp-F13-k3-squared": "f94f77559c80eef284580d34f0cd80b2de3997c9d6fe9b93bd65fb8425a0cecd",
-    "comp-F4-k3-cubed": "42b008195bd09edf187784e242db7218eef193ba195db6b7d67750a568a8a599",
-    "comp-F7-k3-squared": "9537c9db0ab8c6e44bece63d027014e4f772c3f36c85105a4f48f38a0658dd83",
-    "comp-F9-k4-squared": "591a31d39e2f19443c1eff9e1f1be62a87335e00d16d17d2adcee377baa5652c",
-    "rnd-F25": "9b02b43c28b1d67398c35653a1c0fede065e1a1e483c59420f7d02dab985cfb0",
-    "rnd-F27-directed": "0a85a6b5db5e5a773a427705bbdc95049f34ab9a1e0096958175a5a184ac86af",
-    "rnd-F8-directed-squared": "154f1db5027dcc2684b739746e35aa131315069185c3927193491fa1e17ab6ab",
-    "rnd-F9-squared": "d40ea451f9d8c689c2ad69b208dea59bb6d6f84ffb2f6af5c21771e764b77895",
-    "rnd-Z12-squared": "91390116ad8c8692b251b3980881b10b2853823b7b17dc225a98d66efde53ffe",
-    "rnd-Z16": "4167e317d8a234abd61337bc9bbe017b07d09fef307927cfef74623f4ea7454b",
+    "F101-k2": "eff664c76dc4a4dea1037c8a6fbef1b05a360751c4f81e66c3de65a46cc7f613",
+    "F13-k2": "ea9e9191d8f1f8c6204cb565124f536aaec2766ba73340649b578a38a53dc8f4",
+    "F19-k2-squared": "a609019d4fddbf0fcc093cbfe625896ee1dfdcb634855a7d316490ec4a0750c3",
+    "F23-k2-squared": "d2793d117d86c732433da1daf09954df6a232922e68fc602448933315fd53c32",
+    "F25-k3": "b260dfcf416652be512e9bd93ac5c935348765277a936d0f83d327929bb55b45",
+    "F29-k4-directed": "a55e2f7232074cc0cf584f51b953f01725e3963a151dbdbc20249de1c52f76f5",
+    "F31-k3": "15704fa10b83a7ba201ce436b7d6b9e117509914f620032de9de92f8904c51e1",
+    "F37-k2": "831bf7c275d8c267b83d3f72e803d1ab532ad60c858f8b8482018582fe23abc1",
+    "F4-k3-cubed": "2aa5c23745f66562a3c5d851c28a7a8cbd6b3fb10e5aca712f2d0c0ba60b6945",
+    "F41-k4": "6a2607d21dc646edd8cd9e437ace5c0891d4577dcfe9e574684131582b5a0415",
+    "F43-k3": "0c8d003137ffae9ca824e0457b4c675df6a08b859b806a0c326f1dd269b68cbc",
+    "F49-k2": "1c8ca7ecca3b6516f88ec4d5ca0cd2efadeed99e586a0cb4411653f754794d1b",
+    "F5xF13": "16eeb4d0c0b08d1f99b2e370b9d05287059f9c86b5027b8c033cbf168a06fe86",
+    "F61-k2": "d99080e4b1d944447f4b4c06020c07e1b42111aa7c3df53bd1f15932e625b744",
+    "F64-k3": "68055f08ff3fd9f9eada76bcae1621430b3614081d7f5cd61e8f41b51339f687",
+    "F7-k3-squared": "78ac290880577d25f8922d357ee4b3e8dc2bdd40363e83c2b5830ebc5c902566",
+    "F7-k3-x-comp": "dbcb11630edc0ecd8fe60653fdfb2af6e9b5529a837ae6c001fea0972df35e71",
+    "F8-k7-squared": "b19588e906b8e6d6da44676f3bad21a5a5d95f36835a164062e69c0bb64ceb22",
+    "F81-k4": "edbb541591820af702d85dceb9689beac619b01ee4bc66f2284c4110dc73c332",
+    "F9-k2-squared": "278169781fb1eed05e4054e2c373b7c9c3afd7339cf37561e2b6508e1c44d096",
+    "F9-k4-squared": "cf2a8ae1400e402e573e5109442373fd6a63740e69d52177cda6bea8cc048598",
+    "Z15-k2": "d2bebd344988c8e738e47c5cb40514e1410968687ce665cb0ce24ec37d298957",
+    "Z15xF5": "e61d39a3065b7046350edf9112861f669f889b2bb560ff4c24436f55e2d9d06a",
+    "Z21-k2": "4a17aa975a90a935a032dbad1421a854bf5f2469fc872e42f671a195953a105e",
+    "Z21-k3": "1a86c7f5f04c855b28105b4b1df06ef925b0d746d99ba00fea136b907ef10cdc",
+    "Z21xF4": "481fc80aec62e8ff7992bfc19b569e10d5719933702e1325a372cf8f1cbba464",
+    "Z65-k2": "12eccaddbe7a3cf4c011e4b268641aea4aae0a442ea115343f3a36f553b19545",
+    "comp-F13-k3-squared": "63e4327dbad300c84d04dbee8a3486014b2d099967f837dfb1eb2fdaa56c47f5",
+    "comp-F4-k3-cubed": "b8655cda1e14b8db8f9a8bec078477cac516960c733979ec355986e5fcfafef9",
+    "comp-F7-k3-squared": "7dc81e0254cbeeb653f3e0e17c1c13d8802decff70be9d425a30d5a9e601b60b",
+    "comp-F9-k4-squared": "8c8969539b946ff4a8c5fe5ff13eedf0e7094876adb487a324b5904115cfb70e",
+    "rnd-F25": "ff2502d112806a5d52095250eab5d99bd15dda1d51773919d4d5f74d09e9e728",
+    "rnd-F27-directed": "c71c46bd0f0a3cc2d02ffbc23c1e9620ccce19243a04aaa3492a88b8f3976047",
+    "rnd-F8-directed-squared": "d605149efd9c72e8ac36d8444df038cc8e90d65dfc87943faaee838e9868f392",
+    "rnd-F9-squared": "25893b446f50548fb9d1668dea82ffd81cd258942712dbce05a7c5bb8e679cda",
+    "rnd-Z12-squared": "47081db53edfe941737b25588656b09d3a060a7d74289c3d29a8b4f753661168",
+    "rnd-Z16": "9bb5450f43c12f3a7eb7471518a807614b7d90ddd9bbfdf5b509ce3c835eff59",
 }
 
 

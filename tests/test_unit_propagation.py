@@ -258,7 +258,10 @@ def test_failed_literals_prune_beyond_unit_propagation(monkeypatch):
 SEARCH_TREES = {
     (11, 5, 2): (dict(nodes=645, orbit_pruned=41, up_pruned=632, slab_pruned=1231),
                  "0b6b507b526e089f01c16a718c4a4029113ca128c4727c78ddc69fa8fc820ac0"),
-    (17, 2, 2): (dict(nodes=1568, orbit_pruned=205, up_pruned=1065, slab_pruned=4019),
+    # 1,568 nodes (205 orbit-, 1,065 up-, 4,019 slab-pruned) before the
+    # floor set and the ratio cap
+    (17, 2, 2): (dict(nodes=33, orbit_pruned=0, up_pruned=0, slab_pruned=126, floor=17,
+                      cap=17),
                  "86538c25a62a98ed36c1a7b243124eba99678cf1faccec6b4d862a2a80a58b66"),
     (5, 2, 3): (dict(nodes=382, orbit_pruned=76, up_pruned=649, slab_pruned=222),
                 "acb573e9876067782ce8424285259a7b75be889fcfe0e572e075ed89ae73473c"),
@@ -308,6 +311,6 @@ def test_timeout_carries_the_stats_dict(budget):
         max_independent_set(G, budget_s=budget, stats=stats)
     assert exc.value.stats == stats
     assert set(stats) == {"nodes", "root_fixed", "depth1_orbits",
-                          "orbit_pruned", "up_pruned", "slab_pruned"}
+                          "orbit_pruned", "up_pruned", "slab_pruned", "floor", "cap"}
     assert exc.value.nodes == stats["nodes"]
     assert stats["root_fixed"] is True
