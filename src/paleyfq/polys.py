@@ -3,7 +3,8 @@ enumeration of the space of polynomials of degree < n.
 
 Coefficients are canonical ring indices, low degree first, with the
 highest stored coefficient nonzero (the zero polynomial stores nothing
-and reports degree -inf).
+and reports degree -inf).  PolyFq refuses an index outside [0, q) with
+ValueError, as the ring kernels read indices, not residues.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from typing import Iterator, Optional
 
 from .errors import ContextMismatch, EnumerationTooLarge, NotAField
-from .rings import RingCtx, fold_digits, power, split_digits
+from .rings import RingCtx, fold_digits, split_digits
 
 ENUM_CAP = 10**7
 
@@ -26,10 +27,22 @@ class PolyFq:
         if not ring.is_field:
             raise NotAField("polynomial coefficients live in a field")
         c = list(coeffs)
+        if c and (min(c) < 0 or max(c) >= ring.order):
+            raise ValueError("coefficient index out of range")
+        self._set(ring, c)
+
+    def _set(self, ring: RingCtx, c: list) -> "PolyFq":
         while c and c[-1] == 0:
             c.pop()
         self.ring = ring
         self.coeffs = tuple(c)
+        return self
+
+    def _new(self, coeffs) -> "PolyFq":
+        """A polynomial over self's field from a kernel's output, whose
+        coefficients are canonical indices already: the checks are not
+        run again."""
+        return PolyFq.__new__(PolyFq)._set(self.ring, list(coeffs))
 
     @property
     def degree(self):
@@ -49,7 +62,7 @@ class PolyFq:
         """The polynomial whose i-th coefficient is op of the two i-th."""
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFq(self.ring, [op(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return self._new([op(self.coeff(i), other.coeff(i)) for i in range(n)])
 
     def __add__(self, other: "PolyFq") -> "PolyFq":
         return self._zip(other, self.ring.add)
@@ -59,17 +72,19 @@ class PolyFq:
 
     def __mul__(self, other: "PolyFq") -> "PolyFq":
         self._check(other)  # a zero factor convolves to zeros, which PolyFq strips
-        return PolyFq(self.ring, self.ring.convolve(self.coeffs, other.coeffs))
+        return self._new(self.ring.convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> "PolyFq":
+        """self^e for e >= 0 by the ring's power kernel, poly_pow: one
+        integer power of the packed coefficients on F_p while its slots
+        stay narrow, else (and on F_{p^s}, s > 1) exponentiation by
+        squaring over convolve."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        R = self.ring
-        return PolyFq(R, power(R.convolve, self.coeffs, e) if e else (1,))
+        return self._new(self.ring.poly_pow(self.coeffs, e) if e else (1,))
 
     def __neg__(self) -> "PolyFq":
-        R = self.ring
-        return PolyFq(R, [R.neg(c) for c in self.coeffs])
+        return self._new(map(self.ring.neg, self.coeffs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -103,17 +118,12 @@ def poly(ring: RingCtx, coeffs) -> PolyFq:
 
 
 def compose(F: PolyFq, u: PolyFq) -> PolyFq:
-    """F(u) by Horner's rule on coefficient lists through R.convolve."""
+    """F(u) by the ring's Horner kernel, poly_compose: one Horner pass on
+    plain integers with u packed into one integer on F_p while its slots
+    stay narrow, else (and on F_{p^s}, s > 1) Horner's rule on coefficient
+    lists over convolve."""
     F._check(u)
-    R, uc = F.ring, u.coeffs
-    acc = []
-    for c in reversed(F.coeffs):
-        acc = R.convolve(acc, uc) if acc and uc else []
-        if acc:
-            acc[0] = R.add(acc[0], c)
-        else:
-            acc = [c]
-    return PolyFq(R, acc)
+    return F._new(F.ring.poly_compose(F.coeffs, u.coeffs))
 
 
 def _least_field_kth_root(R: RingCtx, c: int, k: int) -> Optional[int]:
@@ -152,6 +162,56 @@ def _root_lead(R: RingCtx, k0: int, lead: int):
     return entry
 
 
+def _root_coeffs(R: RingCtx, W, D: int, k0: int, lead) -> list[int]:
+    """B_0..B_D, the reversed k0-th root, from the reversed power W by the
+    top-down recurrence of kth_root, through the ring's add and mul."""
+    b0, pows, slope, inv_pivot = lead
+    add, mul = R.add, R.mul
+    B = [b0]
+    # cols[m] holds the finished columns of B^m for 1 <= m < k0
+    cols = [None, B] + [[pows[m]] for m in range(2, k0)]
+    for j in range(1, D + 1):
+        parts = [0, 0]
+        acc = 0  # partial of column m - 1, 0 for column 1
+        for m in range(2, k0 + 1):
+            prev = cols[m - 1]
+            if acc:
+                acc = mul(b0, acc)
+            for i in range(1, j):
+                acc = add(acc, mul(B[i], prev[j - i]))
+            parts.append(acc)
+        Bj = mul(R.sub(W[j], acc), inv_pivot)
+        for m in range(2, k0):
+            cols[m].append(add(parts[m], mul(slope[m], Bj)))
+        B.append(Bj)
+    return B
+
+
+def _root_coeffs_mod(R: RingCtx, W, D: int, k0: int, lead) -> list[int]:
+    """_root_coeffs on F_p, where the elements are residues mod p: each
+    column entry is accumulated in plain integers and reduced once, as in
+    convolve_mod."""
+    b0, pows, slope, inv_pivot = lead
+    p = R.order
+    B = [b0]
+    cols = [None, B] + [[pows[m]] for m in range(2, k0)]
+    for j in range(1, D + 1):
+        parts = [0, 0]
+        acc = 0
+        for m in range(2, k0 + 1):
+            prev = cols[m - 1]
+            acc *= b0
+            for i in range(1, j):
+                acc += B[i] * prev[j - i]
+            acc %= p
+            parts.append(acc)
+        Bj = (W[j] - acc) * inv_pivot % p
+        for m in range(2, k0):
+            cols[m].append((parts[m] + slope[m] * Bj) % p)
+        B.append(Bj)
+    return B
+
+
 def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
     """A polynomial b with b^k = u, or None if u is not a k-th power.
 
@@ -172,17 +232,21 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
     partial is c[k0][j] with B_j = 0, and each partial follows from
     c[m][j] = sum_{i<=j} B_i c[m-1][j-i] over the finished columns.  The
     columns start at m = 2, as c[1] is B itself, so this is
-    O((k0 - 1) * D^2) ring operations.  The lead set-up (B_0, its powers,
+    O((k0 - 1) * D^2) ring operations, on F_p plain integer operations
+    with one reduction per column entry.  The lead set-up (B_0, its powers,
     the slopes and the inverse pivot) is cached per ring by _root_lead.
-    The final check b^k0 = w keeps full strength at O(log k0) coefficient
-    list products, by rings.power over R.convolve.
+    The final check b^k0 = w keeps full strength: every coefficient of
+    b^k0 is computed from B alone, by the ring's power kernel poly_pow,
+    and compared with w.  On F_p that is one integer power of the packed
+    B while its slots stay narrow, else O(log k0) coefficient list
+    products over convolve.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     R = u.ring
     wc = u.coeffs
     if not wc:
-        return PolyFq(R, ())
+        return u
     p, s = R.spec.p, R.spec.s
 
     e = 0
@@ -210,29 +274,11 @@ def kth_root(u: PolyFq, k: int) -> Optional[PolyFq]:
         lead = _root_lead(R, k0, wc[-1])
         if lead is None:
             return None
-        b0, pows, slope, inv_pivot = lead
-        add, mul = R.add, R.mul
-        W = wc[::-1]
-        B = [b0]
-        # cols[m] holds the finished columns of B^m for 1 <= m < k0
-        cols = [None, B] + [[pows[m]] for m in range(2, k0)]
-        for j in range(1, D + 1):
-            parts = [0, 0]
-            acc = 0  # partial of column m - 1, 0 for column 1
-            for m in range(2, k0 + 1):
-                prev = cols[m - 1]
-                if acc:
-                    acc = mul(b0, acc)
-                for i in range(1, j):
-                    acc = add(acc, mul(B[i], prev[j - i]))
-                parts.append(acc)
-            Bj = mul(R.sub(W[j], acc), inv_pivot)
-            for m in range(2, k0):
-                cols[m].append(add(parts[m], mul(slope[m], Bj)))
-            B.append(Bj)
+        # F_p is a residue ring: its elements add and multiply as integers
+        B = (_root_coeffs_mod if s == 1 else _root_coeffs)(R, wc[::-1], D, k0, lead)
         B.reverse()
-    if B and power(R.convolve, B, k0) == list(wc):
-        return PolyFq(R, B)
+    if B and R.poly_pow(B, k0) == list(wc):
+        return u._new(B)
     return None
 
 
@@ -250,8 +296,10 @@ def enumeration_size(R: RingCtx, n: int) -> int:
 def enumerate_polynomials(R: RingCtx, n: int) -> Iterator[PolyFq]:
     """All q^n polynomials of degree < n, ordered by the base-q integer
     encoding of the coefficient vector (c_0 least significant)."""
-    for code in range(enumeration_size(R, n)):
-        yield decode_poly(R, code)
+    size = enumeration_size(R, n)
+    zero = PolyFq(R, ())  # NotAField unless R is a field
+    for code in range(size):
+        yield zero._new(split_digits(code, R.order))  # digits are indices
 
 
 def encode_poly(u: PolyFq) -> int:
@@ -265,6 +313,4 @@ def decode_poly(R: RingCtx, code: int) -> PolyFq:
 
 def parse_poly(R: RingCtx, text: str) -> PolyFq:
     coeffs = [int(t) for t in text.split(",")] if text.strip() else []
-    if any(c < 0 or c >= R.order for c in coeffs):
-        raise ValueError("coefficient index out of range")
-    return PolyFq(R, coeffs)
+    return PolyFq(R, coeffs)  # ValueError outside [0, q)

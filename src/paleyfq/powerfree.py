@@ -126,6 +126,7 @@ class DifferenceFreeSet:
         con_idx = [i for b in self.blocks for i in b]
         free_idx = [i for i in range(p.n) if i % p.k]
         choices = [sorted(self.allowed)] * len(self.blocks)
+        zero = PolyFq(p.ring, ())
         for con in iproduct(*choices):
             c = [0] * p.n
             for i, v in zip(con_idx, (v for t in con for v in t)):
@@ -133,7 +134,7 @@ class DifferenceFreeSet:
             for free in iproduct(range(p.q), repeat=len(free_idx)):
                 for i, v in zip(free_idx, free):
                     c[i] = v
-                yield PolyFq(p.ring, c)
+                yield zero._new(c)  # allowed tuples and range(q) are indices
 
     def to_json(self) -> dict:
         p = self.params

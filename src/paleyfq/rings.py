@@ -12,6 +12,7 @@ pure, so contexts can be shared freely.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ from .errors import (
 
 ORDER_CAP = 1 << 20
 _ADD_TABLE = 1 << 16  # entries of the largest chunk addition table
+_DIGIT = sys.int_info.bits_per_digit  # bits in one digit of a Python int
+# Karatsuba multiplies d-digit integers in about d^log2(3) digit products,
+# so an integer of d digits is within n^2 products for d <= n^_PAYS
+_PAYS = 2 / math.log2(3)
 
 
 def is_prime(n: int) -> bool:
@@ -82,7 +87,10 @@ class RingSpec:
 
 def split_digits(x: int, radix: int, width: int = 0) -> list[int]:
     """Base-radix digits of x >= 0, lowest place first: as many as x
-    needs (none for 0), padded with zeros to width."""
+    needs (none for 0), padded with zeros to width.  A negative x has no
+    such digits (ValueError)."""
+    if x < 0:
+        raise ValueError(f"{x} has no base-{radix} digits")
     out = []
     while x or len(out) < width:
         x, r = divmod(x, radix)
@@ -121,6 +129,31 @@ def convolve_mod(a, b, m: int) -> list[int]:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return [c % m for c in out]
+
+
+def _pack(a, s: int) -> int:
+    """The integer whose s-bit slots, lowest first, hold the nonnegative
+    integers a (each below 2^s)."""
+    x = 0
+    for c in reversed(a):
+        x = x << s | c
+    return x
+
+
+def _unpack_mod(x: int, n: int, s: int, m: int) -> list[int]:
+    """The n lowest s-bit slots of x >= 0, lowest first, each mod m.  Long
+    integers are split in halves first, so no slot is shifted down through
+    more than 64 others and the work stays linear in the bits of x."""
+    if n > 64:
+        h = n // 2
+        return (_unpack_mod(x & ((1 << h * s) - 1), h, s, m)
+                + _unpack_mod(x >> h * s, n - h, s, m))
+    mask = (1 << s) - 1
+    out = []
+    for _ in range(n):
+        out.append((x & mask) % m)
+        x >>= s
+    return out
 
 
 def _pmod(a, m: tuple[int, ...], p: int) -> list[int]:
@@ -189,11 +222,14 @@ class RingCtx:
 
     make_ring picks the arithmetic once: _ResidueRing (Z/m and F_p, plain
     integers mod the order) or _ExtensionField (F_{p^s} with s > 1,
-    exp/log and Zech tables).  Each also has its own polynomial product
-    kernel, convolve(a, b).  Every field keeps the exp/log tables of its
-    least-index generator as int32 numpy arrays: exp[t] = g^t for t < q-1
-    and log[x] with exp[log[x]] = x for x != 0 (log[0] = 0).  Readers
-    index them as arrays and convert what they keep to Python ints.
+    exp/log and Zech tables).  Each also has its own polynomial kernels:
+    the product convolve(a, b), the power poly_pow(a, e) and the Horner
+    evaluation poly_compose(f, u), the last two over convolve here and
+    packed into one integer operation on _ResidueRing.  Every field keeps
+    the exp/log tables of its least-index generator as int32 numpy
+    arrays: exp[t] = g^t for t < q-1 and log[x] with exp[log[x]] = x for
+    x != 0 (log[0] = 0).  Readers index them as arrays and convert what
+    they keep to Python ints.
 
     The additive group is the grid (Z/radix)^len(shape): shape is (p,)*s
     for F_{p^s} and (m,) for Z/m.  An index is the base-radix number of
@@ -275,6 +311,25 @@ class RingCtx:
         log[0] = 0
         self.exp, self.log = exp, log
 
+    # -- polynomial kernels over convolve ------------------------------------
+
+    def poly_pow(self, a, e: int):
+        """Coefficients of a^e (a an index sequence, low degree first,
+        e >= 1), by power over convolve."""
+        return power(self.convolve, a, e)
+
+    def poly_compose(self, f, u) -> list[int]:
+        """Coefficients of f(u) (index sequences, low degree first), by
+        Horner's rule over convolve."""
+        acc = []
+        for c in reversed(f):
+            acc = self.convolve(acc, u) if acc and u else []
+            if acc:
+                acc[0] = self.add(acc[0], c)
+            else:
+                acc = [c]
+        return acc
+
     def elements(self) -> range:
         return range(self.order)
 
@@ -330,6 +385,67 @@ class _ResidueRing(RingCtx):
         """Coefficients of the product of the polynomials a and b (index
         sequences, low degree first), by convolve_mod."""
         return convolve_mod(a, b, self.order)
+
+    # The packed kernels read a polynomial with coefficients 0 <= c < m as
+    # the integer sum of c_i * 2^(s*i): one s-bit slot per coefficient.
+    # The integer power (or Horner value) is then exactly the sum of c'_j *
+    # 2^(s*j), with c'_j the coefficients of the result over the integers,
+    # and its s-bit slots are the c'_j themselves as long as each c'_j is
+    # below 2^s; whatever order the integer arithmetic takes, only that
+    # final bound matters.  Reducing each slot mod m gives the result.  s
+    # is the bit length of the largest c'_j the input sizes allow.  The
+    # packed route is taken when it makes no more digit products than the
+    # chain over convolve makes coefficient products, as a digit product
+    # costs far less than an interpreted multiply-add; else the chain,
+    # which keeps the power of a constant O(log e).
+
+    def poly_pow(self, a, e: int):
+        """Coefficients of a^e (a an index sequence, low degree first,
+        e >= 1) mod m.  Each coefficient of the integer power of a is a
+        sum of at most L^(e-1) products of e coefficients (L = len(a): the
+        first e - 1 factors fix the last), each product at most (m-1)^e,
+        so s is the bit length of L^(e-1) * (m-1)^e; then one integer
+        power x^e of the packed a.  Squaring up to an integer of n =
+        e*(L-1) + 1 slots takes about ceil(n*s/digit)^log2(3) digit
+        products (Karatsuba), and the chain about n^2 coefficient
+        products, so the packed route is taken for s <= widest.  s grows
+        with e, and the packed integer like e^2, so large e take the
+        chain."""
+        if not a:
+            return []
+        L, m = len(a), self.order
+        n = e * (L - 1) + 1
+        widest = _DIGIT * int(n**_PAYS) // n  # ceil(n*s/digit) <= n^_PAYS
+        # s >= e (except for (1,)^e over F_2), so the bound is formed only
+        # when it is small
+        if e <= widest:
+            s = (L ** (e - 1) * (m - 1) ** e).bit_length()
+            if s <= widest:
+                return _unpack_mod(_pack(a, s) ** e, n, s, m)
+        return super().poly_pow(a, e)
+
+    def poly_compose(self, f, u) -> list[int]:
+        """Coefficients of f(u) (index sequences, low degree first) mod m.
+        A coefficient of the integer f(u) is a sum over i of f_i times a
+        coefficient of u^i, at most f_i * L^(i-1) * (m-1)^i for i >= 1
+        (L = len(u), as in poly_pow) and f_0 for i = 0, so s is the bit
+        length of that sum; then Horner's rule on plain integers with the
+        packed u.  Its d = deg f steps multiply a growing integer by the
+        packed u of L slots, as the chain's steps multiply a growing
+        list by the L coefficients of u, so it makes no more digit
+        products than the chain makes coefficient products while a slot
+        fits in one digit."""
+        d = len(f) - 1
+        if f and u and d <= _DIGIT:  # else s >= d > _DIGIT, as in poly_pow
+            L, m = len(u), self.order
+            s = (f[0] + sum(c * L ** (i - 1) * (m - 1) ** i
+                            for i, c in enumerate(f) if i)).bit_length()
+            if s <= _DIGIT:
+                x, acc = _pack(u, s), 0
+                for c in reversed(f):
+                    acc = acc * x + c
+                return _unpack_mod(acc, d * (L - 1) + 1, s, m)
+        return super().poly_compose(f, u)
 
 
 class _ExtensionField(RingCtx):

@@ -5,15 +5,18 @@ Every pool entry of the alpha-bnb workload in perfbench/workloads.py that
 builds a strong product (the `alpha --power` CLI jobs and the
 `beta_pairs` and `diagonal` library jobs) or calls the solver (every
 `alpha` and `bounds` CLI job and the `capacity` and `clique` library
-jobs), every `construct` entry of the powerfree-verify workload, and
-every `fingerprint` entry of the ring-scale workload, is run in-process,
-and the sha256 of its output is compared with perfbench/expected.json,
-the oracle the benchmark checks every pass against: the sha256 of the
-CLI's stdout, or of the canonical JSON of the library call's value (a
-capacity sandwich with its floats rounded to 12 significant digits, as
-the benchmark records it).  So byte drift in a product's or a Cayley
-graph's rows, fingerprint or certificate, or in any answer the solver
-gives the benchmark, fails here, before a benchmark run.  The benchmark
+jobs), every entry of the powerfree-verify workload (`construct`, and
+the `root_trips` and `greedy` library jobs), and every `fingerprint`
+entry of the ring-scale workload, is run in-process, and the sha256 of
+its output is compared with perfbench/expected.json, the oracle the
+benchmark checks every pass against: the sha256 of the CLI's stdout, or
+of the canonical JSON of the library call's value (a capacity sandwich
+with its floats rounded to 12 significant digits, and roots and greedy
+sets as polynomial codes, as the benchmark records them; a root job's
+inputs are the benchmark's seeded powers).  So byte drift in a
+product's or a Cayley graph's rows, fingerprint or certificate, in any
+answer the solver gives the benchmark, or in a k-th root, polynomial
+power or greedy set, fails here, before a benchmark run.  The benchmark
 files are only read.
 """
 
@@ -22,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import types
 
@@ -86,15 +90,32 @@ def _clique(q, k):
     return paleyfq.clique_number(paleyfq.build_paley(_field(q), k))
 
 
+def _root_trips(q, k, count, seed, deg):
+    """The codes of the k-th roots of the benchmark's inputs: the k-th
+    powers of `count` seeded random polynomials of degree < deg."""
+    R = _field(q)
+    rng = random.Random(seed)
+    us = [paleyfq.decode_poly(R, rng.randrange(q**deg)) ** k for _ in range(count)]
+    roots = [paleyfq.kth_root(u, k) for u in us]
+    assert all(r is not None and r**k == u for u, r in zip(us, roots))
+    return [paleyfq.encode_poly(r) for r in roots]
+
+
+def _greedy(q, n, k):
+    return [paleyfq.encode_poly(u) for u in paleyfq.greedy_difference_free(_field(q), n, k)]
+
+
 WORKLOADS = _workloads()
 JOBS = [job for job in WORKLOADS.all_jobs("alpha-bnb") if _builds_a_product(job)]
 SOLVER_JOBS = [job for workload in ("alpha-bnb", "powerfree-verify")
                for job in WORKLOADS.all_jobs(workload)
                if _calls_the_solver(job) and not _builds_a_product(job)]
 FINGERPRINTS = [job for job in WORKLOADS.all_jobs("ring-scale") if job.get("call") == "fingerprint"]
+POLY_JOBS = [job for job in WORKLOADS.all_jobs("powerfree-verify") if job["kind"] == "lib"]
 LIB = {"beta_pairs": lambda q, k: paleyfq.beta_pair_set(q, k).to_json(),
        "diagonal": lambda q, k: paleyfq.diagonal_indep_set(q, k).to_json(),
-       "capacity": _capacity, "clique": _clique}
+       "capacity": _capacity, "clique": _clique,
+       "root_trips": _root_trips, "greedy": _greedy}
 
 with open(os.path.join(BENCH, "expected.json")) as fh:
     EXPECTED = json.load(fh)
@@ -150,3 +171,15 @@ def test_fingerprint_job_matches_the_benchmark_oracle(job):
     want = EXPECTED[job["id"]]
     assert want["rc"] == 0
     assert hashlib.sha256(json.dumps(fingerprint).encode()).hexdigest() == want["sha256"]
+
+
+def test_the_replay_covers_every_root_and_greedy_job():
+    assert sorted((job["call"], *job["args"][:2]) for job in POLY_JOBS) == [
+        ("greedy", 2, 9), ("greedy", 3, 5)] + [("root_trips", 7, 3)] * 3 + [
+        ("root_trips", 9, 2)] * 3
+
+
+@pytest.mark.parametrize("job", POLY_JOBS, ids=[job["id"] for job in POLY_JOBS])
+def test_root_and_greedy_job_matches_the_benchmark_oracle(job):
+    want = EXPECTED[job["id"]]
+    assert _replay(job) == (want["rc"], want["sha256"])
